@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fsm import FsmSpec, Transition, extract_cfg
@@ -17,7 +18,7 @@ class CodingError(Exception):
 
 
 def hamming(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
+    return (a ^ b).bit_count()
 
 
 @dataclass(frozen=True)
@@ -26,16 +27,25 @@ class CodeBook:
     width: int
     entries: Tuple[Tuple[str, int], ...]  # (symbol, codeword), entry order fixed
     error_symbol: str
+    # lookup indexes derived from ``entries``; the first of duplicated entries wins
+    _by_symbol: Dict[str, int] = field(init=False, repr=False, compare=False)
+    _by_word: Dict[int, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_symbol: Dict[str, int] = {}
+        by_word: Dict[int, str] = {}
+        for s, w in self.entries:
+            by_symbol.setdefault(s, w)
+            by_word.setdefault(w, s)
+        object.__setattr__(self, "_by_symbol", by_symbol)
+        object.__setattr__(self, "_by_word", by_word)
 
     @property
     def error_codeword(self) -> int:
         return self.codeword(self.error_symbol)
 
     def codeword(self, symbol: str) -> int:
-        for s, w in self.entries:
-            if s == symbol:
-                return w
-        raise KeyError(symbol)
+        return self._by_symbol[symbol]
 
     def symbols(self) -> List[str]:
         return [s for s, _ in self.entries]
@@ -83,10 +93,16 @@ def nearest_codeword(code: CodeBook, word: int) -> Tuple[str, int]:
 
 def decode_exact(code: CodeBook, word: int) -> Optional[str]:
     """The symbol whose codeword equals ``word`` exactly, or None."""
-    for s, w in code.entries:
-        if w == word:
-            return s
-    return None
+    return code._by_word.get(word)
+
+
+def _ball(n: int, width: int) -> List[int]:
+    """Every ``width``-bit mask of weight below ``n``, the zero mask included."""
+    return [
+        sum(1 << i for i in bits)
+        for r in range(min(n, width + 1))
+        for bits in itertools.combinations(range(width), r)
+    ]
 
 
 def _greedy_lexicode(count: int, n: int, width: int, rng: random.Random) -> Optional[List[int]]:
@@ -95,12 +111,20 @@ def _greedy_lexicode(count: int, n: int, width: int, rng: random.Random) -> Opti
         return [0]
     candidates = list(range(1, 1 << width))
     rng.shuffle(candidates)
+    # a candidate is closer than n to an accepted word w exactly when it lies
+    # in w ^ ball, so ``blocked`` marks every word too close to one accepted
+    ball = _ball(n, width)
+    blocked = bytearray(1 << width)
+    for m in ball:
+        blocked[m] = 1
     accepted = [0]
     for cand in candidates:
-        if all(hamming(cand, w) >= n for w in accepted):
+        if not blocked[cand]:
             accepted.append(cand)
             if len(accepted) == count:
                 return accepted
+            for m in ball:
+                blocked[cand ^ m] = 1
     return None
 
 

@@ -129,6 +129,23 @@ def theoretical_success_probability(state_bits: int, error_bits: int, k: int) ->
     return total / (k * (2.0 ** exponent))
 
 
+def wilson_interval(hits: int, total: int, z: float = 1.96) -> Tuple[float, float]:
+    """Wilson score interval for ``hits`` of ``total`` (95% for z=1.96).
+
+    Unlike the Wald interval it stays honest at 0 hits: 0 of 500 gives an
+    upper bound of about 0.0076, close to the rule of three.
+    """
+    p = hits / total
+    zz = z * z
+    centre = p + zz / (2 * total)
+    spread = z * math.sqrt(p * (1 - p) / total + zz / (4 * total * total))
+    scale = 1 + zz / total
+    # at the edges the bound is exactly 0 or 1; computing it could round past p
+    lo = 0.0 if hits == 0 else (centre - spread) / scale
+    hi = 1.0 if hits == total else (centre + spread) / scale
+    return lo, hi
+
+
 def _word_trace(words: Sequence[int]) -> List[Dict[str, int]]:
     # one extra settle cycle so the final register state and alert are observable
     return [{"x_e": w} for w in words] + [{"x_e": 0}]
@@ -238,9 +255,7 @@ def run_campaign(
     hijack = counts["hijack"]
     ci = None
     if spec.mode == "sampled" and total:
-        p = hijack / total
-        half = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / total)
-        ci = (max(0.0, p - half), min(1.0, p + half))
+        ci = wilson_interval(hijack, total)
     report = FaultCampaignReport(
         total=total,
         masked=counts["masked"] + counts["masked_corrupt"],

@@ -6,6 +6,7 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -75,8 +76,15 @@ class FsmSpec:
                 return s
         raise KeyError(name)
 
+    @cached_property
+    def _by_src(self) -> Dict[str, List[Transition]]:
+        by_src: Dict[str, List[Transition]] = {}
+        for t in self.transitions:
+            by_src.setdefault(t.src, []).append(t)
+        return by_src
+
     def transitions_from(self, state: str) -> List[Transition]:
-        return [t for t in self.transitions if t.src == state]
+        return list(self._by_src.get(state, ()))
 
     def input_width(self) -> int:
         return sum(s.width for s in self.control_signals)
@@ -124,7 +132,7 @@ def validate(fsm: FsmSpec) -> FsmSpec:
                 raise FsmValidationError(f"unknown output {sig!r} on {t.src}->{t.dst}")
     # determinism: explicit guards of a state must be pairwise disjoint
     for state in fsm.states:
-        outgoing = [t for t in fsm.transitions if t.src == state]
+        outgoing = fsm.transitions_from(state)
         explicit = [t for t in outgoing if not t.is_default]
         defaults = [t for t in outgoing if t.is_default]
         if len(defaults) > 1:
@@ -159,7 +167,7 @@ def complete(fsm: FsmSpec) -> FsmSpec:
     added = []
     transitions = list(fsm.transitions)
     for state in fsm.states:
-        if not any(t.src == state and t.is_default for t in transitions):
+        if not any(t.is_default for t in fsm.transitions_from(state)):
             transitions.append(Transition(state, (), state))
             added.append(state)
     if added:

@@ -38,7 +38,7 @@ def ring_add(a: int, b: int) -> int:
 
 
 def _popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def solve_modifiers(
         rhs = []
         for (b, p, is_err, j) in constrained:
             target = 1 if is_err else (sn >> j) & 1
-            parity = bin(m.binary_rows[p] & known[b]).count("1") & 1
+            parity = (m.binary_rows[p] & known[b]).bit_count() & 1
             rhs.append(target ^ parity)
         x = solve_gf2(rows, rhs, mod_w)
         if x is None:

@@ -131,6 +131,10 @@ class Netlist:
         return nets
 
     def nets(self) -> List[str]:
+        """Every net in first-use order: port bits, then flops, then gates."""
+        if self._compiled is not None:
+            # the compiled index was built from this same walk, in this order
+            return list(self._compiled.index)
         seen: List[str] = []
         have = set()
 
@@ -464,20 +468,19 @@ def emit_verilog(netlist: Netlist) -> str:
     for p in out_ports:
         rng = f"[{len(p.bits) - 1}:0] " if len(p.bits) > 1 else ""
         lines.append(f"  output {rng}{p.name};")
-    port_bitnets = {b for p in netlist.ports for b in p.bits}
-    wires = sorted(
-        {n for n in netlist.nets()}
-    )
-    for n in wires:
-        lines.append(f"  wire {_vnet(n)};")
+    nets = netlist.nets()
+    # checked once per net, not per use; nets that are identifiers keep their name
+    alias = {n: _vnet(n) for n in nets if not _ID_RE.match(n)}
+    for n in sorted(nets):
+        lines.append(f"  wire {alias.get(n, n)};")
     # unpack input ports onto their bit nets
     for p in in_ports:
         for i, b in enumerate(p.bits):
             sel = f"{p.name}[{i}]" if len(p.bits) > 1 else p.name
-            lines.append(f"  assign {_vnet(b)} = {sel}; // portin")
+            lines.append(f"  assign {alias.get(b, b)} = {sel}; // portin")
     for g in netlist.gates:
-        ins = [_vnet(n) for n in g.inputs]
-        out = _vnet(g.output)
+        ins = [alias.get(n, n) for n in g.inputs]
+        out = alias.get(g.output, g.output)
         if g.kind == "XOR":
             expr = f"{ins[0]} ^ {ins[1]}"
         elif g.kind == "AND":
@@ -496,7 +499,7 @@ def emit_verilog(netlist: Netlist) -> str:
             expr = ins[0]
         lines.append(f"  assign {out} = {expr};")
     for f in netlist.flops:
-        q, d = _vnet(f.q), _vnet(f.d)
+        q, d = alias.get(f.q, f.q), alias.get(f.d, f.d)
         lines.append(f"  reg {q}_r;")
         lines.append(f"  assign {q} = {q}_r; // flopq")
         lines.append("  always @(posedge clk or negedge rst_n)")
@@ -505,7 +508,7 @@ def emit_verilog(netlist: Netlist) -> str:
     for p in out_ports:
         for i, b in enumerate(p.bits):
             sel = f"{p.name}[{i}]" if len(p.bits) > 1 else p.name
-            lines.append(f"  assign {sel} = {_vnet(b)}; // portout")
+            lines.append(f"  assign {sel} = {alias.get(b, b)}; // portout")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
 

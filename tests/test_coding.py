@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fsmguard as fg
 from fsmguard import coding
@@ -129,3 +133,60 @@ def test_codebook_json_round_trip():
     doc = code.to_json_dict()
     again = coding.CodeBook.from_json_dict(doc)
     assert again == code
+
+
+def _reference_lexicode(count, n, width, rng):
+    """The pairwise-scan greedy search that ``_greedy_lexicode`` must reproduce."""
+    if count == 1:
+        return [0]
+    candidates = list(range(1, 1 << width))
+    rng.shuffle(candidates)
+    accepted = [0]
+    for cand in candidates:
+        if all(bin(cand ^ w).count("1") >= n for w in accepted):
+            accepted.append(cand)
+            if len(accepted) == count:
+                return accepted
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(2, 120),
+    n=st.integers(1, 5),
+    width=st.integers(1, 11),
+    seed=st.text(max_size=8),
+)
+def test_greedy_lexicode_matches_pairwise_reference(count, n, width, seed):
+    got = coding._greedy_lexicode(count, n, width, random.Random(seed))
+    assert got == _reference_lexicode(count, n, width, random.Random(seed))
+
+
+@pytest.mark.parametrize(
+    "count,n,width,digest",
+    [
+        (33, 4, 11, "ae03a685e46e4fc26b604e9c6517b9ec55fb679e2696abe5c8c4b0ce83bab52b"),
+        (101, 3, 12, "06035728b6f6497a7b7db789f63f97b001c037e3f905deddbbfb64fd34e8c18c"),
+        (301, 3, 14, "ed555b66c7260aa0364de509131a89c8de2d87b45a86b11eb15196a9572e7b26"),
+    ],
+    ids=["33x4", "101x3", "301x3"],
+)
+def test_generate_code_output_pinned(count, n, width, digest):
+    # digests of the codebooks the pairwise-scan search produced at seed 0
+    code = fg.generate_code(count, n, seed=0)
+    assert code.width == width
+    blob = json.dumps(code.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_codebook_lookups_first_entry_wins():
+    cb = coding.CodeBook(1, 3, (("a", 1), ("b", 2), ("a", 4), ("c", 2)), "a")
+    assert cb.codeword("a") == 1
+    assert coding.decode_exact(cb, 2) == "b"
+    assert coding.decode_exact(cb, 7) is None
+    with pytest.raises(KeyError):
+        cb.codeword("d")
+    # the lookup indexes take no part in equality, hashing or repr
+    same = coding.CodeBook(1, 3, cb.entries, "a")
+    assert same == cb and hash(same) == hash(cb)
+    assert "_by" not in repr(cb)

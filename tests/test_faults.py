@@ -94,6 +94,26 @@ def test_sampled_mode_and_ci(design_n2):
     assert 0.0 <= lo <= rep.hijack_rate <= hi <= 1.0
 
 
+def test_wilson_interval_known_count():
+    # 10 of 100 at 95%: the textbook Wilson interval is [0.0552, 0.1744]
+    lo, hi = fe.wilson_interval(10, 100)
+    assert lo == pytest.approx(0.05523, abs=1e-5)
+    assert hi == pytest.approx(0.17437, abs=1e-5)
+    assert fe.wilson_interval(100, 100)[1] == 1.0
+
+
+def test_sampled_ci_honest_at_zero_hijacks(design_n2):
+    # input-side single flips never hijack (acceptance criterion 6), so the
+    # interval must still leave room for a rate near the rule of three, 3/500
+    spec = fe.CampaignSpec(scope="inputs_only", mode="sampled", sample_count=500, seed=1)
+    rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    assert rep.hijack == 0
+    lo, hi = rep.confidence_interval
+    assert lo == 0.0
+    assert hi == pytest.approx(0.00762, abs=1e-5)
+    assert rep.to_json_dict()["hijack_rate_ci95"] == [lo, hi]
+
+
 def test_sample_multifault_rejects_exhaustive(design_n2):
     spec = fe.CampaignSpec(scope="all", max_simultaneous_faults=2)
     with pytest.raises(fe.CampaignError, match="sampled"):

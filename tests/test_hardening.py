@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -210,3 +211,60 @@ def test_autocover_words_drive_every_edge(design_n2, ref14_fsm):
     assert not any(alerts)
     walk, _ = fsm_mod.edge_cover_walk(ref14_fsm, seed=0)
     assert states[1:] == [t.dst for t in walk]
+
+
+# sha256 of the netlist JSON (as `fsmguard harden` writes it) and of the
+# Verilog, hardened at seed 0; pinned so that speed work cannot move a byte
+PINNED_OUTPUTS = [
+    ("fig2_fsm", 2,
+     "76f9e27f4236e25a903bc01081c6a97d84c65fe252a11085b6bff3393075b507",
+     "247d3ce3db57e3927ac4ae6beb038d4acb50f711f0be0ec70354d8219c8f378b"),
+    ("fig2_fsm", 3,
+     "b8868eec8a371d77e89cdba7731a09add36cd7ebaab1fb3d4202af26f64d8de2",
+     "6fbce3c7a72a6457448e5d5cad33ea0a935f207ff5234b797700981c03a9694c"),
+    ("fig2_fsm", 4,
+     "656022cc24bd6b692a661827ebfadfd33a945686c0ad107e5028c3323679e07b",
+     "d5458c25a16d321ccad6eefc48857a689a577dc25460e96179197bb25ed7a003"),
+    ("ref14_fsm", 2,
+     "4e931c08bceaf06825da6674d31bd5c01750c098fea94734bf9fc920af8c8b62",
+     "d79c3d54728ee7a5fe8d026ca76021c2f8d5ba695d0561b163ef71291fcad445"),
+    ("ref14_fsm", 3,
+     "431ef9d283b75aa88e3aa92935d7661fe48a0a6fe378b27e633606e81c7286f2",
+     "cfd06db7b2c22433e30c4065c156234e2da2af7f7aee343208846a37f1895aaa"),
+    ("ref14_fsm", 4,
+     "bfa00240d13fae8701aec79f4096c711e4bfb659a8a80fe7b4fe912a3e99a483",
+     "56e0dd3258a577045692fd33e041838f5e1458cfb94b6a7883fba1b5323c143f"),
+]
+
+
+@pytest.mark.parametrize(
+    "fsm_fixture,level,json_sha,verilog_sha",
+    PINNED_OUTPUTS,
+    ids=[f"{f.split('_')[0]}-N{n}" for f, n, _, _ in PINNED_OUTPUTS],
+)
+def test_harden_output_bytes_pinned(request, fsm_fixture, level, json_sha, verilog_sha):
+    fsm = request.getfixturevalue(fsm_fixture)
+    design = hd.harden(fsm, hd.HardeningConfig(protection_level=level, seed=0))
+    doc = json.dumps(nl_mod.to_json_dict(design.netlist), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(doc.encode()).hexdigest() == json_sha
+    verilog = nl_mod.emit_verilog(design.netlist)
+    assert hashlib.sha256(verilog.encode()).hexdigest() == verilog_sha
+
+
+def test_nets_same_before_and_after_compile():
+    nl = nl_mod.Netlist("t")
+    nl.add_port("a", "in", ["a0", "a1"])
+    nl.add_gate("XOR", ["a0", "q"], "x")
+    nl.add_gate("AND", ["x", "a1"], "y")
+    nl.add_flop("y", "q")
+    nl.add_port("o", "out", ["q"])
+    before = nl.nets()
+    nl.validate()
+    assert nl.nets() == before == ["a0", "a1", "q", "y", "x"]
+    nl.nets().append("junk")  # every call hands out a fresh list
+    assert nl.nets() == before
+    # a later mutation must show up, whether or not the netlist was compiled
+    nl.add_gate("NOT", ["x"], "z")
+    assert nl.nets() == before + ["z"]
+    nl.validate()
+    assert nl.nets() == before + ["z"]

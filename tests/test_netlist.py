@@ -224,3 +224,20 @@ def test_verilog_round_trip_full_adder_exhaustive():
         res = nl.simulate(again, [{"a": a, "b": b, "cin": c}])
         assert res.port_value("sum", 0) == (a + b + c) & 1
         assert res.port_value("cout", 0) == (a + b + c) >> 1
+
+
+def test_verilog_renames_non_identifier_nets():
+    n = nl.Netlist("odd")
+    n.add_port("a", "in", ["a.0", "a.1"])
+    n.add_gate("XOR", ["a.0", "a.1"], "x[0]")
+    n.add_gate("NOT", ["x[0]"], "y-n")
+    n.add_flop("y-n", "q.r")
+    n.add_port("o", "out", ["q.r", "x[0]"])
+    n.validate()
+    text = nl.emit_verilog(n)
+    for raw, legal in [("a.0", "a_0"), ("a.1", "a_1"), ("x[0]", "x_0_"), ("y-n", "y_n"), ("q.r", "q_r")]:
+        assert raw not in text
+        assert f"  wire {legal};" in text
+    again = nl.parse_verilog(text)
+    trace = [{"a": v} for v in (0, 1, 2, 3, 1)]
+    assert nl.simulate(again, trace).port_column("o") == nl.simulate(n, trace).port_column("o")
