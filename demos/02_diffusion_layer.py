@@ -19,7 +19,7 @@ def main():
     for row in m.entries:
         print("  " + "  ".join(f"0x{x:02x}" for x in row))
 
-    bn = fg.branch_number(m, samples=200_000)
+    bn = fg.branch_number(m)
     print(f"\nBranch number: {bn}")
     print("Any nonzero input difference touches >= 5 active bytes across")
     print("input and output, so a single flipped input byte disturbs every")

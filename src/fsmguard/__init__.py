@@ -24,7 +24,6 @@ from .faults import (
     golden_run,
     replay_witness,
     run_campaign,
-    sample_multifault,
     theoretical_success_probability,
 )
 from .fsm import (

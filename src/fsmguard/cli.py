@@ -194,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--scope", choices=list(_SCOPES), default="all")
     i.add_argument("--effects", default="flip", help="comma list of flip,stuck0,stuck1")
     i.add_argument("--max-faults", type=int, default=1, dest="max_faults")
-    mode = i.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
-    mode.add_argument("--sample", type=int, default=None, help="sampled mode with COUNT experiments")
+    i.add_argument("--sample", type=int, default=None, help="sampled mode with COUNT experiments")
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--trace", default="auto-cover", help="'auto-cover' or a JSON word-trace file")
     i.add_argument("--out", default="report.json")

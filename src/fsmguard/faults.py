@@ -279,18 +279,6 @@ def run_campaign(
     return report
 
 
-def sample_multifault(
-    netlist: Netlist,
-    golden_words: Sequence[int],
-    spec: CampaignSpec,
-    codes: CodeBook,
-) -> FaultCampaignReport:
-    """Sampled campaign for multi-fault budgets (exhaustive cross-products explode)."""
-    if spec.mode != "sampled":
-        raise CampaignError("sample_multifault requires sampled mode")
-    return run_campaign(netlist, golden_words, spec, codes)
-
-
 def replay_witness(
     netlist: Netlist,
     golden_words: Sequence[int],

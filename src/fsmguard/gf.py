@@ -2,16 +2,15 @@
 
 The modulus a^8 + a^2 + 1 factors as (a^4 + a + 1)^2 over GF(2), so the
 quotient is a commutative ring with zero divisors rather than a field.
-All diffusion guarantees used here are therefore established empirically
-(branch-number sweep) instead of being assumed from field axioms.
+Diffusion guarantees are therefore not assumed from field axioms: the
+branch number of a matrix is computed exactly from GF(2) ranks of its
+byte submatrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 RING_MODULUS = 0x105  # a^8 + a^2 + 1
 BLOCK_BITS = 32
@@ -35,10 +34,6 @@ def ring_mul(a: int, b: int) -> int:
 
 def ring_add(a: int, b: int) -> int:
     return (a ^ b) & 0xFF
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +96,6 @@ class MdsSpec:
     entries: Tuple[Tuple[int, ...], ...]
     binary_rows: Tuple[int, ...] = field(repr=False)
     xor_circuit: XorCircuit = field(repr=False)
-    mul_tables: Tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @staticmethod
     def from_entries(entries: Sequence[Sequence[int]], name: str = "custom") -> "MdsSpec":
@@ -118,13 +112,7 @@ class MdsSpec:
             for c in range(BLOCK_BITS):
                 mask |= ((cols[c] >> r) & 1) << c
             rows.append(mask)
-        circuit = _build_xor_circuit(rows)
-        tables = tuple(
-            np.array([ring_mul(ent[i][j], x) for x in range(256)], dtype=np.uint8)
-            for i in range(BLOCK_BYTES)
-            for j in range(BLOCK_BYTES)
-        )
-        return MdsSpec(name, ent, tuple(rows), circuit, tables)
+        return MdsSpec(name, ent, tuple(rows), _build_xor_circuit(rows))
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,7 +148,7 @@ def mds_apply(m: MdsSpec, v: int) -> int:
 def mds_apply_binary(m: MdsSpec, v: int) -> int:
     out = 0
     for r, row in enumerate(m.binary_rows):
-        out |= (_popcount(row & v) & 1) << r
+        out |= ((row & v).bit_count() & 1) << r
     return out
 
 
@@ -168,51 +156,36 @@ def mds_apply_circuit(m: MdsSpec, v: int) -> int:
     return m.xor_circuit.eval(v)
 
 
-def _active_bytes(v: int) -> int:
-    return sum(1 for j in range(BLOCK_BYTES) if (v >> (8 * j)) & 0xFF)
+def branch_number(m: MdsSpec) -> int:
+    """Minimum active input+output bytes over nonzero inputs, computed exactly.
 
-
-def branch_number(m: MdsSpec, samples: int = 1_000_000, seed: int = 1) -> int:
-    """Minimum active input+output bytes over nonzero inputs.
-
-    Exhaustive over all single-active-byte inputs; additionally samples
-    random multi-byte inputs and asserts no smaller value shows up.
+    For an input-byte set I and an output-byte set Z, some nonzero x with
+    support in I has ``M x`` zero on all of Z exactly when the rows of Z,
+    masked to the bit columns of I, have GF(2) rank below 8|I|. Such an x has
+    at most |I| + 4 - |Z| active bytes, and the lightest nonzero input meets
+    that bound for its own support and zero set, so the minimum over all
+    (I, Z) pairs is the branch number.
     """
+    byte_sets = [
+        [j for j in range(BLOCK_BYTES) if (s >> j) & 1] for s in range(1 << BLOCK_BYTES)
+    ]
     best = 2 * BLOCK_BYTES
-    for j in range(BLOCK_BYTES):
-        for val in range(1, 256):
-            out = mds_apply(m, val << (8 * j))
-            best = min(best, 1 + _active_bytes(out))
-    if samples:
-        rng = np.random.default_rng(seed)
-        tables = [
-            [np.asarray(m.mul_tables[i * BLOCK_BYTES + j]) for j in range(BLOCK_BYTES)]
-            for i in range(BLOCK_BYTES)
-        ]
-        chunk = 1 << 18
-        done = 0
-        while done < samples:
-            n = min(chunk, samples - done)
-            inb = rng.integers(0, 256, size=(n, BLOCK_BYTES), dtype=np.uint8)
-            nz = inb.any(axis=1)
-            inb = inb[nz]
-            outb = np.zeros_like(inb)
-            for i in range(BLOCK_BYTES):
-                acc = np.zeros(len(inb), dtype=np.uint8)
-                for j in range(BLOCK_BYTES):
-                    acc ^= tables[i][j][inb[:, j]]
-                outb[:, i] = acc
-            weights = (inb != 0).sum(axis=1) + (outb != 0).sum(axis=1)
-            if len(weights):
-                best = min(best, int(weights.min()))
-            done += n
+    for ins in byte_sets[1:]:
+        cols = sum(0xFF << (8 * j) for j in ins)
+        for zeros in byte_sets:
+            bound = len(ins) + BLOCK_BYTES - len(zeros)
+            if bound >= best:
+                continue
+            rows = [m.binary_rows[8 * z + b] & cols for z in zeros for b in range(8)]
+            if gf2_rank(rows, BLOCK_BITS) < 8 * len(ins):
+                best = bound
     return best
 
 
 # Default matrix: circulant of (a, a+1, 1, 1). Over this ring every square
 # submatrix has a unit determinant, so the byte-level branch number is 5;
-# branch_number() re-establishes this empirically on construction paths that
-# accept user matrices.
+# branch_number() computes it exactly, and register_matrix() requires 5 of
+# every user matrix.
 DEFAULT_MATRIX_NAME = "circ-a-a1-1-1"
 _DEFAULT_ENTRIES = (
     (0x02, 0x03, 0x01, 0x01),
@@ -228,10 +201,10 @@ def default_mds() -> MdsSpec:
     return get_matrix(DEFAULT_MATRIX_NAME)
 
 
-def register_matrix(name: str, entries: Sequence[Sequence[int]], check_samples: int = 100_000) -> MdsSpec:
+def register_matrix(name: str, entries: Sequence[Sequence[int]]) -> MdsSpec:
     """Register an alternative diffusion matrix, gated by the branch-number check."""
     m = MdsSpec.from_entries(entries, name=name)
-    bn = branch_number(m, samples=check_samples)
+    bn = branch_number(m)
     if bn < 5:
         raise ValueError(f"matrix {name!r} rejected: branch number {bn} < 5")
     _REGISTRY[name] = m
@@ -251,8 +224,29 @@ def get_matrix(name: str) -> MdsSpec:
 # GF(2) linear solving (rows as int bitmasks, LSB = column 0)
 
 
-class NoSolution(Exception):
-    """Raised by callers when solve_gf2 reports an infeasible system."""
+def _eliminate(rows: List[int], ncols: int) -> List[Tuple[int, int]]:
+    """Gauss-Jordan reduce ``rows`` in place on columns 0..ncols-1.
+
+    Returns the (column, row index) pivots; rows past the last pivot row are
+    zero on those columns. Bits at ncols and above ride along unpivoted.
+    """
+    pivots: List[Tuple[int, int]] = []
+    row_idx = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row_idx, len(rows)):
+            if (rows[r] >> col) & 1:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[row_idx], rows[pivot] = rows[pivot], rows[row_idx]
+        for r in range(len(rows)):
+            if r != row_idx and ((rows[r] >> col) & 1):
+                rows[r] ^= rows[row_idx]
+        pivots.append((col, row_idx))
+        row_idx += 1
+    return pivots
 
 
 def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[int]:
@@ -264,23 +258,8 @@ def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[i
     if len(rows) != len(rhs):
         raise ValueError("rows and rhs length mismatch")
     aug = [(rows[i] & ((1 << ncols) - 1)) | ((rhs[i] & 1) << ncols) for i in range(len(rows))]
-    pivots: List[Tuple[int, int]] = []  # (column, row index)
-    row_idx = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row_idx, len(aug)):
-            if (aug[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[row_idx], aug[pivot] = aug[pivot], aug[row_idx]
-        for r in range(len(aug)):
-            if r != row_idx and ((aug[r] >> col) & 1):
-                aug[r] ^= aug[row_idx]
-        pivots.append((col, row_idx))
-        row_idx += 1
-    for r in range(row_idx, len(aug)):
+    pivots = _eliminate(aug, ncols)
+    for r in range(len(pivots), len(aug)):
         if aug[r] >> ncols:
             return None
     x = 0
@@ -291,21 +270,5 @@ def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[i
 
 
 def gf2_rank(rows: Sequence[int], ncols: int) -> int:
-    work = [r & ((1 << ncols) - 1) for r in rows]
-    rank = 0
-    row_idx = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and ((work[r] >> col) & 1):
-                work[r] ^= work[row_idx]
-        rank += 1
-        row_idx += 1
-    return rank
+    """Rank over GF(2) of ``rows`` restricted to columns 0..ncols-1."""
+    return len(_eliminate([r & ((1 << ncols) - 1) for r in rows], ncols))

@@ -195,3 +195,18 @@ def test_entry_point_installed(tmp_path):
     # satisfy a bare substring check for "inject"
     for name in ("harden", "inject"):
         assert re.search(rf"^\s+{name}\s", proc.stdout, re.M), proc.stdout
+
+
+def test_import_loads_no_numpy(tmp_path):
+    # the package declares no runtime dependency, so importing it must not
+    # pull numpy in through any module
+    env = dict(os.environ, PYTHONPATH=str(Path(fsmguard.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", 'import fsmguard, sys; assert "numpy" not in sys.modules'],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

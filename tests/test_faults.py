@@ -88,7 +88,7 @@ def test_sampled_mode_and_ci(design_n2):
     spec = fe.CampaignSpec(
         scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=2
     )
-    rep = fe.sample_multifault(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
     assert rep.total == 300
     lo, hi = rep.confidence_interval
     assert 0.0 <= lo <= rep.hijack_rate <= hi <= 1.0
@@ -112,12 +112,6 @@ def test_sampled_ci_honest_at_zero_hijacks(design_n2):
     assert lo == 0.0
     assert hi == pytest.approx(0.00762, abs=1e-5)
     assert rep.to_json_dict()["hijack_rate_ci95"] == [lo, hi]
-
-
-def test_sample_multifault_rejects_exhaustive(design_n2):
-    spec = fe.CampaignSpec(scope="all", max_simultaneous_faults=2)
-    with pytest.raises(fe.CampaignError, match="sampled"):
-        fe.sample_multifault(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
 
 
 def test_sampled_reports_deterministic(design_n2):
