@@ -27,6 +27,11 @@ EXIT_IO = 2
 _SCOPES = {"all": "all", "diffusion": "diffusion_only", "inputs": "inputs_only"}
 
 
+class InputError(Exception):
+    """A malformed input file; the message names the file and the line and
+    column or the entry at fault."""
+
+
 def _dump_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -86,39 +91,71 @@ def cmd_harden(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_netlist(path: str) -> nl_mod.Netlist:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return nl_mod.from_json_dict(doc)
+def _parse_json(source: str, path: str):
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+
+
+def _read_json(path: str):
+    return _parse_json(Path(path).read_text(encoding="utf-8"), path)
+
+
+def _netlist_from_json(doc, path: str) -> nl_mod.Netlist:
+    try:
+        return nl_mod.from_json_dict(doc)
+    except nl_mod.NetlistError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_codebook(args: argparse.Namespace, netlist_path: str) -> CodeBook:
     cb_path = args.codebook or str(Path(netlist_path).parent / "codebook.json")
-    doc = json.loads(Path(cb_path).read_text(encoding="utf-8"))
-    return CodeBook.from_json_dict(doc["state"])
+    doc = _read_json(cb_path)
+    try:
+        return CodeBook.from_json_dict(doc["state"])
+    except KeyError as exc:
+        raise InputError(f"{cb_path}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"{cb_path}: malformed codebook: {exc}") from None
 
 
-def _trace_words(args: argparse.Namespace, netlist: nl_mod.Netlist) -> List[int]:
+def _parse_words(items, where: str) -> List[int]:
+    if not isinstance(items, list):
+        raise InputError(f"{where}: trace is not a list of words")
+    words = []
+    for i, w in enumerate(items):
+        try:
+            words.append(int(w, 16) if isinstance(w, str) else int(w))
+        except (TypeError, ValueError):
+            raise InputError(f"{where}: trace word {i} ({w!r}) is not a hex word") from None
+    return words
+
+
+def _trace_words(args: argparse.Namespace, netlist: nl_mod.Netlist, netlist_path: str) -> List[int]:
     if args.trace == "auto-cover":
         words = netlist.meta.get("autocover_trace")
         if not words:
             raise fe.CampaignError("netlist carries no auto-cover trace metadata")
-        return [int(w, 16) for w in words]
-    doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-    return [int(w, 16) if isinstance(w, str) else int(w) for w in doc]
+        return _parse_words(words, f"{netlist_path}: meta.autocover_trace")
+    return _parse_words(_read_json(args.trace), args.trace)
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
     try:
-        netlist = _load_netlist(args.netlist)
+        netlist = _netlist_from_json(_read_json(args.netlist), args.netlist)
         codes = _load_codebook(args, args.netlist)
     except OSError as exc:
         log.error("cannot read inputs: %s", exc)
         return EXIT_IO
+    except InputError as exc:
+        log.error("%s", exc)
+        return EXIT_FAIL
     if not any(g.tag for g in netlist.gates):
         log.error("netlist carries no stage tags; run 'harden' first")
         return EXIT_FAIL
     try:
-        words = _trace_words(args, netlist)
+        words = _trace_words(args, netlist, args.netlist)
         spec = CampaignSpec(
             scope=_SCOPES[args.scope],
             max_simultaneous_faults=args.max_faults,
@@ -128,7 +165,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         report = run_campaign(netlist, words, spec, codes)
-    except (fe.CampaignError, nl_mod.NetlistError, OSError) as exc:
+    except (fe.CampaignError, nl_mod.NetlistError, InputError, OSError) as exc:
         log.error("campaign failed: %s", exc)
         return EXIT_FAIL
     _dump_json(Path(args.out), report.to_json_dict())
@@ -144,26 +181,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         log.error("cannot read %s: %s", args.target, exc)
         return EXIT_IO
     try:
-        doc = json.loads(source) if args.target.endswith(".json") else None
-    except json.JSONDecodeError as exc:
-        log.error("invalid JSON: %s", exc)
+        doc = _parse_json(source, args.target) if args.target.endswith(".json") else None
+    except InputError as exc:
+        log.error("%s", exc)
         return EXIT_FAIL
     try:
         if doc is not None and "gates" in doc:
-            netlist = nl_mod.from_json_dict(doc)
+            netlist = _netlist_from_json(doc, args.target)
             codes = _load_codebook(args, args.target)
-            words = _trace_words(args, netlist)
+            words = _trace_words(args, netlist, args.target)
             states, alerts = fe.golden_run(netlist, words, codes)
             for i, (s, a) in enumerate(zip(states, alerts)):
                 print(f"{i:4d}  {s or '<invalid>'}  alert={a}")
             return EXIT_OK
         fsm = parse_fsm(source, format=_guess_format(args.target, args.format))
-        trace = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+        trace = _read_json(args.trace)
         trajectory = fsm_mod.simulate_spec(fsm, trace)
         for i, s in enumerate(trajectory):
             print(f"{i:4d}  {s}")
         return EXIT_OK
-    except (FsmError, fe.CampaignError, nl_mod.NetlistError) as exc:
+    except (FsmError, fe.CampaignError, nl_mod.NetlistError, InputError) as exc:
         log.error("simulation failed: %s", exc)
         return EXIT_FAIL
     except OSError as exc:

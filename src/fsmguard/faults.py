@@ -6,11 +6,11 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coding import CodeBook, ERROR_SYMBOL, decode_exact
-from .netlist import FaultSite, Netlist, enumerate_fault_sites, simulate_batch
+from .netlist import FaultSite, Netlist, SimResult, enumerate_fault_sites, simulate_batch
 
 DEFAULT_EXHAUSTIVE_BOUND = 10_000_000
 _BATCH_LANES = 64
@@ -151,16 +151,19 @@ def _word_trace(words: Sequence[int]) -> List[Dict[str, int]]:
     return [{"x_e": w} for w in words] + [{"x_e": 0}]
 
 
+def _observe(res: SimResult, lane: int) -> Tuple[List[int], List[int]]:
+    """State words and alerts of one lane, one per simulated cycle."""
+    cycles = range(res.cycles)
+    return (
+        [res.port_value("state_e", c, lane) for c in cycles],
+        [res.port_value("fsm_alert", c, lane) for c in cycles],
+    )
+
+
 def golden_run(netlist: Netlist, words: Sequence[int], codes: CodeBook) -> Tuple[List[str], List[int]]:
     """Decoded fault-free trajectory (len(words)+1 states) and per-cycle alert."""
-    res = simulate_batch(netlist, [_word_trace(words)])
-    states = []
-    alerts = []
-    for c in range(len(words) + 1):
-        word = res.port_value("state_e", c)
-        states.append(decode_exact(codes, word))
-        alerts.append(res.port_value("fsm_alert", c))
-    return states, alerts
+    state_words, alerts = _observe(simulate_batch(netlist, [_word_trace(words)]), 0)
+    return [decode_exact(codes, w) for w in state_words], alerts
 
 
 def _classify(
@@ -182,27 +185,23 @@ def _classify(
     return ("masked" if clean else "masked_corrupt"), None
 
 
-def _enumerate_experiments(
-    atoms: List[Tuple[str, str, int]], spec: CampaignSpec
-) -> List[Tuple[FaultSite, ...]]:
+def _enumerate_experiments(n_atoms: int, spec: CampaignSpec) -> Iterator[Tuple[int, ...]]:
+    """Stream of experiments, each a tuple of fault-atom indices.
+
+    ``random.sample`` indexes a range exactly as it indexes a list of the same
+    length, so sampled draws do not depend on the atoms being materialised.
+    """
     j = spec.max_simultaneous_faults
     if spec.mode == "exhaustive":
-        n_combos = math.comb(len(atoms), j)
+        n_combos = math.comb(n_atoms, j)
         if n_combos > spec.exhaustive_bound:
             raise CampaignError(
                 f"{n_combos} experiments exceed the exhaustive bound "
                 f"{spec.exhaustive_bound}; use sampled mode"
             )
-        return [
-            tuple(FaultSite(loc, eff, cyc) for loc, eff, cyc in combo)
-            for combo in combinations(atoms, j)
-        ]
+        return combinations(range(n_atoms), j)
     rng = random.Random(spec.seed)
-    out = []
-    for _ in range(spec.sample_count):
-        combo = rng.sample(atoms, j)
-        out.append(tuple(FaultSite(loc, eff, cyc) for loc, eff, cyc in combo))
-    return out
+    return (tuple(rng.sample(range(n_atoms), j)) for _ in range(spec.sample_count))
 
 
 def run_campaign(
@@ -224,22 +223,30 @@ def run_campaign(
 
     sites = enumerate_fault_sites(netlist, spec.scope)
     cycles = tuple(spec.cycles) if spec.cycles is not None else tuple(range(len(golden_words)))
-    atoms = [(loc, eff, cyc) for loc in sites for eff in spec.effects for cyc in cycles]
-    if len(atoms) < spec.max_simultaneous_faults:
+    outside = [c for c in cycles if not 0 <= c < len(golden_words)]
+    if outside:
+        raise CampaignError(
+            f"campaign cycle {outside[0]} is outside the trace (0..{len(golden_words) - 1})"
+        )
+    # atom index = (site, effect, cycle) in site-major order
+    per_site = len(spec.effects) * len(cycles)
+    n_atoms = len(sites) * per_site
+    if n_atoms < spec.max_simultaneous_faults:
         raise CampaignError("fewer fault atoms than simultaneous faults requested")
-    experiments = _enumerate_experiments(atoms, spec)
+    experiments = _enumerate_experiments(n_atoms, spec)
+
+    def atom(i: int) -> FaultSite:
+        site, rest = divmod(i, per_site)
+        effect, cycle = divmod(rest, len(cycles))
+        return FaultSite(sites[site], spec.effects[effect], cycles[cycle])
 
     trace = _word_trace(golden_words)
-    n_obs = len(golden_words) + 1
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     witnesses: List[HijackWitness] = []
-    for start in range(0, len(experiments), _BATCH_LANES):
-        batch = experiments[start : start + _BATCH_LANES]
+    while batch := [tuple(map(atom, e)) for e in islice(experiments, _BATCH_LANES)]:
         res = simulate_batch(netlist, [trace] * len(batch), [list(b) for b in batch])
         for lane, faults in enumerate(batch):
-            words = [res.port_value("state_e", c, lane) for c in range(n_obs)]
-            alerts = [res.port_value("fsm_alert", c, lane) for c in range(n_obs)]
-            cls, info = _classify(golden_states, words, alerts, codes)
+            cls, info = _classify(golden_states, *_observe(res, lane), codes)
             counts[cls] += 1
             if cls == "hijack":
                 cyc, sym = info
@@ -251,7 +258,7 @@ def run_campaign(
     err_total = int(meta.get("error_bits_per_block", 0)) * k
     theo = theoretical_success_probability(state_bits, err_total, k)
 
-    total = len(experiments)
+    total = sum(counts.values())
     hijack = counts["hijack"]
     ci = None
     if spec.mode == "sampled" and total:
@@ -288,8 +295,5 @@ def replay_witness(
     """Re-inject a recorded hijack fault set and confirm the same wrong state."""
     golden_states, _ = golden_run(netlist, golden_words, codes)
     res = simulate_batch(netlist, [_word_trace(golden_words)], [list(witness.faults)])
-    n_obs = len(golden_words) + 1
-    words = [res.port_value("state_e", c) for c in range(n_obs)]
-    alerts = [res.port_value("fsm_alert", c) for c in range(n_obs)]
-    cls, info = _classify(golden_states, words, alerts, codes)
+    cls, info = _classify(golden_states, *_observe(res, 0), codes)
     return cls == "hijack" and info == (witness.cycle, witness.reached_state)

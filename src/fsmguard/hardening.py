@@ -324,9 +324,10 @@ class HardenedDesign:
                 "name": self.matrix.name,
                 "entries": [[hex(x) for x in row] for row in self.matrix.entries],
                 "note": (
-                    "4x4 circulant byte matrix over F2[a]/(a^8+a^2+1) with "
-                    "empirically verified branch number 5; any matrix whose "
-                    "square minors are all units would serve equally"
+                    "4x4 byte matrix over F2[a]/(a^8+a^2+1) with branch "
+                    "number 5, as gf.branch_number computes exactly from GF(2) "
+                    "ranks; register_matrix rejects any matrix below 5, and any "
+                    "matrix whose square minors are all units would serve equally"
                 ),
             },
             "edges": [

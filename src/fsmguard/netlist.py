@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 GATE_KINDS = ("XOR", "AND", "OR", "NOT", "MUX", "CONST0", "CONST1", "BUF")
@@ -218,6 +219,16 @@ class _Compiled:
         ]
         self.out_bits = {p.name: [self.index[b] for b in p.bits] for p in nl.ports}
 
+    @cached_property
+    def op_stop(self) -> List[int]:
+        """net index -> 1 + position in ``ops`` of the op that drives it (0 for
+        flop q and input-port nets): its fault mask applies once ``ops[:stop]``
+        have run. Built on the first faulted simulation only."""
+        stop = [0] * self.n_nets
+        for pos, (_, out, _) in enumerate(self.ops, 1):
+            stop[out] = pos
+        return stop
+
 
 @dataclass
 class SimResult:
@@ -238,9 +249,11 @@ class SimResult:
 
 def _expand_faults(
     comp: _Compiled, fault_lanes: Sequence[Sequence[FaultSite]], cycles: int
-) -> Dict[int, Dict[int, Tuple[int, int, int]]]:
-    """cycle -> net index -> (flip, clear, set) lane masks."""
-    out: Dict[int, Dict[int, Tuple[int, int, int]]] = {}
+) -> List[List[Tuple[int, int, int, int, int]]]:
+    """Per cycle, the ``(stop, net, flip, clear, set)`` lane masks sorted by
+    ``stop`` (see ``_Compiled.op_stop``), closed by the sentinel
+    ``(len(ops), 0, 0, 0, 0)`` that runs the remaining ops and masks nothing."""
+    masks: List[Dict[int, List[int]]] = [{} for _ in range(cycles)]
     for lane, faults in enumerate(fault_lanes):
         bit = 1 << lane
         for f in faults:
@@ -255,15 +268,16 @@ def _expand_faults(
             for c in cyc_range:
                 if not 0 <= c < cycles:
                     continue
-                flip, clr, st = out.setdefault(c, {}).get(net, (0, 0, 0))
+                m = masks[c].setdefault(net, [0, 0, 0])
                 if f.effect == "flip":
-                    flip ^= bit
+                    m[0] ^= bit
                 elif f.effect == "stuck0":
-                    clr |= bit
+                    m[1] |= bit
                 else:
-                    st |= bit
-                out[c][net] = (flip, clr, st)
-    return out
+                    m[2] |= bit
+    stop = comp.op_stop if any(masks) else None
+    end = (len(comp.ops), 0, 0, 0, 0)
+    return [sorted((stop[net], net, *m) for net, m in cyc.items()) + [end] for cyc in masks]
 
 
 def simulate_batch(
@@ -313,16 +327,13 @@ def simulate_batch(
     ops = comp.ops
 
     for c in range(cycles):
-        cyc_faults = faults.get(c)
         for (_, qi, _), st in zip(comp.flops, flop_state):
             values[qi] = st
         for net, v in packed_inputs[c]:
             values[net] = v
-        if cyc_faults:
-            for net, (flip, clr, st) in cyc_faults.items():
-                # pre-op application for source nets (flop q, input ports)
-                values[net] = ((values[net] ^ flip) & ~clr) | st
-            for kind, out, ins in ops:
+        start = 0
+        for stop, net, flip, clr, st in faults[c]:
+            for kind, out, ins in ops[start:stop]:
                 if kind == 0:
                     v = values[ins[0]] ^ values[ins[1]]
                 elif kind == 1:
@@ -340,29 +351,10 @@ def simulate_batch(
                     v = full
                 else:
                     v = values[ins[0]]
-                f = cyc_faults.get(out)
-                if f is not None:
-                    v = ((v ^ f[0]) & ~f[1]) | f[2]
                 values[out] = v
-        else:
-            for kind, out, ins in ops:
-                if kind == 0:
-                    values[out] = values[ins[0]] ^ values[ins[1]]
-                elif kind == 1:
-                    values[out] = values[ins[0]] & values[ins[1]]
-                elif kind == 2:
-                    values[out] = values[ins[0]] | values[ins[1]]
-                elif kind == 3:
-                    values[out] = full ^ values[ins[0]]
-                elif kind == 4:
-                    s = values[ins[0]]
-                    values[out] = (s & values[ins[2]]) | (~s & values[ins[1]]) & full
-                elif kind == 5:
-                    values[out] = 0
-                elif kind == 6:
-                    values[out] = full
-                else:
-                    values[out] = values[ins[0]]
+            # a net's mask applies after the op that drives it, before its users
+            values[net] = ((values[net] ^ flip) & ~clr) | st
+            start = stop
         for pname, bit_idx in comp.out_bits.items():
             port_bits[pname].append([values[i] for i in bit_idx])
         flop_q_hist.append([values[qi] for _, qi, _ in comp.flops])
@@ -423,18 +415,32 @@ def to_json_dict(netlist: Netlist) -> dict:
 
 
 def from_json_dict(doc: dict) -> Netlist:
-    nl = Netlist(doc.get("name", "top"))
-    for pname, p in doc.get("ports", {}).items():
-        if p["dir"] == "in":
-            nl.add_port(pname, "in", p["bits"])
-    for g in doc.get("gates", []):
-        nl.add_gate(g["kind"], g["in"], g["out"], g.get("tag", ""))
-    for f in doc.get("flops", []):
-        nl.add_flop(f["d"], f["q"], f.get("reset", 0), f.get("tag", ""))
-    for pname, p in doc.get("ports", {}).items():
-        if p["dir"] == "out":
-            nl.add_port(pname, "out", p["bits"])
-    nl.meta = dict(doc.get("meta", {}))
+    """Rebuild a netlist from ``to_json_dict`` output; a malformed document
+    raises NetlistError naming the entry, e.g. ``gate 0: missing field 'in'``."""
+    where = "netlist"
+    try:
+        nl = Netlist(doc.get("name", "top"))
+        ports = list(doc.get("ports", {}).items())
+        for pname, p in ports:
+            where = f"port {pname!r}"
+            if p["dir"] == "in":
+                nl.add_port(pname, "in", p["bits"])
+        for i, g in enumerate(doc.get("gates", [])):
+            where = f"gate {i}"
+            nl.add_gate(g["kind"], g["in"], g["out"], g.get("tag", ""))
+        for i, f in enumerate(doc.get("flops", [])):
+            where = f"flop {i}"
+            nl.add_flop(f["d"], f["q"], f.get("reset", 0), f.get("tag", ""))
+        for pname, p in ports:
+            where = f"port {pname!r}"
+            if p["dir"] == "out":
+                nl.add_port(pname, "out", p["bits"])
+        where = "meta"
+        nl.meta = dict(doc.get("meta", {}))
+    except KeyError as exc:
+        raise NetlistError(f"{where}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError, NetlistError) as exc:
+        raise NetlistError(f"{where}: {exc}") from None
     nl.validate()
     return nl
 

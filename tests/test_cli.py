@@ -151,6 +151,57 @@ def test_inject_missing_netlist(tmp_path):
     assert rc == cli.EXIT_IO
 
 
+def _truncate_netlist(d, tmp_path):
+    path = d / "netlist.json"
+    path.write_text('{\n  "name": "x",\n  "gates": [\n}\n')
+    return ["--netlist", str(path)], f"{path}:4:1: invalid JSON"
+
+
+def _drop_gate_input(d, tmp_path):
+    path = d / "netlist.json"
+    doc = json.loads(path.read_text())
+    del doc["gates"][0]["in"]
+    path.write_text(json.dumps(doc))
+    return ["--netlist", str(path)], f"{path}: gate 0: missing field 'in'"
+
+
+def _bad_codeword(d, tmp_path):
+    path = d / "codebook.json"
+    doc = json.loads(path.read_text())
+    first = next(iter(doc["state"]["entries"]))
+    doc["state"]["entries"][first] = "zz"
+    path.write_text(json.dumps(doc))
+    return ["--netlist", str(d / "netlist.json")], f"{path}: malformed codebook"
+
+
+def _non_hex_trace_word(d, tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(["1", "zz"]))
+    return (
+        ["--netlist", str(d / "netlist.json"), "--trace", str(path)],
+        f"{path}: trace word 1 ('zz') is not a hex word",
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_truncate_netlist, _drop_gate_input, _bad_codeword, _non_hex_trace_word]
+)
+def test_inject_malformed_input_located(hardened_dir, tmp_path, caplog, corrupt):
+    argv, where = corrupt(hardened_dir, tmp_path)
+    rc = cli.main(["inject", *argv, "--scope", "inputs", "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_FAIL
+    assert where in caplog.text
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("corrupt", [_truncate_netlist, _drop_gate_input])
+def test_simulate_malformed_netlist_located(hardened_dir, tmp_path, caplog, corrupt):
+    argv, where = corrupt(hardened_dir, tmp_path)
+    rc = cli.main(["simulate", "--target", argv[1]])
+    assert rc == cli.EXIT_FAIL
+    assert where in caplog.text
+
+
 def test_simulate_fsm(tmp_path, capsys):
     p = tmp_path / "toggle.json"
     p.write_text(json.dumps(TOGGLE_DOC))

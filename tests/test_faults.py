@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -122,6 +125,31 @@ def test_sampled_reports_deterministic(design_n2):
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_campaign_memory_does_not_grow_with_atoms(design_n2):
+    # 64 draws from the 33,174 atoms of scope all x 3 effects x 19 cycles: the
+    # peak must be that of one batch, not of every atom
+    spec = fe.CampaignSpec(
+        scope="all", effects=("flip", "stuck0", "stuck1"), mode="sampled", sample_count=64
+    )
+    words = _autocover(design_n2)
+    fe.run_campaign(design_n2.netlist, words, spec, design_n2.state_codes)  # compile first
+    tracemalloc.start()
+    try:
+        rep = fe.run_campaign(design_n2.netlist, words, spec, design_n2.state_codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.total == 64
+    assert peak < 0.5 * 2**20
+
+
+def test_campaign_cycle_outside_trace_rejected(design_n2):
+    words = _autocover(design_n2)
+    spec = fe.CampaignSpec(scope="inputs_only", cycles=(0, len(words), 500))
+    with pytest.raises(fe.CampaignError, match=f"cycle {len(words)} is outside the trace"):
+        fe.run_campaign(design_n2.netlist, words, spec, design_n2.state_codes)
+
+
 def test_stuck_at_campaign_runs(design_n2):
     spec = fe.CampaignSpec(scope="inputs_only", effects=("stuck0", "stuck1"), cycles=(0,))
     rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
@@ -171,3 +199,37 @@ def test_report_json_shape(design_n2):
     assert "theoretical_p" in doc
     table = rep.summary_table()
     assert "hijack" in table and "theoretical P" in table
+
+
+# sha256 of the campaign report JSON, as `fsmguard inject` writes it; pinned
+# so that engine work cannot move a count, a witness or a sampled draw
+PINNED_CAMPAIGNS = {
+    "exhaustive-all-flip-stuck": (
+        fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1")),
+        "c3b68b9c04da37c00a93d3b833a905a25a2539a11557286152e621f2535df76e",
+    ),
+    "sampled-stuck-200": (
+        fe.CampaignSpec(
+            scope="all", effects=("stuck0", "stuck1"), mode="sampled", sample_count=200, seed=3
+        ),
+        "cf880aca7c987f403fea3aa652e79c59f2341996660e2aa5180689397e0dd60d",
+    ),
+    "sampled-double-seed5": (
+        fe.CampaignSpec(
+            scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=2
+        ),
+        "422d9713a7d0d1705ac6eab38bdee8e693de214366a120ffa413e559b7c81e36",
+    ),
+    "cycles-0-3": (
+        fe.CampaignSpec(scope="all", effects=("flip", "stuck0"), cycles=(0, 3)),
+        "7f0201b6e135fedf2208391d491430726adfffb7d422c1ee2a1e54d99b56dc8a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))
+def test_campaign_report_bytes_pinned(design_n2, name):
+    spec, digest = PINNED_CAMPAIGNS[name]
+    rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    doc = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsmguard import netlist as nl
 from fsmguard.netlist import FaultSite, Netlist
@@ -241,3 +243,113 @@ def test_verilog_renames_non_identifier_nets():
     again = nl.parse_verilog(text)
     trace = [{"a": v} for v in (0, 1, 2, 3, 1)]
     assert nl.simulate(again, trace).port_column("o") == nl.simulate(n, trace).port_column("o")
+
+
+# -- reference engine -------------------------------------------------------
+
+_REF_OPS = {
+    "XOR": lambda a: a[0] ^ a[1],
+    "AND": lambda a: a[0] & a[1],
+    "OR": lambda a: a[0] | a[1],
+    "NOT": lambda a: 1 - a[0],
+    "MUX": lambda a: a[2] if a[0] else a[1],
+    "CONST0": lambda a: 0,
+    "CONST1": lambda a: 1,
+    "BUF": lambda a: a[0],
+}
+
+
+def reference_simulate(netlist, trace, faults):
+    """One lane, one bit per net: ``netlist.gates`` evaluated on demand by
+    recursion, so neither the compiled op order nor lane packing is involved.
+
+    Returns (cycle -> port -> bits, cycle -> flop q values).
+    """
+    by_out = {g.output: g for g in netlist.gates}
+    state = {f.q: f.reset_value for f in netlist.flops}
+    ports, flop_q = [], []
+    for c, assignment in enumerate(trace):
+        active = [
+            f for f in faults
+            if f.cycle is None or (f.cycle == c if f.effect == "flip" else c >= f.cycle)
+        ]
+
+        def faulted(net, v):
+            effects = [f.effect for f in active if f.location == net]
+            v ^= effects.count("flip") & 1
+            if "stuck0" in effects:
+                v = 0
+            if "stuck1" in effects:
+                v = 1
+            return v
+
+        vals = {f.q: faulted(f.q, state[f.q]) for f in netlist.flops}
+        for p in netlist.ports:
+            if p.direction == "in":
+                for i, b in enumerate(p.bits):
+                    vals[b] = faulted(b, (assignment[p.name] >> i) & 1)
+
+        def value(net):
+            if net not in vals:
+                g = by_out[net]
+                vals[net] = faulted(net, _REF_OPS[g.kind]([value(n) for n in g.inputs]))
+            return vals[net]
+
+        ports.append({p.name: [value(b) for b in p.bits] for p in netlist.ports})
+        flop_q.append([vals[f.q] for f in netlist.flops])
+        state = {f.q: value(f.d) for f in netlist.flops}
+    return ports, flop_q
+
+
+@st.composite
+def faulted_netlists(draw):
+    """A random acyclic netlist over every gate kind, with flops, plus
+    per-lane traces and fault lists on gate outputs, flop q and input bits."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    in_bits = [[f"i{p}_{b}" for b in range(w)] for p, w in enumerate(widths)]
+    qs = [f"q{i}" for i in range(draw(st.integers(0, 4)))]
+    nets = [b for bits in in_bits for b in bits] + qs
+    gates = []
+    for i in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(nl.GATE_KINDS))
+        ins = [draw(st.sampled_from(nets)) for _ in range(nl._ARITY[kind])]
+        gates.append((kind, ins, f"g{i}"))
+        nets.append(f"g{i}")
+    n = Netlist("rand")
+    for p, bits in enumerate(in_bits):
+        n.add_port(f"in{p}", "in", bits)
+    # listed out of topological order, so the compiled sort has work to do
+    for kind, ins, out in draw(st.permutations(gates)):
+        n.add_gate(kind, ins, out)
+    for q in qs:
+        n.add_flop(draw(st.sampled_from(nets)), q, draw(st.integers(0, 1)))
+    n.add_port("out", "out", draw(st.lists(st.sampled_from(nets), min_size=1, max_size=6)))
+    n.validate()
+    cycles = draw(st.integers(1, 6))
+    lanes = draw(st.integers(1, 5))
+    traces = [
+        [{f"in{p}": draw(st.integers(0, (1 << w) - 1)) for p, w in enumerate(widths)}
+         for _ in range(cycles)]
+        for _ in range(lanes)
+    ]
+    site = st.builds(
+        FaultSite,
+        st.sampled_from([g[2] for g in gates] + qs + [b for bits in in_bits for b in bits]),
+        st.sampled_from(["flip", "stuck0", "stuck1"]),
+        st.none() | st.integers(0, cycles),
+    )
+    fault_lanes = [draw(st.lists(site, max_size=4)) for _ in range(lanes)]
+    return n, traces, fault_lanes
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulted_netlists())
+def test_simulate_batch_matches_reference(case):
+    n, traces, fault_lanes = case
+    res = nl.simulate_batch(n, traces, fault_lanes)
+    for lane, (trace, faults) in enumerate(zip(traces, fault_lanes)):
+        ports, flop_q = reference_simulate(n, trace, faults)
+        for c in range(len(trace)):
+            for name, bits in ports[c].items():
+                assert [(v >> lane) & 1 for v in res.port_bits[name][c]] == bits, (lane, c, name)
+            assert [(v >> lane) & 1 for v in res.flop_q[c]] == flop_q[c], (lane, c)
