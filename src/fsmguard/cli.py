@@ -7,13 +7,14 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
 from . import faults as fe
 from . import fsm as fsm_mod
 from . import netlist as nl_mod
-from .coding import CodeBook
+from .coding import CodeBook, CodingError
 from .faults import CampaignSpec, run_campaign
 from .fsm import FsmError, parse_fsm
 from .hardening import HardenedDesign, HardeningConfig, HardeningError, harden
@@ -116,7 +117,7 @@ def _load_codebook(args: argparse.Namespace, netlist_path: str) -> CodeBook:
         return CodeBook.from_json_dict(doc["state"])
     except KeyError as exc:
         raise InputError(f"{cb_path}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, CodingError) as exc:
         raise InputError(f"{cb_path}: malformed codebook: {exc}") from None
 
 
@@ -164,10 +165,19 @@ def cmd_inject(args: argparse.Namespace) -> int:
             sample_count=args.sample or 10_000,
             seed=args.seed,
         )
+        t0 = time.perf_counter()
         report = run_campaign(netlist, words, spec, codes)
+        elapsed = time.perf_counter() - t0
     except (fe.CampaignError, nl_mod.NetlistError, InputError, OSError) as exc:
         log.error("campaign failed: %s", exc)
         return EXIT_FAIL
+    # timings go to the log: the report stays identical from run to run
+    log.info(
+        "campaign: %d experiments in %.3f s (%.0f/s)",
+        report.total,
+        elapsed,
+        report.total / elapsed if elapsed else 0.0,
+    )
     _dump_json(Path(args.out), report.to_json_dict())
     print(report.summary_table())
     print(f"report written to {args.out}")

@@ -64,6 +64,8 @@ class CodeBook:
     @staticmethod
     def from_json_dict(doc: dict) -> "CodeBook":
         entries = tuple((s, int(w, 16)) for s, w in doc["entries"].items())
+        if doc["error"] not in doc["entries"]:
+            raise CodingError(f"error symbol {doc['error']!r} names no entry")
         return CodeBook(int(doc["protection_level"]), int(doc["width"]), entries, doc["error"])
 
 

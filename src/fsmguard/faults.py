@@ -6,14 +6,25 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .coding import CodeBook, ERROR_SYMBOL, decode_exact
-from .netlist import FaultSite, Netlist, SimResult, enumerate_fault_sites, simulate_batch
+from .coding import CodeBook, decode_exact
+from .netlist import (
+    FaultSite,
+    Netlist,
+    SimResult,
+    _Compiled,
+    _run_ops,
+    enumerate_fault_sites,
+    simulate_batch,
+)
 
 DEFAULT_EXHAUSTIVE_BOUND = 10_000_000
-_BATCH_LANES = 64
+# lanes of the fault-simulation pool; each lane holds one experiment at a time
+_POOL_LANES = 256
+# effect index = position here; 0 is the one-cycle flip, 1 and 2 are stuck-at
+_EFFECTS = ("flip", "stuck0", "stuck1")
 
 
 class CampaignError(Exception):
@@ -37,7 +48,7 @@ class CampaignSpec:
         if self.mode not in ("exhaustive", "sampled"):
             raise CampaignError(f"unknown mode {self.mode!r}")
         for e in self.effects:
-            if e not in ("flip", "stuck0", "stuck1"):
+            if e not in _EFFECTS:
                 raise CampaignError(f"unknown effect {e!r}")
 
 
@@ -160,10 +171,18 @@ def _observe(res: SimResult, lane: int) -> Tuple[List[int], List[int]]:
     )
 
 
+def _golden(
+    netlist: Netlist, trace: Sequence[Dict[str, int]], codes: CodeBook
+) -> Tuple[SimResult, List[Optional[str]], List[int]]:
+    res = simulate_batch(netlist, [trace])
+    state_words, alerts = _observe(res, 0)
+    return res, [decode_exact(codes, w) for w in state_words], alerts
+
+
 def golden_run(netlist: Netlist, words: Sequence[int], codes: CodeBook) -> Tuple[List[str], List[int]]:
     """Decoded fault-free trajectory (len(words)+1 states) and per-cycle alert."""
-    state_words, alerts = _observe(simulate_batch(netlist, [_word_trace(words)]), 0)
-    return [decode_exact(codes, w) for w in state_words], alerts
+    _, states, alerts = _golden(netlist, _word_trace(words), codes)
+    return states, alerts
 
 
 def _classify(
@@ -172,16 +191,21 @@ def _classify(
     alerts: Sequence[int],
     codes: CodeBook,
 ) -> Tuple[str, Optional[Tuple[int, str]]]:
-    """Returns (class, hijack info). Classes: masked, masked_corrupt, detected, hijack."""
+    """Returns (class, hijack info). Classes: masked, masked_corrupt, detected, hijack.
+
+    The whole-trace reference for ``_run_pool``: the first cycle that raises
+    the alert or holds the ERROR codeword detects; before that, the first
+    valid codeword off the golden trajectory is a hijack.
+    """
     clean = True
     for c, (word, alert) in enumerate(zip(state_words, alerts)):
+        if alert or word == codes.error_codeword:
+            return "detected", None
         sym = decode_exact(codes, word)
         if sym != golden[c]:
+            if sym is not None:
+                return "hijack", (c, sym)
             clean = False
-        if sym is not None and sym != ERROR_SYMBOL and sym != golden[c] and not alert:
-            return "hijack", (c, sym)
-        if alert or sym == ERROR_SYMBOL:
-            return "detected", None
     return ("masked" if clean else "masked_corrupt"), None
 
 
@@ -204,6 +228,197 @@ def _enumerate_experiments(n_atoms: int, spec: CampaignSpec) -> Iterator[Tuple[i
     return (tuple(rng.sample(range(n_atoms), j)) for _ in range(spec.sample_count))
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _run_pool(
+    comp: _Compiled,
+    trace: Sequence[Dict[str, int]],
+    golden: SimResult,
+    golden_states: Sequence[str],
+    codes: CodeBook,
+    experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...]]],
+) -> Iterator[Tuple[object, str, Optional[Tuple[int, str]]]]:
+    """Classify each experiment as ``_classify`` does on a whole-trace run;
+    yields ``(key, class, hijack info)`` in retirement order.
+
+    An experiment is a ``key`` and a tuple of ``(net index, effect index,
+    cycle)`` faults.
+    It enters a free lane at its first fault cycle with the golden flop state
+    of that cycle: all machine state is in the flops, so the cycles before
+    match the golden run. Lanes advance one cycle per step; a lane's cycle is
+    the step plus its offset, and lanes are grouped by offset so that input
+    bits and golden words are packed per group. A lane retires once its
+    outcome is fixed: detected or hijacked, or masked once it has no pending
+    fault and its next flop state is golden again, or at the end of the trace.
+    Its lane then takes the next experiment. Scheduled flips, stuck-at onsets
+    and releases carry the lane's generation, which every retirement bumps,
+    so they never reach a later occupant of the lane.
+    """
+    width = _POOL_LANES
+    full = (1 << width) - 1
+    last = golden.cycles - 1
+    ops, flops, stop = comp.ops, comp.flops, comp.op_stop
+    end = (len(ops), 0, 0, 0, 0)
+    state_idx = comp.out_bits["state_e"]
+    alert_idx = comp.out_bits["fsm_alert"]
+    err_word = codes.error_codeword
+    # per cycle: input nets at 1, golden state_e bits at 1, golden flops at 1
+    in_nets = [net for _, nets in comp.in_ports for net in nets]
+    in_ones = [
+        [net for pname, nets in comp.in_ports for i, net in enumerate(nets) if row[pname] >> i & 1]
+        for row in trace
+    ]
+    state_ones = [[k for k, v in enumerate(bits) if v & 1] for bits in golden.port_bits["state_e"]]
+    flop_ones = [[j for j, v in enumerate(q) if v & 1] for q in golden.flop_q]
+
+    values = [0] * comp.n_nets
+    st = [0] * len(flops)  # lane-packed flop state
+    free = list(range(width))
+    gen = [0] * width
+    lane_key: List[object] = [None] * width
+    lane_off = [0] * width
+    lane_stuck: List[Tuple[int, ...]] = [()] * width
+    groups: Dict[int, int] = {}  # offset -> lanes
+    flips: Dict[int, List[Tuple[int, int, int]]] = {}  # step -> (net, lane, gen)
+    onsets: Dict[int, List[Tuple[int, int, int, int]]] = {}  # step -> (net, effect, lane, gen)
+    releases: Dict[int, List[Tuple[int, int]]] = {}  # step -> (lane, gen)
+    stuck: Dict[int, List[int]] = {}  # net -> [clear, set] lanes
+    active = quiet = corrupt = 0
+    step = 0
+    while True:
+        entering: Dict[int, int] = {}  # first fault cycle -> lanes
+        while free:
+            nxt = next(experiments, None)
+            if nxt is None:
+                break
+            key, faults = nxt
+            c0 = min(f[2] for f in faults)
+            lane = free.pop()
+            bit = 1 << lane
+            g = gen[lane]
+            off = c0 - step
+            lane_key[lane] = key
+            lane_off[lane] = off
+            groups[off] = groups.get(off, 0) | bit
+            entering[c0] = entering.get(c0, 0) | bit
+            nets = []
+            for net, effect, c in faults:
+                at = c - off
+                if effect:
+                    onsets.setdefault(at, []).append((net, effect, lane, g))
+                    nets.append(net)
+                else:
+                    flips.setdefault(at, []).append((net, lane, g))
+            lane_stuck[lane] = tuple(nets)
+            if not nets:
+                releases.setdefault(max(f[2] for f in faults) - off, []).append((lane, g))
+        if not active and not entering:
+            return
+        for c0, lanes in entering.items():
+            active |= lanes
+            quiet &= ~lanes
+            corrupt &= ~lanes
+            for j in range(len(st)):
+                st[j] &= ~lanes
+            for j in flop_ones[c0]:
+                st[j] |= lanes
+
+        for net, effect, lane, g in onsets.pop(step, ()):
+            if gen[lane] == g:
+                stuck.setdefault(net, [0, 0])[effect - 1] |= 1 << lane
+        flipped: Dict[int, int] = {}
+        for net, lane, g in flips.pop(step, ()):
+            if gen[lane] == g:
+                flipped[net] = flipped.get(net, 0) ^ (1 << lane)
+        masks = [(stop[net], net, m, 0, 0) for net, m in flipped.items() if net not in stuck]
+        masks += [(stop[net], net, flipped.get(net, 0), clr, sets) for net, (clr, sets) in stuck.items()]
+        masks.sort()
+        masks.append(end)
+
+        for (_, qi, _), v in zip(flops, st):
+            values[qi] = v
+        for net in in_nets:
+            values[net] = 0
+        golden_state = [0] * len(state_idx)
+        golden_next = [0] * len(flops)
+        ending = 0
+        for off, lanes in groups.items():
+            c = step + off
+            for net in in_ones[c]:
+                values[net] |= lanes
+            for k in state_ones[c]:
+                golden_state[k] |= lanes
+            if c == last:
+                ending |= lanes
+            else:
+                for j in flop_ones[c + 1]:
+                    golden_next[j] |= lanes
+        _run_ops(ops, values, full, masks)
+        st = [values[d] & full for d, _, _ in flops]
+
+        alert = 0
+        for i in alert_idx:
+            alert |= values[i]
+        diverged = 0
+        is_err = 0 if err_word >> len(state_idx) else full
+        state_bits = [values[i] for i in state_idx]
+        for k, (v, g) in enumerate(zip(state_bits, golden_state)):
+            diverged |= v ^ g
+            is_err &= v if err_word >> k & 1 else ~v
+        detected = (alert | is_err) & active
+        hijacked = 0
+        for lane in _set_bits(diverged & active & ~detected):
+            c = step + lane_off[lane]
+            sym = decode_exact(codes, sum((v >> lane & 1) << k for k, v in enumerate(state_bits)))
+            if sym == golden_states[c]:
+                continue
+            if sym is None:
+                corrupt |= 1 << lane
+            else:
+                hijacked |= 1 << lane
+                yield lane_key[lane], "hijack", (c, sym)
+        for lane in _set_bits(detected):
+            yield lane_key[lane], "detected", None
+
+        for lane, g in releases.pop(step, ()):
+            if gen[lane] == g:
+                quiet |= 1 << lane
+        rejoined = 0
+        candidates = quiet & active & ~detected & ~hijacked
+        if candidates:
+            off_golden = 0
+            for v, g in zip(st, golden_next):
+                off_golden |= v ^ g
+            rejoined = candidates & ~off_golden
+        settled = (rejoined | ending) & active & ~detected & ~hijacked
+        for lane in _set_bits(settled):
+            yield lane_key[lane], ("masked_corrupt" if corrupt >> lane & 1 else "masked"), None
+
+        retired = detected | hijacked | settled
+        for lane in _set_bits(retired):
+            bit = 1 << lane
+            gen[lane] += 1
+            off = lane_off[lane]
+            groups[off] &= ~bit
+            if not groups[off]:
+                del groups[off]
+            for net in lane_stuck[lane]:
+                m = stuck.get(net)
+                if m:
+                    m[0] &= ~bit
+                    m[1] &= ~bit
+                    if not m[0] | m[1]:
+                        del stuck[net]
+            free.append(lane)
+        active &= ~retired
+        step += 1
+
+
 def run_campaign(
     netlist: Netlist,
     golden_words: Sequence[int],
@@ -212,14 +427,21 @@ def run_campaign(
 ) -> FaultCampaignReport:
     """Inject every experiment from ``spec``, classify against the golden run.
 
-    Experiments are independent; lanes are batched and merged in enumeration
-    order, so reports are deterministic regardless of batching.
+    The golden run is simulated once; experiments then run in the lane pool
+    of ``_run_pool``. Experiments are independent and witnesses are listed in
+    enumeration order, so reports do not depend on the pool width.
     """
-    golden_states, golden_alerts = golden_run(netlist, golden_words, codes)
+    trace = _word_trace(golden_words)
+    golden, golden_states, golden_alerts = _golden(netlist, trace, codes)
     if any(golden_alerts):
         raise CampaignError("golden run already raises the alert; configuration bug")
     if any(s is None for s in golden_states):
         raise CampaignError("golden run leaves the valid codeword space")
+    if codes.error_symbol in golden_states:
+        raise CampaignError(
+            f"golden run enters the ERROR state {codes.error_symbol!r} at cycle "
+            f"{golden_states.index(codes.error_symbol)}"
+        )
 
     sites = enumerate_fault_sites(netlist, spec.scope)
     cycles = tuple(spec.cycles) if spec.cycles is not None else tuple(range(len(golden_words)))
@@ -233,24 +455,36 @@ def run_campaign(
     n_atoms = len(sites) * per_site
     if n_atoms < spec.max_simultaneous_faults:
         raise CampaignError("fewer fault atoms than simultaneous faults requested")
-    experiments = _enumerate_experiments(n_atoms, spec)
 
-    def atom(i: int) -> FaultSite:
+    comp = netlist._compile()
+    site_nets = [comp.index[s] for s in sites]
+    effect_ids = [_EFFECTS.index(e) for e in spec.effects]
+
+    def split(i: int) -> Tuple[int, int, int]:
         site, rest = divmod(i, per_site)
-        effect, cycle = divmod(rest, len(cycles))
+        return (site, *divmod(rest, len(cycles)))
+
+    def atom(i: int) -> Tuple[int, int, int]:
+        site, effect, cycle = split(i)
+        return site_nets[site], effect_ids[effect], cycles[cycle]
+
+    def fault_site(i: int) -> FaultSite:
+        site, effect, cycle = split(i)
         return FaultSite(sites[site], spec.effects[effect], cycles[cycle])
 
-    trace = _word_trace(golden_words)
+    experiments = (
+        ((i, e), tuple(map(atom, e))) for i, e in enumerate(_enumerate_experiments(n_atoms, spec))
+    )
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
-    witnesses: List[HijackWitness] = []
-    while batch := [tuple(map(atom, e)) for e in islice(experiments, _BATCH_LANES)]:
-        res = simulate_batch(netlist, [trace] * len(batch), [list(b) for b in batch])
-        for lane, faults in enumerate(batch):
-            cls, info = _classify(golden_states, *_observe(res, lane), codes)
-            counts[cls] += 1
-            if cls == "hijack":
-                cyc, sym = info
-                witnesses.append(HijackWitness(faults, cyc, sym, golden_states[cyc]))
+    hijacks: List[Tuple[int, HijackWitness]] = []
+    for (idx, e), cls, info in _run_pool(comp, trace, golden, golden_states, codes, experiments):
+        counts[cls] += 1
+        if cls == "hijack":
+            cyc, sym = info
+            faults = tuple(map(fault_site, e))
+            hijacks.append((idx, HijackWitness(faults, cyc, sym, golden_states[cyc])))
+    hijacks.sort(key=lambda h: h[0])
+    witnesses = [w for _, w in hijacks]
 
     meta = dict(netlist.meta)
     k = int(meta.get("k", 1))

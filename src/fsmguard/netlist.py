@@ -184,7 +184,6 @@ class _Compiled:
     """Topologically ordered evaluation program over net indices."""
 
     def __init__(self, nl: Netlist):
-        self.netlist = nl
         nets = nl.nets()
         self.index: Dict[str, int] = {n: i for i, n in enumerate(nets)}
         self.n_nets = len(nets)
@@ -280,6 +279,44 @@ def _expand_faults(
     return [sorted((stop[net], net, *m) for net, m in cyc.items()) + [end] for cyc in masks]
 
 
+def _run_ops(
+    ops: Sequence[Tuple[int, int, Tuple[int, ...]]],
+    values: List[int],
+    full: int,
+    masks: Sequence[Tuple[int, int, int, int, int]],
+) -> None:
+    """Evaluate one cycle of ``ops`` in place over lane-packed ``values``.
+
+    ``masks`` holds the cycle's ``(stop, net, flip, clear, set)`` fault masks
+    sorted by ``stop`` and closed by the sentinel ``(len(ops), 0, 0, 0, 0)``
+    (see ``_expand_faults``). ``full`` has one bit per lane.
+    """
+    start = 0
+    for stop, net, flip, clr, st in masks:
+        for kind, out, ins in ops[start:stop]:
+            if kind == 0:
+                v = values[ins[0]] ^ values[ins[1]]
+            elif kind == 1:
+                v = values[ins[0]] & values[ins[1]]
+            elif kind == 2:
+                v = values[ins[0]] | values[ins[1]]
+            elif kind == 3:
+                v = full ^ values[ins[0]]
+            elif kind == 4:
+                s = values[ins[0]]
+                v = (s & values[ins[2]]) | (~s & values[ins[1]]) & full
+            elif kind == 5:
+                v = 0
+            elif kind == 6:
+                v = full
+            else:
+                v = values[ins[0]]
+            values[out] = v
+        # a net's mask applies after the op that drives it, before its users
+        values[net] = ((values[net] ^ flip) & ~clr) | st
+        start = stop
+
+
 def simulate_batch(
     netlist: Netlist,
     input_traces: Sequence[Sequence[Dict[str, int]]],
@@ -331,30 +368,7 @@ def simulate_batch(
             values[qi] = st
         for net, v in packed_inputs[c]:
             values[net] = v
-        start = 0
-        for stop, net, flip, clr, st in faults[c]:
-            for kind, out, ins in ops[start:stop]:
-                if kind == 0:
-                    v = values[ins[0]] ^ values[ins[1]]
-                elif kind == 1:
-                    v = values[ins[0]] & values[ins[1]]
-                elif kind == 2:
-                    v = values[ins[0]] | values[ins[1]]
-                elif kind == 3:
-                    v = full ^ values[ins[0]]
-                elif kind == 4:
-                    s = values[ins[0]]
-                    v = (s & values[ins[2]]) | (~s & values[ins[1]]) & full
-                elif kind == 5:
-                    v = 0
-                elif kind == 6:
-                    v = full
-                else:
-                    v = values[ins[0]]
-                values[out] = v
-            # a net's mask applies after the op that drives it, before its users
-            values[net] = ((values[net] ^ flip) & ~clr) | st
-            start = stop
+        _run_ops(ops, values, full, faults[c])
         for pname, bit_idx in comp.out_bits.items():
             port_bits[pname].append([values[i] for i in bit_idx])
         flop_q_hist.append([values[qi] for _, qi, _ in comp.flops])

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import subprocess
@@ -192,6 +193,30 @@ def test_inject_malformed_input_located(hardened_dir, tmp_path, caplog, corrupt)
     assert rc == cli.EXIT_FAIL
     assert where in caplog.text
     assert not (tmp_path / "r.json").exists()
+
+
+def test_inject_unknown_error_symbol_located(hardened_dir, tmp_path, caplog):
+    path = hardened_dir / "codebook.json"
+    doc = json.loads(path.read_text())
+    doc["state"]["error"] = "NOWHERE"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    rc = cli.main(["inject", "--netlist", str(hardened_dir / "netlist.json"), "--out", str(out)])
+    assert rc == cli.EXIT_FAIL
+    assert f"{path}: malformed codebook: error symbol 'NOWHERE' names no entry" in caplog.text
+    assert not out.exists()
+
+
+def test_inject_logs_throughput_not_in_report(hardened_dir, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    out = tmp_path / "r.json"
+    argv = ["inject", "--netlist", str(hardened_dir / "netlist.json"), "--scope", "inputs"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    total = json.loads(out.read_text())["totals"]["total"]
+    assert re.search(rf"campaign: {total} experiments in \d+\.\d{{3}} s \(\d+/s\)", caplog.text)
+    first = out.read_bytes()
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == first
 
 
 @pytest.mark.parametrize("corrupt", [_truncate_netlist, _drop_gate_input])

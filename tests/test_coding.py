@@ -190,3 +190,11 @@ def test_codebook_lookups_first_entry_wins():
     same = coding.CodeBook(1, 3, cb.entries, "a")
     assert same == cb and hash(same) == hash(cb)
     assert "_by" not in repr(cb)
+
+
+def test_codebook_json_error_must_name_an_entry():
+    doc = fg.generate_code(3, 2, seed=0).to_json_dict()
+    assert coding.CodeBook.from_json_dict(doc).error_symbol == doc["error"]
+    doc["error"] = "missing"
+    with pytest.raises(coding.CodingError, match="error symbol 'missing' names no entry"):
+        coding.CodeBook.from_json_dict(doc)

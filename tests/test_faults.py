@@ -1,13 +1,19 @@
+import dataclasses
 import hashlib
 import json
 import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fsmguard as fg
 from fsmguard import faults as fe
-from fsmguard.netlist import FaultSite
+from fsmguard.coding import CodeBook
+from fsmguard.netlist import FaultSite, Netlist, enumerate_fault_sites, simulate_batch
 
 
 def _autocover(design):
@@ -233,3 +239,155 @@ def test_campaign_report_bytes_pinned(design_n2, name):
     rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
     doc = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_golden_run_entering_error_rejected(design_n2):
+    # an error symbol relabelled onto a state the golden run visits makes that
+    # state the ERROR state: the campaign must refuse the golden run rather
+    # than count every later experiment as detected
+    codes = design_n2.state_codes
+    words = _autocover(design_n2)
+    golden, _ = fe.golden_run(design_n2.netlist, words, codes)
+    relabelled = dataclasses.replace(codes, error_symbol=golden[3])
+    first = golden.index(golden[3])
+    spec = fe.CampaignSpec(scope="inputs_only", cycles=(0,))
+    with pytest.raises(fe.CampaignError, match=f"ERROR state '{golden[3]}' at cycle {first}$"):
+        fe.run_campaign(design_n2.netlist, words, spec, relabelled)
+
+
+# -- the lane pool against a whole-trace reference ---------------------------
+
+
+def reference_campaign(netlist, words, spec, codes):
+    """Report totals and witnesses of ``spec`` from the whole-trace oracle:
+    one ``simulate_batch`` lane per experiment from reset to the end of the
+    trace, classified by ``fe._classify``."""
+    golden, _ = fe.golden_run(netlist, words, codes)
+    cycles = spec.cycles if spec.cycles is not None else range(len(words))
+    atoms = [
+        FaultSite(site, effect, c)
+        for site in enumerate_fault_sites(netlist, spec.scope)
+        for effect in spec.effects
+        for c in cycles
+    ]
+    experiments = [
+        tuple(atoms[i] for i in e) for e in fe._enumerate_experiments(len(atoms), spec)
+    ]
+    trace = fe._word_trace(words)
+    res = simulate_batch(netlist, [trace] * len(experiments), experiments)
+    counts = dict.fromkeys(("masked", "detected", "hijack", "masked_corrupt"), 0)
+    witnesses = []
+    for lane, faults in enumerate(experiments):
+        cls, info = fe._classify(golden, *fe._observe(res, lane), codes)
+        counts[cls] += 1
+        if cls == "hijack":
+            witnesses.append(fe.HijackWitness(faults, info[0], info[1], golden[info[0]]).to_json_dict())
+    totals = {
+        "total": len(experiments),
+        "masked": counts["masked"] + counts["masked_corrupt"],
+        "detected": counts["detected"],
+        "hijack": counts["hijack"],
+        "masked_corrupt": counts["masked_corrupt"],
+    }
+    return totals, witnesses
+
+
+def _assert_pool_matches_reference(netlist, words, spec, codes, lanes):
+    with mock.patch.object(fe, "_POOL_LANES", lanes):
+        doc = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
+    totals, witnesses = reference_campaign(netlist, words, spec, codes)
+    assert doc["totals"] == totals
+    assert doc["witnesses"] == witnesses
+    return totals
+
+
+@st.composite
+def small_campaigns(draw):
+    """A random FSM of 2-4 states, hardened at N=2..3, with a random campaign
+    spec small enough for the whole-trace reference."""
+    n_states = draw(st.integers(2, 4))
+    states = [f"S{i}" for i in range(n_states)]
+    inputs = ["a", "b"][: draw(st.integers(1, 2))]
+    guards = [{"a": 1}, {"a": 0, "b": 1}][: len(inputs)]
+    transitions = [
+        {"from": s, "guard": g, "to": draw(st.sampled_from(states))}
+        for s in states
+        for g in guards
+        if draw(st.booleans())
+    ]
+    doc = {
+        "name": "rand",
+        "states": states,
+        "reset": "S0",
+        "inputs": [{"name": x} for x in inputs],
+        "outputs": [],
+        "transitions": transitions,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unreachable states are fine here
+        fsm = fg.parse_fsm(json.dumps(doc))
+    level = draw(st.integers(2, 3))
+    design = fg.harden(fsm, fg.HardeningConfig(protection_level=level, seed=draw(st.integers(0, 9))))
+    words = _autocover(design)
+    scope = draw(st.sampled_from(["all", "diffusion_only", "inputs_only"]))
+    effects = tuple(draw(st.lists(st.sampled_from(["flip", "stuck0", "stuck1"]), min_size=1, max_size=3, unique=True)))
+    cycles = draw(st.none() | st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=3, unique=True).map(tuple))
+    faults = draw(st.integers(1, 2))
+    n_atoms = (
+        len(enumerate_fault_sites(design.netlist, scope))
+        * len(effects)
+        * (len(words) if cycles is None else len(cycles))
+    )
+    common = dict(scope=scope, effects=effects, cycles=cycles, max_simultaneous_faults=faults)
+    if draw(st.booleans()) and math.comb(n_atoms, faults) <= 800:
+        spec = fe.CampaignSpec(**common)
+    else:
+        spec = fe.CampaignSpec(
+            **common, mode="sampled", sample_count=draw(st.integers(1, 150)), seed=draw(st.integers(0, 99))
+        )
+    return design, words, spec, draw(st.sampled_from([1, 3, 8, fe._POOL_LANES]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_campaigns())
+def test_pool_matches_whole_trace_reference(case):
+    design, words, spec, lanes = case
+    _assert_pool_matches_reference(design.netlist, words, spec, design.state_codes, lanes)
+
+
+def _alert_free_register():
+    """A 3-bit state register that loads ``x_e[2:0]`` unless ``x_e[3]`` holds
+    it, with ``fsm_alert`` tied low: a corrupted word stays undetected until
+    the next load puts the register back on the golden trajectory."""
+    n = Netlist("hold_reg")
+    n.add_port("x_e", "in", [f"x_e_{i}" for i in range(4)])
+    for i in range(3):
+        n.add_gate("MUX", ["x_e_3", f"x_e_{i}", f"st_q_{i}"], f"st_d_{i}")
+        n.add_flop(f"st_d_{i}", f"st_q_{i}", (0b011 >> i) & 1, tag="state_reg")
+    n.add_gate("CONST0", [], "alert_lo")
+    n.add_port("state_e", "out", [f"st_q_{i}" for i in range(3)])
+    n.add_port("fsm_alert", "out", ["alert_lo"])
+    n.validate()
+    codes = CodeBook(2, 3, (("ERR", 0b000), ("A", 0b011), ("B", 0b101), ("C", 0b110)), "ERR")
+    hold = 0b1000
+    # A, hold, load B, hold, hold, load C, hold, load A, load B, hold
+    words = [hold, 0b101, hold, hold, 0b110, hold, 0b011, 0b101, hold]
+    return n, words, codes
+
+
+@pytest.mark.parametrize("faults", [1, 2])
+@pytest.mark.parametrize("lanes", [2, fe._POOL_LANES])
+def test_pool_matches_reference_on_undetected_corruption(faults, lanes):
+    netlist, words, codes = _alert_free_register()
+    common = dict(effects=("flip", "stuck0", "stuck1"), cycles=(0, 2, 5), max_simultaneous_faults=faults)
+    totals = _assert_pool_matches_reference(netlist, words, fe.CampaignSpec(**common), codes, lanes)
+    # the code has distance 2: one fault never reaches another valid word
+    assert (totals["hijack"] > 0) == (faults == 2)
+    # a flipped hold bit loads the ERROR word 000
+    spec = fe.CampaignSpec(scope="inputs_only", **common)
+    assert _assert_pool_matches_reference(netlist, words, spec, codes, lanes)["detected"] > 0
+    # flips repaired by a later load leave their lane through the flop-rejoin
+    # check, not at the end of the trace
+    spec = fe.CampaignSpec(scope="all", cycles=(2, 3), max_simultaneous_faults=faults)
+    totals = _assert_pool_matches_reference(netlist, words, spec, codes, lanes)
+    assert totals["masked_corrupt"] > 0

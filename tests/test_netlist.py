@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,21 @@ def test_full_adder_truth_table():
         total = a + b + c
         assert res.port_value("sum", 0) == total & 1
         assert res.port_value("cout", 0) == total >> 1
+
+
+def test_compiled_netlist_freed_by_reference_count():
+    # a compiled netlist must not sit in a reference cycle: only the cycle
+    # collector would free it, so a process that builds one netlist per run
+    # keeps the old ones, and their memory, until that collector runs
+    n = counter2()
+    nl.simulate(n, [{"en": 1}])
+    dead = weakref.ref(n)
+    gc.disable()
+    try:
+        del n
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_counter_counts_and_holds():
