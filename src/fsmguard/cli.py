@@ -161,8 +161,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
             scope=_SCOPES[args.scope],
             max_simultaneous_faults=args.max_faults,
             effects=tuple(args.effects.split(",")),
-            mode="sampled" if args.sample else "exhaustive",
-            sample_count=args.sample or 10_000,
+            mode="exhaustive" if args.sample is None else "sampled",
+            sample_count=10_000 if args.sample is None else args.sample,
             seed=args.seed,
         )
         t0 = time.perf_counter()
@@ -218,6 +218,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_IO
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fsmguard",
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--scope", choices=list(_SCOPES), default="all")
     i.add_argument("--effects", default="flip", help="comma list of flip,stuck0,stuck1")
     i.add_argument("--max-faults", type=int, default=1, dest="max_faults")
-    i.add_argument("--sample", type=int, default=None, help="sampled mode with COUNT experiments")
+    i.add_argument("--sample", type=_positive_int, default=None, help="sampled mode with COUNT experiments")
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--trace", default="auto-cover", help="'auto-cover' or a JSON word-trace file")
     i.add_argument("--out", default="report.json")

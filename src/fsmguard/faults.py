@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -13,6 +15,7 @@ from .coding import CodeBook, decode_exact
 from .netlist import (
     FaultSite,
     Netlist,
+    NetlistError,
     SimResult,
     _Compiled,
     _run_ops,
@@ -47,6 +50,8 @@ class CampaignSpec:
             raise CampaignError("max_simultaneous_faults must be >= 1")
         if self.mode not in ("exhaustive", "sampled"):
             raise CampaignError(f"unknown mode {self.mode!r}")
+        if self.mode == "sampled" and self.sample_count < 1:
+            raise CampaignError("sample_count must be >= 1 in sampled mode")
         for e in self.effects:
             if e not in _EFFECTS:
                 raise CampaignError(f"unknown effect {e!r}")
@@ -171,17 +176,132 @@ def _observe(res: SimResult, lane: int) -> Tuple[List[int], List[int]]:
     )
 
 
+def _check_words(netlist: Netlist, words: Sequence[int]) -> None:
+    """Reject trace words that do not fit ``x_e``: the simulator would drop
+    the high bits of a wide word and read a negative one as all ones."""
+    ports = [p for p in netlist.ports if p.name == "x_e" and p.direction == "in"]
+    if not ports:
+        raise CampaignError("netlist has no input port 'x_e'")
+    width = len(ports[0].bits)
+    for i, w in enumerate(words):
+        if not 0 <= w < 1 << width:
+            raise CampaignError(f"trace word {i} ({w:#x}) does not fit the {width}-bit port x_e")
+
+
+def _golden_sim(netlist: Netlist, trace: Sequence[Dict[str, int]]) -> Tuple[SimResult, int, int]:
+    """``simulate_batch(netlist, [trace])`` from a memo of distinct transitions.
+
+    All machine state is in the flops, and the gates are a pure function of
+    flop q and the input bits, so a cycle's outputs and next flop state depend
+    only on its (flop state, input row) pair. Each distinct pair is evaluated
+    once. A pair missing from the memo is evaluated in one ``_run_ops`` call
+    of at most ``_POOL_LANES`` lanes, together with the current state under
+    every other distinct input row of the trace and then, breadth-first,
+    every discovered next state not yet expanded. Returns the result, the
+    number of ``_run_ops`` calls and the lanes they evaluated.
+    """
+    comp = netlist._compile()
+    ops, flops = comp.ops, comp.flops
+    end = [(len(ops), 0, 0, 0, 0)]
+    # a lane is one int: the input row in the low bits, each port's word masked
+    # to its width, and the flop state above it, bit j = flop j
+    in_ports, row_width = [], 0
+    for pname, nets in comp.in_ports:
+        if nets:  # simulate_batch reads no word for a port without bits
+            in_ports.append((pname, (1 << len(nets)) - 1, row_width))
+            row_width += len(nets)
+    lane_nets = [net for _, nets in comp.in_ports for net in nets] + [q for _, q, _ in flops]
+    walk = []  # cycle -> input row
+    for c, assignment in enumerate(trace):
+        x = 0
+        for pname, mask, at in in_ports:
+            try:
+                x |= (assignment[pname] & mask) << at
+            except KeyError:
+                raise NetlistError(f"trace lane 0 cycle {c} misses port {pname!r}") from None
+        walk.append(x)
+    rows = list(dict.fromkeys(walk))
+    out_nets = [i for bits in comp.out_bits.values() for i in bits]
+    state = sum(1 << j for j, (_, _, rv) in enumerate(flops) if rv)
+    memo: Dict[int, Tuple[int, List[int]]] = {}  # lane int -> (next state, output bits)
+    frontier = [state]  # discovered states in breadth-first order
+    queued = {state}
+    head = 0
+    values = [0] * comp.n_nets
+    calls = lanes = 0
+
+    def evaluate(key: int) -> None:
+        nonlocal head, calls, lanes
+        current = key >> row_width
+        base = current << row_width
+        batch = [key] + [base | r for r in rows if base | r not in memo and base | r != key]
+        del batch[_POOL_LANES:]
+        while head < len(frontier) and len(batch) < _POOL_LANES:
+            if frontier[head] != current:
+                base = frontier[head] << row_width
+                todo = [base | r for r in rows if base | r not in memo]
+                room = _POOL_LANES - len(batch)
+                batch += todo[:room]
+                if len(todo) > room:
+                    break
+            head += 1
+        full = (1 << len(batch)) - 1
+        for net, v in zip(lane_nets, _transpose(batch, len(lane_nets))):
+            values[net] = v
+        _run_ops(ops, values, full, end)
+        nxt = _transpose([values[d] & full for d, _, _ in flops], len(batch))
+        outs = [values[i] for i in out_nets]
+        for lane, (k, s) in enumerate(zip(batch, nxt)):
+            memo[k] = (s, [v >> lane & 1 for v in outs])
+            if s not in queued:
+                queued.add(s)
+                frontier.append(s)
+        calls += 1
+        lanes += len(batch)
+
+    port_bits: Dict[str, List[List[int]]] = {p: [] for p in comp.out_bits}
+    slices, at = [], 0
+    for pname, bits in comp.out_bits.items():
+        slices.append((port_bits[pname], at, at + len(bits)))
+        at += len(bits)
+    flop_q: List[List[int]] = []
+    for x in walk:
+        key = state << row_width | x
+        if key not in memo:
+            evaluate(key)
+        flop_q.append([state >> j & 1 for j in range(len(flops))])
+        state, bits = memo[key]
+        for hist, a, b in slices:
+            hist.append(bits[a:b])
+    return SimResult(len(walk), 1, port_bits, flop_q), calls, lanes
+
+
+def _transpose(words: Sequence[int], width: int) -> List[int]:
+    """Bit ``j`` of ``words[i]`` becomes bit ``i`` of result ``j``."""
+    out = [0] * width
+    for i, w in enumerate(words):
+        bit = 1 << i
+        while w:
+            low = w & -w
+            out[low.bit_length() - 1] |= bit
+            w ^= low
+    return out
+
+
 def _golden(
     netlist: Netlist, trace: Sequence[Dict[str, int]], codes: CodeBook
-) -> Tuple[SimResult, List[Optional[str]], List[int]]:
-    res = simulate_batch(netlist, [trace])
+) -> Tuple[SimResult, List[Optional[str]], List[int], Tuple[int, int]]:
+    """The golden run, its decoded states and alerts, and the ``_run_ops``
+    calls and lanes that ``_golden_sim`` spent on it."""
+    res, calls, lanes = _golden_sim(netlist, trace)
     state_words, alerts = _observe(res, 0)
-    return res, [decode_exact(codes, w) for w in state_words], alerts
+    return res, [decode_exact(codes, w) for w in state_words], alerts, (calls, lanes)
 
 
 def golden_run(netlist: Netlist, words: Sequence[int], codes: CodeBook) -> Tuple[List[str], List[int]]:
     """Decoded fault-free trajectory (len(words)+1 states) and per-cycle alert."""
-    _, states, alerts = _golden(netlist, _word_trace(words), codes)
+    _check_words(netlist, words)
+    _, states, alerts, _ = _golden(netlist, _word_trace(words), codes)
     return states, alerts
 
 
@@ -427,12 +547,28 @@ def run_campaign(
 ) -> FaultCampaignReport:
     """Inject every experiment from ``spec``, classify against the golden run.
 
-    The golden run is simulated once; experiments then run in the lane pool
-    of ``_run_pool``. Experiments are independent and witnesses are listed in
-    enumeration order, so reports do not depend on the pool width.
+    The golden run is computed once by ``_golden_sim``, which evaluates each
+    distinct (flop state, input row) transition of the trace once, and its
+    cost is logged on the ``fsmguard`` logger. Experiments then run in the
+    lane pool of ``_run_pool``. Experiments are independent and witnesses are
+    listed in enumeration order, so reports do not depend on the pool width.
     """
+    _check_words(netlist, golden_words)
     trace = _word_trace(golden_words)
-    golden, golden_states, golden_alerts = _golden(netlist, trace, codes)
+    t0 = time.perf_counter()
+    golden, golden_states, golden_alerts, (calls, lanes) = _golden(netlist, trace, codes)
+    # importing logging costs about 8 ms and 0.6 MB, so it is used only once
+    # the application has loaded it: before that, no handler is configured
+    # that could emit an INFO record
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("fsmguard").info(
+            "golden run: %d cycles in %d evaluations (%d lanes), %.3f s",
+            golden.cycles,
+            calls,
+            lanes,
+            time.perf_counter() - t0,
+        )
     if any(golden_alerts):
         raise CampaignError("golden run already raises the alert; configuration bug")
     if any(s is None for s in golden_states):

@@ -10,6 +10,7 @@ import pytest
 
 import fsmguard
 from fsmguard import cli
+from fsmguard import netlist as nl_mod
 from tests.conftest import REF14_DOC, TOGGLE_DOC
 
 
@@ -279,6 +280,64 @@ def test_import_loads_no_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(fsmguard.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-c", 'import fsmguard, sys; assert "numpy" not in sys.modules'],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _misfit_trace(d, tmp_path, misfit):
+    """The auto-cover trace with every word changed by ``misfit(word, width)``."""
+    netlist = nl_mod.from_json_dict(json.loads((d / "netlist.json").read_text()))
+    width = len(netlist.port("x_e").bits)
+    words = [misfit(int(w, 16), width) for w in netlist.meta["autocover_trace"]]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps([f"{w:x}" for w in words]))
+    return path, f"trace word 0 ({words[0]:#x}) does not fit the {width}-bit port x_e"
+
+
+_MISFITS = {"wide": lambda w, width: w | 1 << width, "negative": lambda w, width: -1}
+
+
+@pytest.mark.parametrize("misfit", list(_MISFITS))
+def test_inject_rejects_word_outside_x_e(hardened_dir, tmp_path, caplog, misfit):
+    trace, message = _misfit_trace(hardened_dir, tmp_path, _MISFITS[misfit])
+    out = tmp_path / "r.json"
+    argv = ["inject", "--netlist", str(hardened_dir / "netlist.json"), "--trace", str(trace)]
+    assert cli.main([*argv, "--scope", "inputs", "--out", str(out)]) == cli.EXIT_FAIL
+    assert message in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("misfit", list(_MISFITS))
+def test_simulate_rejects_word_outside_x_e(hardened_dir, tmp_path, caplog, capsys, misfit):
+    trace, message = _misfit_trace(hardened_dir, tmp_path, _MISFITS[misfit])
+    rc = cli.main(["simulate", "--target", str(hardened_dir / "netlist.json"), "--trace", str(trace)])
+    assert rc == cli.EXIT_FAIL
+    assert message in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-5", "many"])
+def test_inject_sample_must_be_positive(hardened_dir, tmp_path, capsys, count):
+    out = tmp_path / "r.json"
+    argv = ["inject", "--netlist", str(hardened_dir / "netlist.json"), "--sample", count]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(out)])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "--sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_loads_no_logging(tmp_path):
+    # run_campaign logs through logging only once the application has loaded
+    # it, so that a plain import does not pay for it (about 8 ms and 0.6 MB)
+    env = dict(os.environ, PYTHONPATH=str(Path(fsmguard.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", 'import fsmguard, sys; assert "logging" not in sys.modules'],
         capture_output=True,
         text=True,
         env=env,

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import math
+import random
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -12,8 +15,9 @@ from hypothesis import strategies as st
 
 import fsmguard as fg
 from fsmguard import faults as fe
-from fsmguard.coding import CodeBook
+from fsmguard.coding import CodeBook, decode_exact
 from fsmguard.netlist import FaultSite, Netlist, enumerate_fault_sites, simulate_batch
+from tests.test_netlist import faulted_netlists
 
 
 def _autocover(design):
@@ -261,8 +265,10 @@ def test_golden_run_entering_error_rejected(design_n2):
 def reference_campaign(netlist, words, spec, codes):
     """Report totals and witnesses of ``spec`` from the whole-trace oracle:
     one ``simulate_batch`` lane per experiment from reset to the end of the
-    trace, classified by ``fe._classify``."""
-    golden, _ = fe.golden_run(netlist, words, codes)
+    trace, classified by ``fe._classify``. The golden states come from lane 0
+    of a fault-free ``simulate_batch`` run, not from the engine under test."""
+    trace = fe._word_trace(words)
+    golden = [decode_exact(codes, w) for w in simulate_batch(netlist, [trace]).port_column("state_e")]
     cycles = spec.cycles if spec.cycles is not None else range(len(words))
     atoms = [
         FaultSite(site, effect, c)
@@ -273,7 +279,6 @@ def reference_campaign(netlist, words, spec, codes):
     experiments = [
         tuple(atoms[i] for i in e) for e in fe._enumerate_experiments(len(atoms), spec)
     ]
-    trace = fe._word_trace(words)
     res = simulate_batch(netlist, [trace] * len(experiments), experiments)
     counts = dict.fromkeys(("masked", "detected", "hijack", "masked_corrupt"), 0)
     witnesses = []
@@ -391,3 +396,145 @@ def test_pool_matches_reference_on_undetected_corruption(faults, lanes):
     spec = fe.CampaignSpec(scope="all", cycles=(2, 3), max_simultaneous_faults=faults)
     totals = _assert_pool_matches_reference(netlist, words, spec, codes, lanes)
     assert totals["masked_corrupt"] > 0
+
+
+# -- the memoized golden run against simulate_batch ---------------------------
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_campaigns(), st.sampled_from([1, 3, 256]))
+def test_golden_matches_simulate_batch_on_hardened_fsms(case, lanes):
+    design, words, _, _ = case
+    trace = fe._word_trace(words)
+    with mock.patch.object(fe, "_POOL_LANES", lanes):
+        res, states, alerts, (calls, used) = fe._golden(design.netlist, trace, design.state_codes)
+    assert res == simulate_batch(design.netlist, [trace])
+    assert (states, alerts) == fe.golden_run(design.netlist, words, design.state_codes)
+    assert calls <= used <= calls * lanes
+
+
+@settings(max_examples=150, deadline=None)
+@given(faulted_netlists(), st.sampled_from([1, 3, 256]))
+def test_golden_sim_matches_simulate_batch_on_random_netlists(case, lanes):
+    n, traces, _ = case
+    trace = [row for t in traces for row in t]  # up to 30 cycles that revisit states
+    with mock.patch.object(fe, "_POOL_LANES", lanes):
+        res, calls, used = fe._golden_sim(n, trace)
+    assert res == simulate_batch(n, [trace])
+    assert calls <= used <= calls * lanes
+
+
+def _counter(bits):
+    """A ``bits``-wide up counter stepped by ``en``; ``pad`` only feeds an
+    output, so its values multiply the distinct input rows."""
+    n = Netlist("counter")
+    n.add_port("en", "in", ["en"])
+    n.add_port("pad", "in", ["pad0", "pad1"])
+    carry = "en"
+    for i in range(bits):
+        n.add_gate("XOR", [f"q{i}", carry], f"d{i}")
+        n.add_gate("AND", [f"q{i}", carry], f"c{i}")
+        n.add_flop(f"d{i}", f"q{i}", i & 1)
+        carry = f"c{i}"
+    n.add_gate("XOR", ["pad0", "pad1"], "pad_x")
+    n.add_port("count", "out", [f"q{i}" for i in range(bits)] + ["pad_x"])
+    n.validate()
+    return n
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 256])
+def test_golden_sim_counter_that_never_repeats(lanes):
+    # every cycle reaches a new flop state, so every cycle misses and no
+    # lookahead helps; each miss evaluates the state under all 4 input rows,
+    # cut to the lane cap
+    n = _counter(9)
+    trace = [{"en": 1, "pad": c % 4} for c in range(300)]
+    with mock.patch.object(fe, "_POOL_LANES", lanes):
+        res, calls, used = fe._golden_sim(n, trace)
+    assert res == simulate_batch(n, [trace])
+    assert calls == len(trace)
+    assert used == len(trace) * min(lanes, 4)
+
+
+def test_golden_sim_missing_port_located():
+    n = _counter(3)
+    trace = [{"en": 1, "pad": 0}] * 3 + [{"en": 1}]
+    with pytest.raises(fg.netlist.NetlistError) as want:
+        simulate_batch(n, [trace])
+    with pytest.raises(fg.netlist.NetlistError) as got:
+        fe._golden_sim(n, trace)
+    assert str(got.value) == str(want.value) == "trace lane 0 cycle 3 misses port 'pad'"
+
+
+def _ring_doc(m, seed):
+    """The synthetic ring FSM of the benchmark: from Si, ``i0=1`` steps to
+    S(i+1 mod m) and ``{i0=0, i1=1}`` jumps to a state drawn from ``seed``."""
+    rng = random.Random(seed)
+    transitions = []
+    for i in range(m):
+        transitions.append({"from": f"S{i}", "guard": {"i0": 1}, "to": f"S{(i + 1) % m}"})
+        transitions.append(
+            {"from": f"S{i}", "guard": {"i0": 0, "i1": 1}, "to": f"S{rng.randrange(m)}"}
+        )
+    return {
+        "name": f"ring{m}",
+        "states": [f"S{i}" for i in range(m)],
+        "reset": "S0",
+        "inputs": [{"name": "i0"}, {"name": "i1"}, {"name": "i2"}],
+        "outputs": [],
+        "transitions": transitions,
+    }
+
+
+def test_golden_run_evaluates_each_transition_once():
+    design = fg.harden(fg.parse_fsm(json.dumps(_ring_doc(32, 0))), fg.HardeningConfig(protection_level=2, seed=0))
+    words = _autocover(design)
+    counted = mock.Mock(wraps=fg.netlist._run_ops)
+    # patched in both modules, so a golden run through simulate_batch counts too
+    with mock.patch.object(fg.netlist, "_run_ops", counted), mock.patch.object(fe, "_run_ops", counted):
+        states, _ = fe.golden_run(design.netlist, words, design.state_codes)
+    cycles = len(words) + 1
+    assert len(states) == cycles > 100
+    assert 0 < counted.call_count < cycles / 4
+
+
+def test_campaign_logs_golden_phase(design_n2, caplog):
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    spec = fe.CampaignSpec(scope="inputs_only", cycles=(0,))
+    fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    cycles = len(_autocover(design_n2)) + 1
+    assert re.search(
+        rf"golden run: {cycles} cycles in \d+ evaluations \(\d+ lanes\), \d+\.\d{{3}} s", caplog.text
+    )
+
+
+# -- inputs the campaign must refuse ----------------------------------------------
+
+
+@pytest.mark.parametrize("bad", ["wide", "negative"])
+def test_trace_word_must_fit_x_e(design_n2, bad):
+    codes, netlist = design_n2.state_codes, design_n2.netlist
+    width = len(netlist.port("x_e").bits)
+    words = _autocover(design_n2)
+    value = words[2] | 1 << width if bad == "wide" else -1
+    words[2] = value
+    match = rf"^trace word 2 \({value:#x}\) does not fit the {width}-bit port x_e$"
+    with pytest.raises(fe.CampaignError, match=match):
+        fe.golden_run(netlist, words, codes)
+    with pytest.raises(fe.CampaignError, match=match):
+        fe.run_campaign(netlist, words, fe.CampaignSpec(scope="inputs_only"), codes)
+    witness = fe.HijackWitness((FaultSite(netlist.gates[0].output, "flip", 0),), 1, "S1", "S0")
+    with pytest.raises(fe.CampaignError, match=match):
+        fe.replay_witness(netlist, words, witness, codes)
+
+
+def test_trace_words_need_an_x_e_port(design_n2):
+    with pytest.raises(fe.CampaignError, match="^netlist has no input port 'x_e'$"):
+        fe.golden_run(_counter(2), [0, 1], design_n2.state_codes)
+
+
+def test_sampled_spec_needs_positive_count():
+    for count in (0, -5):
+        with pytest.raises(fe.CampaignError, match="sample_count must be >= 1"):
+            fe.CampaignSpec(mode="sampled", sample_count=count)
+    assert fe.CampaignSpec(mode="exhaustive", sample_count=0).mode == "exhaustive"
