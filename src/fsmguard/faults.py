@@ -15,7 +15,6 @@ from .coding import CodeBook, decode_exact
 from .netlist import (
     FaultSite,
     Netlist,
-    NetlistError,
     SimResult,
     _Compiled,
     _run_ops,
@@ -55,6 +54,11 @@ class CampaignSpec:
         for e in self.effects:
             if e not in _EFFECTS:
                 raise CampaignError(f"unknown effect {e!r}")
+        # a repeated effect or cycle would count each of its atoms twice
+        for what, items in (("effect", self.effects), ("cycle", self.cycles or ())):
+            for i, x in enumerate(items):
+                if x in items[:i]:
+                    raise CampaignError(f"duplicate {what} {x!r} in the campaign spec")
 
 
 @dataclass(frozen=True)
@@ -176,54 +180,49 @@ def _observe(res: SimResult, lane: int) -> Tuple[List[int], List[int]]:
     )
 
 
-def _check_words(netlist: Netlist, words: Sequence[int]) -> None:
-    """Reject trace words that do not fit ``x_e``: the simulator would drop
-    the high bits of a wide word and read a negative one as all ones."""
-    ports = [p for p in netlist.ports if p.name == "x_e" and p.direction == "in"]
-    if not ports:
-        raise CampaignError("netlist has no input port 'x_e'")
-    width = len(ports[0].bits)
+def _port_nets(netlist: Netlist, words: Sequence[int]) -> Tuple[List[int], ...]:
+    """Net indices of ``x_e``, ``state_e`` and ``fsm_alert``, once ``x_e`` is
+    found to be the only input port with bits and to fit every word: the
+    simulator would drop the high bits of a wide word and read a negative one
+    as all ones."""
+    ports = {p.name: p for p in netlist.ports}
+    for name, direction in (("x_e", "in"), ("state_e", "out"), ("fsm_alert", "out")):
+        if name not in ports or ports[name].direction != direction:
+            raise CampaignError(f"netlist has no {direction}put port {name!r}")
+    for p in netlist.ports:
+        if p.direction == "in" and p.bits and p.name != "x_e":
+            raise CampaignError(f"netlist has input port {p.name!r} besides x_e")
+    width = len(ports["x_e"].bits)
     for i, w in enumerate(words):
         if not 0 <= w < 1 << width:
             raise CampaignError(f"trace word {i} ({w:#x}) does not fit the {width}-bit port x_e")
+    bits = netlist._compile().out_bits
+    return bits["x_e"], bits["state_e"], bits["fsm_alert"]
 
 
-def _golden_sim(netlist: Netlist, trace: Sequence[Dict[str, int]]) -> Tuple[SimResult, int, int]:
-    """``simulate_batch(netlist, [trace])`` from a memo of distinct transitions.
+def _golden(netlist: Netlist, words: Sequence[int]) -> Tuple[List[Tuple[int, int, int]], int, int]:
+    """The fault-free run of ``words`` and a settle cycle: one ``(flop state,
+    state_e word, fsm_alert)`` triple per cycle, bit ``j`` of the flop state
+    being flop ``j``, and the ``_run_ops`` calls and lanes spent.
 
-    All machine state is in the flops, and the gates are a pure function of
-    flop q and the input bits, so a cycle's outputs and next flop state depend
-    only on its (flop state, input row) pair. Each distinct pair is evaluated
-    once. A pair missing from the memo is evaluated in one ``_run_ops`` call
-    of at most ``_POOL_LANES`` lanes, together with the current state under
-    every other distinct input row of the trace and then, breadth-first,
-    every discovered next state not yet expanded. Returns the result, the
-    number of ``_run_ops`` calls and the lanes they evaluated.
+    All machine state is in the flops and ``x_e`` is the only driven input,
+    so a cycle depends only on its (flop state, ``x_e`` word) edge. Each
+    distinct edge is evaluated once: a miss is evaluated in one ``_run_ops``
+    call of at most ``_POOL_LANES`` lanes, with its state under every other
+    word of the trace and, breadth-first, every discovered state not yet
+    expanded.
     """
+    x_nets, state_nets, alert_nets = _port_nets(netlist, words)
     comp = netlist._compile()
     ops, flops = comp.ops, comp.flops
     end = [(len(ops), 0, 0, 0, 0)]
-    # a lane is one int: the input row in the low bits, each port's word masked
-    # to its width, and the flop state above it, bit j = flop j
-    in_ports, row_width = [], 0
-    for pname, nets in comp.in_ports:
-        if nets:  # simulate_batch reads no word for a port without bits
-            in_ports.append((pname, (1 << len(nets)) - 1, row_width))
-            row_width += len(nets)
-    lane_nets = [net for _, nets in comp.in_ports for net in nets] + [q for _, q, _ in flops]
-    walk = []  # cycle -> input row
-    for c, assignment in enumerate(trace):
-        x = 0
-        for pname, mask, at in in_ports:
-            try:
-                x |= (assignment[pname] & mask) << at
-            except KeyError:
-                raise NetlistError(f"trace lane 0 cycle {c} misses port {pname!r}") from None
-        walk.append(x)
+    # a lane is its memo key: the x_e word in the low bits, the flop state above
+    width = len(x_nets)
+    lane_nets = x_nets + [q for _, q, _ in flops]
+    walk = [*words, 0]  # the settle cycle shows the final register state and alert
     rows = list(dict.fromkeys(walk))
-    out_nets = [i for bits in comp.out_bits.values() for i in bits]
     state = sum(1 << j for j, (_, _, rv) in enumerate(flops) if rv)
-    memo: Dict[int, Tuple[int, List[int]]] = {}  # lane int -> (next state, output bits)
+    memo: Dict[int, Tuple[int, int, int]] = {}  # key -> (next state, state_e word, alert)
     frontier = [state]  # discovered states in breadth-first order
     queued = {state}
     head = 0
@@ -232,48 +231,45 @@ def _golden_sim(netlist: Netlist, trace: Sequence[Dict[str, int]]) -> Tuple[SimR
 
     def evaluate(key: int) -> None:
         nonlocal head, calls, lanes
-        current = key >> row_width
-        base = current << row_width
+        current = key >> width
+        base = current << width
         batch = [key] + [base | r for r in rows if base | r not in memo and base | r != key]
         del batch[_POOL_LANES:]
         while head < len(frontier) and len(batch) < _POOL_LANES:
             if frontier[head] != current:
-                base = frontier[head] << row_width
+                base = frontier[head] << width
                 todo = [base | r for r in rows if base | r not in memo]
                 room = _POOL_LANES - len(batch)
                 batch += todo[:room]
                 if len(todo) > room:
                     break
             head += 1
-        full = (1 << len(batch)) - 1
+        n = len(batch)
+        full = (1 << n) - 1
         for net, v in zip(lane_nets, _transpose(batch, len(lane_nets))):
             values[net] = v
         _run_ops(ops, values, full, end)
-        nxt = _transpose([values[d] & full for d, _, _ in flops], len(batch))
-        outs = [values[i] for i in out_nets]
-        for lane, (k, s) in enumerate(zip(batch, nxt)):
-            memo[k] = (s, [v >> lane & 1 for v in outs])
+        nxt, state_words, alerts = (
+            _transpose([values[i] & full for i in nets], n)
+            for nets in ([d for d, _, _ in flops], state_nets, alert_nets)
+        )
+        for k, s, w, a in zip(batch, nxt, state_words, alerts):
+            memo[k] = (s, w, a)
             if s not in queued:
                 queued.add(s)
                 frontier.append(s)
         calls += 1
-        lanes += len(batch)
+        lanes += n
 
-    port_bits: Dict[str, List[List[int]]] = {p: [] for p in comp.out_bits}
-    slices, at = [], 0
-    for pname, bits in comp.out_bits.items():
-        slices.append((port_bits[pname], at, at + len(bits)))
-        at += len(bits)
-    flop_q: List[List[int]] = []
+    record = []
     for x in walk:
-        key = state << row_width | x
+        key = state << width | x
         if key not in memo:
             evaluate(key)
-        flop_q.append([state >> j & 1 for j in range(len(flops))])
-        state, bits = memo[key]
-        for hist, a, b in slices:
-            hist.append(bits[a:b])
-    return SimResult(len(walk), 1, port_bits, flop_q), calls, lanes
+        state_next, word, alert = memo[key]
+        record.append((state, word, alert))
+        state = state_next
+    return record, calls, lanes
 
 
 def _transpose(words: Sequence[int], width: int) -> List[int]:
@@ -288,21 +284,10 @@ def _transpose(words: Sequence[int], width: int) -> List[int]:
     return out
 
 
-def _golden(
-    netlist: Netlist, trace: Sequence[Dict[str, int]], codes: CodeBook
-) -> Tuple[SimResult, List[Optional[str]], List[int], Tuple[int, int]]:
-    """The golden run, its decoded states and alerts, and the ``_run_ops``
-    calls and lanes that ``_golden_sim`` spent on it."""
-    res, calls, lanes = _golden_sim(netlist, trace)
-    state_words, alerts = _observe(res, 0)
-    return res, [decode_exact(codes, w) for w in state_words], alerts, (calls, lanes)
-
-
 def golden_run(netlist: Netlist, words: Sequence[int], codes: CodeBook) -> Tuple[List[str], List[int]]:
     """Decoded fault-free trajectory (len(words)+1 states) and per-cycle alert."""
-    _check_words(netlist, words)
-    _, states, alerts, _ = _golden(netlist, _word_trace(words), codes)
-    return states, alerts
+    record, _, _ = _golden(netlist, words)
+    return [decode_exact(codes, w) for _, w, _ in record], [a for _, _, a in record]
 
 
 def _classify(
@@ -357,8 +342,8 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 def _run_pool(
     comp: _Compiled,
-    trace: Sequence[Dict[str, int]],
-    golden: SimResult,
+    words: Sequence[int],
+    golden: Sequence[Tuple[int, int, int]],
     golden_states: Sequence[str],
     codes: CodeBook,
     experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...]]],
@@ -366,9 +351,9 @@ def _run_pool(
     """Classify each experiment as ``_classify`` does on a whole-trace run;
     yields ``(key, class, hijack info)`` in retirement order.
 
-    An experiment is a ``key`` and a tuple of ``(net index, effect index,
-    cycle)`` faults.
-    It enters a free lane at its first fault cycle with the golden flop state
+    ``golden`` is the ``_golden`` record of ``words``. An experiment is a
+    ``key`` and a tuple of ``(net index, effect index, cycle)`` faults. It
+    enters a free lane at its first fault cycle with the golden flop state
     of that cycle: all machine state is in the flops, so the cycles before
     match the golden run. Lanes advance one cycle per step; a lane's cycle is
     the step plus its offset, and lanes are grouped by offset so that input
@@ -381,20 +366,18 @@ def _run_pool(
     """
     width = _POOL_LANES
     full = (1 << width) - 1
-    last = golden.cycles - 1
+    last = len(golden) - 1
     ops, flops, stop = comp.ops, comp.flops, comp.op_stop
     end = (len(ops), 0, 0, 0, 0)
     state_idx = comp.out_bits["state_e"]
     alert_idx = comp.out_bits["fsm_alert"]
     err_word = codes.error_codeword
-    # per cycle: input nets at 1, golden state_e bits at 1, golden flops at 1
-    in_nets = [net for _, nets in comp.in_ports for net in nets]
-    in_ones = [
-        [net for pname, nets in comp.in_ports for i, net in enumerate(nets) if row[pname] >> i & 1]
-        for row in trace
-    ]
-    state_ones = [[k for k, v in enumerate(bits) if v & 1] for bits in golden.port_bits["state_e"]]
-    flop_ones = [[j for j, v in enumerate(q) if v & 1] for q in golden.flop_q]
+    # per cycle: x_e nets at 1 (the settle cycle drives 0), golden state_e
+    # bits at 1, golden flops at 1
+    in_nets = comp.out_bits["x_e"]
+    in_ones = [[in_nets[i] for i in _set_bits(w)] for w in (*words, 0)]
+    state_ones = [list(_set_bits(w)) for _, w, _ in golden]
+    flop_ones = [list(_set_bits(q)) for q, _, _ in golden]
 
     values = [0] * comp.n_nets
     st = [0] * len(flops)  # lane-packed flop state
@@ -547,16 +530,15 @@ def run_campaign(
 ) -> FaultCampaignReport:
     """Inject every experiment from ``spec``, classify against the golden run.
 
-    The golden run is computed once by ``_golden_sim``, which evaluates each
-    distinct (flop state, input row) transition of the trace once, and its
-    cost is logged on the ``fsmguard`` logger. Experiments then run in the
+    The golden run is computed once by ``_golden``, which evaluates each
+    distinct (flop state, ``x_e`` word) edge of the trace once, and its cost
+    is logged on the ``fsmguard`` logger. Experiments then run in the
     lane pool of ``_run_pool``. Experiments are independent and witnesses are
     listed in enumeration order, so reports do not depend on the pool width.
     """
-    _check_words(netlist, golden_words)
-    trace = _word_trace(golden_words)
     t0 = time.perf_counter()
-    golden, golden_states, golden_alerts, (calls, lanes) = _golden(netlist, trace, codes)
+    golden, calls, lanes = _golden(netlist, golden_words)
+    golden_states = [decode_exact(codes, w) for _, w, _ in golden]
     # importing logging costs about 8 ms and 0.6 MB, so it is used only once
     # the application has loaded it: before that, no handler is configured
     # that could emit an INFO record
@@ -564,12 +546,9 @@ def run_campaign(
     if logging is not None:
         logging.getLogger("fsmguard").info(
             "golden run: %d cycles in %d evaluations (%d lanes), %.3f s",
-            golden.cycles,
-            calls,
-            lanes,
-            time.perf_counter() - t0,
+            len(golden), calls, lanes, time.perf_counter() - t0,
         )
-    if any(golden_alerts):
+    if any(alert for _, _, alert in golden):
         raise CampaignError("golden run already raises the alert; configuration bug")
     if any(s is None for s in golden_states):
         raise CampaignError("golden run leaves the valid codeword space")
@@ -613,14 +592,12 @@ def run_campaign(
     )
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     hijacks: List[Tuple[int, HijackWitness]] = []
-    for (idx, e), cls, info in _run_pool(comp, trace, golden, golden_states, codes, experiments):
+    for (idx, e), cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, experiments):
         counts[cls] += 1
         if cls == "hijack":
             cyc, sym = info
             faults = tuple(map(fault_site, e))
             hijacks.append((idx, HijackWitness(faults, cyc, sym, golden_states[cyc])))
-    hijacks.sort(key=lambda h: h[0])
-    witnesses = [w for _, w in hijacks]
 
     meta = dict(netlist.meta)
     k = int(meta.get("k", 1))
@@ -630,16 +607,14 @@ def run_campaign(
 
     total = sum(counts.values())
     hijack = counts["hijack"]
-    ci = None
-    if spec.mode == "sampled" and total:
-        ci = wilson_interval(hijack, total)
-    report = FaultCampaignReport(
+    sampled = spec.mode == "sampled" and total
+    return FaultCampaignReport(
         total=total,
         masked=counts["masked"] + counts["masked_corrupt"],
         detected=counts["detected"],
         hijack=hijack,
         masked_corrupt=counts["masked_corrupt"],
-        witnesses=witnesses,
+        witnesses=[w for _, w in sorted(hijacks, key=lambda h: h[0])],
         theoretical_p=theo,
         metadata={
             "scope": spec.scope,
@@ -651,9 +626,8 @@ def run_campaign(
             "cycles": len(cycles),
             "trace_length": len(golden_words),
         },
-        confidence_interval=ci,
+        confidence_interval=wilson_interval(hijack, total) if sampled else None,
     )
-    return report
 
 
 def replay_witness(
@@ -662,8 +636,14 @@ def replay_witness(
     witness: HijackWitness,
     codes: CodeBook,
 ) -> bool:
-    """Re-inject a recorded hijack fault set and confirm the same wrong state."""
-    golden_states, _ = golden_run(netlist, golden_words, codes)
-    res = simulate_batch(netlist, [_word_trace(golden_words)], [list(witness.faults)])
-    cls, info = _classify(golden_states, *_observe(res, 0), codes)
+    """Re-inject a recorded hijack fault set and confirm the same wrong state.
+
+    The golden states come from a fault-free lane 0 of the same
+    ``simulate_batch`` call, so the check does not rest on ``_golden``.
+    """
+    _port_nets(netlist, golden_words)
+    trace = _word_trace(golden_words)
+    res = simulate_batch(netlist, [trace, trace], [[], list(witness.faults)])
+    golden_states = [decode_exact(codes, w) for w in res.port_column("state_e")]
+    cls, info = _classify(golden_states, *_observe(res, 1), codes)
     return cls == "hijack" and info == (witness.cycle, witness.reached_state)

@@ -205,27 +205,47 @@ def parse_fsm(source: str, format: str = "json", auto_complete: bool = True) -> 
     return fsm
 
 
+def _int_field(value: object, where: str) -> int:
+    # int() alone would also truncate a float such as 1.5 to 1
+    if isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise FsmParseError(f"{where} is not an integer: {value!r}")
+
+
 def _parse_json(source: str) -> FsmSpec:
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise FsmParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise FsmParseError(f"the FSM document is a JSON {type(doc).__name__}, not an object")
+
+    def signals(key: str) -> Tuple[Signal, ...]:
+        return tuple(
+            Signal(s["name"], _int_field(s.get("width", 1), f"{key}[{i}].width"))
+            for i, s in enumerate(doc.get(key, []))
+        )
+
+    def values(pairs: Dict[str, object], where: str) -> Tuple[Tuple[str, int], ...]:
+        return _normalize_guard({k: _int_field(v, f"{where}.{k}") for k, v in pairs.items()})
+
     try:
         name = doc.get("name", "fsm")
         states = tuple(doc["states"])
         reset = doc["reset"]
-        inputs = tuple(Signal(s["name"], int(s.get("width", 1))) for s in doc.get("inputs", []))
-        outputs = tuple(Signal(s["name"], int(s.get("width", 1))) for s in doc.get("outputs", []))
+        inputs, outputs = signals("inputs"), signals("outputs")
         transitions = []
-        for t in doc.get("transitions", []):
-            guard = _normalize_guard({k: int(v) for k, v in t.get("guard", {}).items()})
-            outs = _normalize_guard({k: int(v) for k, v in t.get("outputs", {}).items()})
+        for i, t in enumerate(doc.get("transitions", [])):
+            guard = values(t.get("guard", {}), f"transitions[{i}].guard")
+            outs = values(t.get("outputs", {}), f"transitions[{i}].outputs")
             transitions.append(Transition(t["from"], guard, t["to"], outs))
         state_outputs = tuple(
-            (s, _normalize_guard({k: int(v) for k, v in vals.items()}))
-            for s, vals in doc.get("state_outputs", {}).items()
+            (s, values(vals, f"state_outputs.{s}")) for s, vals in doc.get("state_outputs", {}).items()
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise FsmParseError(f"malformed FSM document: missing/bad field {exc}") from exc
     return FsmSpec(name, states, reset, inputs, outputs, tuple(transitions), state_outputs)
 

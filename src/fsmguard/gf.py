@@ -32,10 +32,6 @@ def ring_mul(a: int, b: int) -> int:
     return r & 0xFF
 
 
-def ring_add(a: int, b: int) -> int:
-    return (a ^ b) & 0xFF
-
-
 # ---------------------------------------------------------------------------
 # XOR circuit: DAG of 2-input XOR nodes computing the 32-bit linear map.
 # References 0..31 name input bits; reference 32+i names node i's output.

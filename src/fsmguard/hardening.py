@@ -103,17 +103,6 @@ class BlockLayout:
     def error_values(self, block_outputs: Sequence[int]) -> List[int]:
         return [(block_outputs[b] >> p) & 1 for b, p in self.error_out]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "error_bits": self.error_bits,
-            "state_in": list(map(list, self.state_in)),
-            "ctrl_in": list(map(list, self.ctrl_in)),
-            "mod_in": list(map(list, self.mod_in)),
-            "state_out": list(map(list, self.state_out)),
-            "error_out": list(map(list, self.error_out)),
-        }
-
 
 def plan_layout(state_width: int, ctrl_width: int, cfg: HardeningConfig) -> BlockLayout:
     """Map every input and constrained output bit to a (block, position) slot.

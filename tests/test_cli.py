@@ -12,6 +12,7 @@ import fsmguard
 from fsmguard import cli
 from fsmguard import netlist as nl_mod
 from tests.conftest import REF14_DOC, TOGGLE_DOC
+from tests.test_faults import PORT_DEFECTS, break_ports
 
 
 @pytest.fixture()
@@ -49,6 +50,22 @@ def test_harden_bad_fsm(tmp_path):
     p.write_text(json.dumps({"name": "x", "states": [], "reset": "A", "transitions": []}))
     rc = cli.main(["harden", "--fsm", str(p), "--level", "2", "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_FAIL
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ([REF14_DOC], "the FSM document is a JSON list, not an object"),
+        ({**REF14_DOC, "inputs": [{"name": "a", "width": "two"}]}, "inputs[0].width is not an integer"),
+    ],
+    ids=["top-level-list", "input-width"],
+)
+def test_harden_malformed_fsm_located(tmp_path, caplog, doc, where):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main(["harden", "--fsm", str(p), "--level", "2", "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_FAIL
+    assert where in caplog.text
 
 
 def test_harden_level_one_rejected(fsm_file, tmp_path):
@@ -319,6 +336,26 @@ def test_simulate_rejects_word_outside_x_e(hardened_dir, tmp_path, caplog, capsy
     assert rc == cli.EXIT_FAIL
     assert message in caplog.text
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("defect", list(PORT_DEFECTS))
+def test_port_defects_exit_1(hardened_dir, tmp_path, caplog, capsys, defect):
+    path = hardened_dir / "netlist.json"
+    path.write_text(json.dumps(break_ports(json.loads(path.read_text()), defect)))
+    out = tmp_path / "r.json"
+    assert cli.main(["inject", "--netlist", str(path), "--scope", "inputs", "--out", str(out)]) == cli.EXIT_FAIL
+    assert cli.main(["simulate", "--target", str(path)]) == cli.EXIT_FAIL
+    assert caplog.text.count(PORT_DEFECTS[defect]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_inject_rejects_duplicate_effect(hardened_dir, tmp_path, caplog):
+    out = tmp_path / "r.json"
+    argv = ["inject", "--netlist", str(hardened_dir / "netlist.json"), "--scope", "inputs"]
+    assert cli.main([*argv, "--effects", "flip,flip", "--out", str(out)]) == cli.EXIT_FAIL
+    assert "duplicate effect 'flip' in the campaign spec" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-5", "many"])

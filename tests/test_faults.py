@@ -17,7 +17,6 @@ import fsmguard as fg
 from fsmguard import faults as fe
 from fsmguard.coding import CodeBook, decode_exact
 from fsmguard.netlist import FaultSite, Netlist, enumerate_fault_sites, simulate_batch
-from tests.test_netlist import faulted_netlists
 
 
 def _autocover(design):
@@ -50,6 +49,18 @@ def test_campaign_spec_validation():
         fe.CampaignSpec(mode="guess")
     with pytest.raises(fe.CampaignError):
         fe.CampaignSpec(effects=("melt",))
+
+
+@pytest.mark.parametrize(
+    "field, value, duplicate",
+    [("cycles", (0, 3, 0), "cycle 0"), ("effects", ("flip", "stuck0", "flip"), "effect 'flip'")],
+    ids=["cycles", "effects"],
+)
+def test_campaign_spec_rejects_duplicates(field, value, duplicate):
+    # a repeated cycle or effect would count each of its atoms twice and, with
+    # two simultaneous faults, pair an atom with its own copy
+    with pytest.raises(fe.CampaignError, match=f"^duplicate {duplicate} in the campaign spec$"):
+        fe.CampaignSpec(**{field: value})
 
 
 def test_golden_run_matches_walk(design_n2):
@@ -198,6 +209,16 @@ def test_replay_rejects_wrong_witness(design_n2):
     words = _autocover(design_n2)
     bogus = fe.HijackWitness((FaultSite("st_q_0", "flip", 0),), 1, "S4", "S0")
     assert not fe.replay_witness(design_n2.netlist, words, bogus, design_n2.state_codes)
+
+
+def test_replay_does_not_use_the_engine(design_n2):
+    codes, words = design_n2.state_codes, _autocover(design_n2)
+    witnesses = fe.run_campaign(design_n2.netlist, words, fe.CampaignSpec(cycles=(3,)), codes).witnesses
+    assert witnesses
+    bogus = dataclasses.replace(witnesses[0], reached_state=witnesses[0].golden_state)
+    with mock.patch.object(fe, "_golden", side_effect=AssertionError("replay ran the engine")):
+        assert all(fe.replay_witness(design_n2.netlist, words, w, codes) for w in witnesses)
+        assert not fe.replay_witness(design_n2.netlist, words, bogus, codes)
 
 
 def test_report_json_shape(design_n2):
@@ -401,35 +422,79 @@ def test_pool_matches_reference_on_undetected_corruption(faults, lanes):
 # -- the memoized golden run against simulate_batch ---------------------------
 
 
+def _lane0_record(netlist, words):
+    """The ``fe._golden`` record read from lane 0 of a whole-trace
+    ``simulate_batch`` run: flop q packed to an int, state_e word, alert."""
+    res = simulate_batch(netlist, [fe._word_trace(words)])
+    return [
+        (
+            sum(q << j for j, q in enumerate(res.flop_q[c])),
+            res.port_value("state_e", c),
+            res.port_value("fsm_alert", c),
+        )
+        for c in range(res.cycles)
+    ]
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_campaigns(), st.sampled_from([1, 3, 256]))
 def test_golden_matches_simulate_batch_on_hardened_fsms(case, lanes):
     design, words, _, _ = case
-    trace = fe._word_trace(words)
+    codes = design.state_codes
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        res, states, alerts, (calls, used) = fe._golden(design.netlist, trace, design.state_codes)
-    assert res == simulate_batch(design.netlist, [trace])
-    assert (states, alerts) == fe.golden_run(design.netlist, words, design.state_codes)
+        record, calls, used = fe._golden(design.netlist, words)
+        states, alerts = fe.golden_run(design.netlist, words, codes)
+    want = _lane0_record(design.netlist, words)
+    assert record == want
+    assert states == [decode_exact(codes, w) for _, w, _ in want]
+    assert alerts == [a for _, _, a in want]
     assert calls <= used <= calls * lanes
+
+
+@st.composite
+def golden_netlists(draw):
+    """A random acyclic netlist over every gate kind, with flops, driven by
+    one ``x_e`` port, with ``state_e`` and ``fsm_alert`` drawn from its nets,
+    and a word trace of up to 30 cycles that revisits states (a sibling of
+    ``tests.test_netlist.faulted_netlists``)."""
+    width = draw(st.integers(1, 6))
+    qs = [f"q{i}" for i in range(draw(st.integers(0, 5)))]
+    nets = [f"x_e_{b}" for b in range(width)] + qs
+    gates = []
+    for i in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(fg.netlist.GATE_KINDS))
+        ins = [draw(st.sampled_from(nets)) for _ in range(fg.netlist._ARITY[kind])]
+        gates.append((kind, ins, f"g{i}"))
+        nets.append(f"g{i}")
+    n = Netlist("rand")
+    n.add_port("x_e", "in", nets[:width])
+    for kind, ins, out in draw(st.permutations(gates)):
+        n.add_gate(kind, ins, out)
+    for q in qs:
+        n.add_flop(draw(st.sampled_from(nets)), q, draw(st.integers(0, 1)))
+    n.add_port("state_e", "out", draw(st.lists(st.sampled_from(nets), max_size=6)))
+    n.add_port("fsm_alert", "out", draw(st.lists(st.sampled_from(nets), min_size=1, max_size=2)))
+    n.validate()
+    words = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=30))
+    return n, words
 
 
 @settings(max_examples=150, deadline=None)
-@given(faulted_netlists(), st.sampled_from([1, 3, 256]))
+@given(golden_netlists(), st.sampled_from([1, 3, 256]))
 def test_golden_sim_matches_simulate_batch_on_random_netlists(case, lanes):
-    n, traces, _ = case
-    trace = [row for t in traces for row in t]  # up to 30 cycles that revisit states
+    n, words = case
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        res, calls, used = fe._golden_sim(n, trace)
-    assert res == simulate_batch(n, [trace])
+        record, calls, used = fe._golden(n, words)
+    assert record == _lane0_record(n, words)
     assert calls <= used <= calls * lanes
 
 
-def _counter(bits):
-    """A ``bits``-wide up counter stepped by ``en``; ``pad`` only feeds an
-    output, so its values multiply the distinct input rows."""
+def _counter(bits, port="x"):
+    """A ``bits``-wide up counter on ``state_e``, stepped by bit 0 of the
+    input ``port``; bits 1 and 2 only feed ``fsm_alert``, so their values
+    multiply the distinct words."""
     n = Netlist("counter")
-    n.add_port("en", "in", ["en"])
-    n.add_port("pad", "in", ["pad0", "pad1"])
+    n.add_port(port, "in", ["en", "pad0", "pad1"])
     carry = "en"
     for i in range(bits):
         n.add_gate("XOR", [f"q{i}", carry], f"d{i}")
@@ -437,7 +502,8 @@ def _counter(bits):
         n.add_flop(f"d{i}", f"q{i}", i & 1)
         carry = f"c{i}"
     n.add_gate("XOR", ["pad0", "pad1"], "pad_x")
-    n.add_port("count", "out", [f"q{i}" for i in range(bits)] + ["pad_x"])
+    n.add_port("state_e", "out", [f"q{i}" for i in range(bits)])
+    n.add_port("fsm_alert", "out", ["pad_x"])
     n.validate()
     return n
 
@@ -445,25 +511,15 @@ def _counter(bits):
 @pytest.mark.parametrize("lanes", [1, 3, 256])
 def test_golden_sim_counter_that_never_repeats(lanes):
     # every cycle reaches a new flop state, so every cycle misses and no
-    # lookahead helps; each miss evaluates the state under all 4 input rows,
-    # cut to the lane cap
-    n = _counter(9)
-    trace = [{"en": 1, "pad": c % 4} for c in range(300)]
+    # lookahead helps; each miss evaluates the state under all 5 distinct
+    # words (the trace's 4 and the settle cycle's 0), cut to the lane cap
+    n = _counter(9, port="x_e")
+    words = [1 | (c % 4) << 1 for c in range(300)]
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        res, calls, used = fe._golden_sim(n, trace)
-    assert res == simulate_batch(n, [trace])
-    assert calls == len(trace)
-    assert used == len(trace) * min(lanes, 4)
-
-
-def test_golden_sim_missing_port_located():
-    n = _counter(3)
-    trace = [{"en": 1, "pad": 0}] * 3 + [{"en": 1}]
-    with pytest.raises(fg.netlist.NetlistError) as want:
-        simulate_batch(n, [trace])
-    with pytest.raises(fg.netlist.NetlistError) as got:
-        fe._golden_sim(n, trace)
-    assert str(got.value) == str(want.value) == "trace lane 0 cycle 3 misses port 'pad'"
+        record, calls, used = fe._golden(n, words)
+    assert record == _lane0_record(n, words)
+    assert calls == len(words) + 1
+    assert used == calls * min(lanes, 5)
 
 
 def _ring_doc(m, seed):
@@ -531,6 +587,39 @@ def test_trace_word_must_fit_x_e(design_n2, bad):
 def test_trace_words_need_an_x_e_port(design_n2):
     with pytest.raises(fe.CampaignError, match="^netlist has no input port 'x_e'$"):
         fe.golden_run(_counter(2), [0, 1], design_n2.state_codes)
+
+
+# located port errors: the golden run drives x_e alone and reads two outputs
+PORT_DEFECTS = {
+    "extra_input": "netlist has input port 'scan_en' besides x_e",
+    "state_e": "netlist has no output port 'state_e'",
+    "fsm_alert": "netlist has no output port 'fsm_alert'",
+}
+
+
+def break_ports(doc, defect):
+    """Netlist JSON ``doc`` with an input port beside ``x_e``, or without the
+    output port named ``defect``."""
+    if defect == "extra_input":
+        doc["ports"]["scan_en"] = {"dir": "in", "bits": ["scan_en"]}
+    else:
+        del doc["ports"][defect]
+    return doc
+
+
+@pytest.mark.parametrize("defect", list(PORT_DEFECTS))
+def test_port_defects_located(design_n2, defect):
+    doc = break_ports(fg.netlist.to_json_dict(design_n2.netlist), defect)
+    netlist = fg.netlist.from_json_dict(doc)
+    codes, words = design_n2.state_codes, _autocover(design_n2)
+    match = f"^{PORT_DEFECTS[defect]}$"
+    with pytest.raises(fe.CampaignError, match=match):
+        fe.golden_run(netlist, words, codes)
+    with pytest.raises(fe.CampaignError, match=match):
+        fe.run_campaign(netlist, words, fe.CampaignSpec(scope="inputs_only"), codes)
+    witness = fe.HijackWitness((FaultSite(netlist.gates[0].output, "flip", 0),), 1, "S1", "S0")
+    with pytest.raises(fe.CampaignError, match=match):
+        fe.replay_witness(netlist, words, witness, codes)
 
 
 def test_sampled_spec_needs_positive_count():

@@ -74,6 +74,32 @@ def test_kiss2_syntax_error_has_line():
         fg.parse_fsm(".i 1\n.o 1\nbogus line here extra\n", format="kiss2")
 
 
+def _with(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *keys, last = path
+    target = doc
+    for k in keys:
+        target = target[k]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_with(FIG2_DOC, ["inputs", 1, "width"], "2x"), r"inputs\[1\]\.width is not an integer: '2x'"),
+        (_with(FIG2_DOC, ["outputs"], [{"name": "y", "width": None}]), r"outputs\[0\]\.width is not an integer: None"),
+        (_with(FIG2_DOC, ["transitions", 2, "guard", "x2"], "on"), r"transitions\[2\]\.guard\.x2 is not an integer: 'on'"),
+        (_with(FIG2_DOC, ["transitions", 0, "guard", "x0"], 1.5), r"transitions\[0\]\.guard\.x0 is not an integer: 1\.5"),
+        ([FIG2_DOC], "the FSM document is a JSON list, not an object"),
+    ],
+    ids=["input-width", "output-width", "guard-value", "fractional-guard-value", "top-level-list"],
+)
+def test_json_bad_values_located(doc, message):
+    with pytest.raises(fg.FsmParseError, match=f"^{message}$"):
+        fg.parse_fsm(json.dumps(doc))
+
+
 def test_nondeterministic_guards_rejected():
     doc = json.loads(json.dumps(FIG2_DOC))
     doc["transitions"][1]["guard"] = {"x1": 1}  # overlaps {"x0": 1}
