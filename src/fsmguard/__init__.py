@@ -13,7 +13,6 @@ from .coding import (
     generate_code,
     hamming,
     min_distance,
-    nearest_codeword,
     state_codebook,
 )
 from .faults import (
@@ -43,9 +42,7 @@ from .gf import (
     MdsSpec,
     branch_number,
     default_mds,
-    get_matrix,
     mds_apply,
-    register_matrix,
     ring_mul,
     solve_gf2,
 )
@@ -69,7 +66,6 @@ from .netlist import (
     emit_verilog,
     enumerate_fault_sites,
     parse_verilog,
-    simulate,
     simulate_batch,
 )
 

@@ -126,8 +126,10 @@ def _parse_words(items, where: str) -> List[int]:
         raise InputError(f"{where}: trace is not a list of words")
     words = []
     for i, w in enumerate(items):
+        # only a string takes a base, so a float or a bool is rejected here
+        # rather than read as int(1.7) == 1 or int(True) == 1
         try:
-            words.append(int(w, 16) if isinstance(w, str) else int(w))
+            words.append(w if type(w) is int else int(w, 16))
         except (TypeError, ValueError):
             raise InputError(f"{where}: trace word {i} ({w!r}) is not a hex word") from None
     return words
@@ -196,7 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         log.error("%s", exc)
         return EXIT_FAIL
     try:
-        if doc is not None and "gates" in doc:
+        if isinstance(doc, dict) and "gates" in doc:
             netlist = _netlist_from_json(doc, args.target)
             codes = _load_codebook(args, args.target)
             words = _trace_words(args, netlist, args.target)

@@ -81,18 +81,6 @@ def min_distance(code: CodeBook) -> int:
     return best
 
 
-def nearest_codeword(code: CodeBook, word: int) -> Tuple[str, int]:
-    """Closest entry to ``word``; ties broken by entry order."""
-    if not 0 <= word < (1 << code.width):
-        raise CodingError(f"word does not fit width {code.width}")
-    best_sym, best_d = None, code.width + 1
-    for s, w in code.entries:
-        d = hamming(w, word)
-        if d < best_d:
-            best_sym, best_d = s, d
-    return best_sym, best_d
-
-
 def decode_exact(code: CodeBook, word: int) -> Optional[str]:
     """The symbol whose codeword equals ``word`` exactly, or None."""
     return code._by_word.get(word)

@@ -22,7 +22,8 @@ from .netlist import (
     simulate_batch,
 )
 
-DEFAULT_EXHAUSTIVE_BOUND = 10_000_000
+# exhaustive campaigns above this many experiments must be sampled instead
+EXHAUSTIVE_BOUND = 10_000_000
 # lanes of the fault-simulation pool; each lane holds one experiment at a time
 _POOL_LANES = 256
 # effect index = position here; 0 is the one-cycle flip, 1 and 2 are stuck-at
@@ -42,7 +43,6 @@ class CampaignSpec:
     mode: str = "exhaustive"  # "exhaustive" | "sampled"
     sample_count: int = 10_000
     seed: int = 0
-    exhaustive_bound: int = DEFAULT_EXHAUSTIVE_BOUND
 
     def __post_init__(self):
         if self.max_simultaneous_faults < 1:
@@ -149,12 +149,13 @@ def theoretical_success_probability(state_bits: int, error_bits: int, k: int) ->
     return total / (k * (2.0 ** exponent))
 
 
-def wilson_interval(hits: int, total: int, z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for ``hits`` of ``total`` (95% for z=1.96).
+def wilson_interval(hits: int, total: int) -> Tuple[float, float]:
+    """95% Wilson score interval for ``hits`` of ``total``.
 
     Unlike the Wald interval it stays honest at 0 hits: 0 of 500 gives an
     upper bound of about 0.0076, close to the rule of three.
     """
+    z = 1.96
     p = hits / total
     zz = z * z
     centre = p + zz / (2 * total)
@@ -164,6 +165,29 @@ def wilson_interval(hits: int, total: int, z: float = 1.96) -> Tuple[float, floa
     lo = 0.0 if hits == 0 else (centre - spread) / scale
     hi = 1.0 if hits == total else (centre + spread) / scale
     return lo, hi
+
+
+def _theoretical_p(netlist: Netlist) -> float:
+    """``theoretical_success_probability`` for the layout in ``netlist.meta``,
+    read before any simulation so that a bad field fails at once, named."""
+    ports = {p.name: p for p in netlist.ports}
+    # without state_e, the port check of the golden run fails right after
+    state_default = len(ports["state_e"].bits) if "state_e" in ports else 0
+    values = []
+    for name, default, least in (
+        ("k", 1, 1),
+        ("state_width", state_default, 0),
+        ("error_bits_per_block", 0, 0),
+    ):
+        value = netlist.meta.get(name, default)
+        # bool is an int subclass; int() would take "2" or truncate 1.7
+        if type(value) is not int or value < least:
+            raise CampaignError(
+                f"netlist meta field {name!r} is not an integer >= {least}: {value!r}"
+            )
+        values.append(value)
+    k, state_bits, error_bits = values
+    return theoretical_success_probability(state_bits, error_bits * k, k)
 
 
 def _word_trace(words: Sequence[int]) -> List[Dict[str, int]]:
@@ -323,10 +347,10 @@ def _enumerate_experiments(n_atoms: int, spec: CampaignSpec) -> Iterator[Tuple[i
     j = spec.max_simultaneous_faults
     if spec.mode == "exhaustive":
         n_combos = math.comb(n_atoms, j)
-        if n_combos > spec.exhaustive_bound:
+        if n_combos > EXHAUSTIVE_BOUND:
             raise CampaignError(
                 f"{n_combos} experiments exceed the exhaustive bound "
-                f"{spec.exhaustive_bound}; use sampled mode"
+                f"{EXHAUSTIVE_BOUND}; use sampled mode"
             )
         return combinations(range(n_atoms), j)
     rng = random.Random(spec.seed)
@@ -536,6 +560,7 @@ def run_campaign(
     lane pool of ``_run_pool``. Experiments are independent and witnesses are
     listed in enumeration order, so reports do not depend on the pool width.
     """
+    theo = _theoretical_p(netlist)
     t0 = time.perf_counter()
     golden, calls, lanes = _golden(netlist, golden_words)
     golden_states = [decode_exact(codes, w) for _, w, _ in golden]
@@ -598,12 +623,6 @@ def run_campaign(
             cyc, sym = info
             faults = tuple(map(fault_site, e))
             hijacks.append((idx, HijackWitness(faults, cyc, sym, golden_states[cyc])))
-
-    meta = dict(netlist.meta)
-    k = int(meta.get("k", 1))
-    state_bits = int(meta.get("state_width", len(netlist.port("state_e").bits)))
-    err_total = int(meta.get("error_bits_per_block", 0)) * k
-    theo = theoretical_success_probability(state_bits, err_total, k)
 
     total = sum(counts.values())
     hijack = counts["hijack"]

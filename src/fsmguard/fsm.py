@@ -70,12 +70,6 @@ class FsmSpec:
     transitions: Tuple[Transition, ...]
     state_outputs: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...] = ()
 
-    def signal(self, name: str) -> Signal:
-        for s in self.control_signals:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     @cached_property
     def _by_src(self) -> Dict[str, List[Transition]]:
         by_src: Dict[str, List[Transition]] = {}
@@ -164,16 +158,10 @@ def validate(fsm: FsmSpec) -> FsmSpec:
 
 def complete(fsm: FsmSpec) -> FsmSpec:
     """Add an implicit default self-loop to every state lacking a default edge."""
-    added = []
     transitions = list(fsm.transitions)
     for state in fsm.states:
         if not any(t.is_default for t in fsm.transitions_from(state)):
             transitions.append(Transition(state, (), state))
-            added.append(state)
-    if added:
-        warnings.warn(
-            f"added implicit default self-loops for: {', '.join(added)}", stacklevel=2
-        )
     return FsmSpec(
         fsm.name,
         fsm.states,
@@ -189,8 +177,8 @@ def complete(fsm: FsmSpec) -> FsmSpec:
 # Parsing
 
 
-def parse_fsm(source: str, format: str = "json", auto_complete: bool = True) -> FsmSpec:
-    """Parse a KISS2 or JSON FSM description into a validated FsmSpec."""
+def parse_fsm(source: str, format: str = "json") -> FsmSpec:
+    """Parse a KISS2 or JSON FSM description into a validated, completed FsmSpec."""
     if format == "json":
         fsm = _parse_json(source)
     elif format == "kiss2":
@@ -198,11 +186,7 @@ def parse_fsm(source: str, format: str = "json", auto_complete: bool = True) -> 
     else:
         raise ValueError(f"unknown format {format!r}")
     validate(fsm)
-    if auto_complete:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fsm = complete(fsm)
-    return fsm
+    return complete(fsm)
 
 
 def _int_field(value: object, where: str) -> int:
@@ -261,10 +245,19 @@ def _parse_kiss2(source: str) -> FsmSpec:
         if line.startswith("."):
             parts = line.split()
             key = parts[0]
-            if key == ".i":
-                n_in = int(parts[1])
-            elif key == ".o":
-                n_out = int(parts[1])
+            if key in (".i", ".o", ".r") and len(parts) != 2:
+                raise FsmParseError(f"{key} takes exactly one value", line=lineno)
+            if key in (".i", ".o"):
+                try:
+                    count = int(parts[1])
+                except ValueError:
+                    raise FsmParseError(
+                        f"{key} value {parts[1]!r} is not an integer", line=lineno
+                    ) from None
+                if key == ".i":
+                    n_in = count
+                else:
+                    n_out = count
             elif key == ".r":
                 reset = parts[1]
             elif key in (".s", ".p", ".ilb", ".ob"):
@@ -348,30 +341,30 @@ def step(fsm: FsmSpec, state: str, assignment: Dict[str, int], step_index: int =
     return default
 
 
-def simulate_spec(fsm: FsmSpec, input_trace: Sequence[Dict[str, int]]) -> List[str]:
-    """Golden state trajectory of length len(trace)+1 starting at the reset state."""
+def simulate_edges(fsm: FsmSpec, input_trace: Sequence[Dict[str, int]]) -> List[Transition]:
+    """The sequence of edges fired along a trace from the reset state.
+
+    Every assignment must give every control signal: a missing one would
+    otherwise fire the default edge silently.
+    """
     names = {s.name for s in fsm.control_signals}
-    trajectory = [fsm.reset_state]
+    edges = []
+    state = fsm.reset_state
     for i, assignment in enumerate(input_trace):
         missing = names - set(assignment)
         if missing:
             raise SimulationIncompleteError(
                 f"assignment missing signals: {', '.join(sorted(missing))}", i
             )
-        t = step(fsm, trajectory[-1], assignment, i)
-        trajectory.append(t.dst)
-    return trajectory
-
-
-def simulate_edges(fsm: FsmSpec, input_trace: Sequence[Dict[str, int]]) -> List[Transition]:
-    """The sequence of edges fired along a trace."""
-    edges = []
-    state = fsm.reset_state
-    for i, assignment in enumerate(input_trace):
         t = step(fsm, state, assignment, i)
         edges.append(t)
         state = t.dst
     return edges
+
+
+def simulate_spec(fsm: FsmSpec, input_trace: Sequence[Dict[str, int]]) -> List[str]:
+    """Golden state trajectory of length len(trace)+1 starting at the reset state."""
+    return [fsm.reset_state] + [t.dst for t in simulate_edges(fsm, input_trace)]
 
 
 def random_trace(fsm: FsmSpec, length: int, rng: random.Random) -> List[Dict[str, int]]:

@@ -9,6 +9,7 @@ byte submatrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -110,18 +111,6 @@ class MdsSpec:
             rows.append(mask)
         return MdsSpec(name, ent, tuple(rows), _build_xor_circuit(rows))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "modulus": hex(RING_MODULUS),
-            "entries": [[hex(x) for x in row] for row in self.entries],
-            "binary_rows": [hex(r) for r in self.binary_rows],
-            "xor_circuit": {
-                "nodes": [list(n) for n in self.xor_circuit.nodes],
-                "outputs": list(self.xor_circuit.outputs),
-            },
-        }
-
 
 def _apply_bytes(entries: Sequence[Sequence[int]], v: int) -> int:
     inb = [(v >> (8 * j)) & 0xFF for j in range(BLOCK_BYTES)]
@@ -146,10 +135,6 @@ def mds_apply_binary(m: MdsSpec, v: int) -> int:
     for r, row in enumerate(m.binary_rows):
         out |= ((row & v).bit_count() & 1) << r
     return out
-
-
-def mds_apply_circuit(m: MdsSpec, v: int) -> int:
-    return m.xor_circuit.eval(v)
 
 
 def branch_number(m: MdsSpec) -> int:
@@ -178,42 +163,20 @@ def branch_number(m: MdsSpec) -> int:
     return best
 
 
-# Default matrix: circulant of (a, a+1, 1, 1). Over this ring every square
-# submatrix has a unit determinant, so the byte-level branch number is 5;
-# branch_number() computes it exactly, and register_matrix() requires 5 of
-# every user matrix.
-DEFAULT_MATRIX_NAME = "circ-a-a1-1-1"
-_DEFAULT_ENTRIES = (
-    (0x02, 0x03, 0x01, 0x01),
-    (0x01, 0x02, 0x03, 0x01),
-    (0x01, 0x01, 0x02, 0x03),
-    (0x03, 0x01, 0x01, 0x02),
-)
-
-_REGISTRY: Dict[str, MdsSpec] = {}
-
-
+@functools.cache
 def default_mds() -> MdsSpec:
-    return get_matrix(DEFAULT_MATRIX_NAME)
+    """The diffusion matrix: the circulant of (a, a+1, 1, 1).
 
-
-def register_matrix(name: str, entries: Sequence[Sequence[int]]) -> MdsSpec:
-    """Register an alternative diffusion matrix, gated by the branch-number check."""
-    m = MdsSpec.from_entries(entries, name=name)
-    bn = branch_number(m)
-    if bn < 5:
-        raise ValueError(f"matrix {name!r} rejected: branch number {bn} < 5")
-    _REGISTRY[name] = m
-    return m
-
-
-def get_matrix(name: str) -> MdsSpec:
-    if name not in _REGISTRY:
-        if name == DEFAULT_MATRIX_NAME:
-            _REGISTRY[name] = MdsSpec.from_entries(_DEFAULT_ENTRIES, name=name)
-        else:
-            raise KeyError(f"unknown diffusion matrix {name!r}")
-    return _REGISTRY[name]
+    Over this ring every square submatrix has a unit determinant, so the
+    byte-level branch number is 5, as ``branch_number`` computes exactly.
+    """
+    entries = (
+        (0x02, 0x03, 0x01, 0x01),
+        (0x01, 0x02, 0x03, 0x01),
+        (0x01, 0x01, 0x02, 0x03),
+        (0x03, 0x01, 0x01, 0x02),
+    )
+    return MdsSpec.from_entries(entries, name="circ-a-a1-1-1")
 
 
 # ---------------------------------------------------------------------------

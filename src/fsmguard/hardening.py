@@ -16,15 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import fsm as fsm_mod
 from .coding import CodeBook, control_codebook, encode_edge_trace, state_codebook
 from .fsm import FsmSpec, Transition, extract_cfg
-from .gf import (
-    BLOCK_BITS,
-    DEFAULT_MATRIX_NAME,
-    MdsSpec,
-    get_matrix,
-    mds_apply,
-    gf2_rank,
-    solve_gf2,
-)
+from .gf import BLOCK_BITS, MdsSpec, default_mds, gf2_rank, mds_apply, solve_gf2
 from .netlist import Netlist
 
 
@@ -46,10 +38,8 @@ class ModifierSolveError(HardeningError):
 class HardeningConfig:
     protection_level: int
     error_bits: Optional[int] = None  # per-block error bits, defaults to N
-    block_count: Optional[int] = None  # override for k
     seed: int = 0
     encoded_mux_selectors: bool = False
-    matrix: str = DEFAULT_MATRIX_NAME
 
     def __post_init__(self):
         if self.protection_level < 2:
@@ -118,8 +108,7 @@ def plan_layout(state_width: int, ctrl_width: int, cfg: HardeningConfig) -> Bloc
         raise LayoutError("control codeword width must be >= 1")
     e = cfg.e
     err_lanes = (e + 7) // 8
-    k_candidates = [cfg.block_count] if cfg.block_count else list(range(1, 9))
-    for k in k_candidates:
+    for k in range(1, 9):
         n_st = [sum(1 for j in range(state_width) if j % k == b) for b in range(k)]
         mod_lanes = [(n + 7) // 8 + err_lanes for n in n_st]
         if any(ml > 4 for ml in mod_lanes):
@@ -148,7 +137,7 @@ def plan_layout(state_width: int, ctrl_width: int, cfg: HardeningConfig) -> Bloc
         return BlockLayout(k, e, state_in, ctrl_in, tuple(mod_in), tuple(state_out), error_out)
     raise LayoutError(
         f"infeasible packing: state={state_width} ctrl={ctrl_width} e={e} "
-        f"(k candidates {k_candidates})"
+        "(k candidates 1..8)"
     )
 
 
@@ -280,7 +269,7 @@ class HardenedDesign:
                     "block_count": self.layout.k,
                     "seed": self.config.seed,
                     "encoded_mux_selectors": self.config.encoded_mux_selectors,
-                    "matrix": self.config.matrix,
+                    "matrix": self.matrix.name,
                 },
             },
             sort_keys=True,
@@ -290,8 +279,8 @@ class HardenedDesign:
     def gate_counts_by_tag(self) -> Dict[str, int]:
         return dict(sorted(Counter(g.tag for g in self.netlist.gates).items()))
 
-    def autocover_words(self, seed: int = 0) -> List[int]:
-        walk, _ = fsm_mod.edge_cover_walk(self.fsm, seed=seed)
+    def autocover_words(self) -> List[int]:
+        walk, _ = fsm_mod.edge_cover_walk(self.fsm)
         return encode_edge_trace(self.ctrl_codes, walk)
 
     def encode_raw_trace(self, raw_trace: Sequence[Dict[str, int]]) -> List[int]:
@@ -315,8 +304,8 @@ class HardenedDesign:
                 "note": (
                     "4x4 byte matrix over F2[a]/(a^8+a^2+1) with branch "
                     "number 5, as gf.branch_number computes exactly from GF(2) "
-                    "ranks; register_matrix rejects any matrix below 5, and any "
-                    "matrix whose square minors are all units would serve equally"
+                    "ranks; any matrix whose square minors are all units would "
+                    "serve equally"
                 ),
             },
             "edges": [
@@ -512,9 +501,19 @@ def _sanitize(name: str) -> str:
 
 def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
     """Full hardening pipeline: codebooks, layout, modifiers, netlist."""
+    ports = {"x_e", "state_e", "fsm_alert", "clk", "rst_n"}
+    for sig in fsm.outputs:
+        # each output becomes a port of the same name in netlist.v
+        if not (sig.name.isascii() and sig.name.isidentifier()):
+            raise HardeningError(f"FSM output {sig.name!r} is not a Verilog identifier")
+        if sig.name in ports:
+            raise HardeningError(
+                f"FSM output {sig.name!r} clashes with a port of the hardened module"
+            )
+        ports.add(sig.name)
     state_codes = state_codebook(fsm, cfg.protection_level, seed=cfg.seed)
     ctrl_codes = control_codebook(fsm, cfg.protection_level, seed=cfg.seed)
-    m = get_matrix(cfg.matrix)
+    m = default_mds()
     layout = plan_layout(state_codes.width, ctrl_codes.width, cfg)
     edges = extract_cfg(fsm)
     plans = tuple(solve_modifiers(layout, edges, state_codes, ctrl_codes, m))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 GATE_KINDS = ("XOR", "AND", "OR", "NOT", "MUX", "CONST0", "CONST1", "BUF")
 
@@ -375,15 +375,6 @@ def simulate_batch(
         flop_state = [values[di] & full for di, _, _ in comp.flops]
 
     return SimResult(cycles, lanes, port_bits, flop_q_hist)
-
-
-def simulate(
-    netlist: Netlist,
-    input_trace: Sequence[Dict[str, int]],
-    faults: Iterable[FaultSite] = (),
-) -> SimResult:
-    """Single-lane simulation; the empty fault list is the golden run."""
-    return simulate_batch(netlist, [list(input_trace)], [list(faults)])
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_08_error_terminality(design_n2, ref14_fsm):
             for i in range(codes.width)
             if (target >> i) & 1
         ]
-        res = nl_mod.simulate(design_n2.netlist, fe._word_trace(words), faults)
+        res = nl_mod.simulate_batch(design_n2.netlist, [fe._word_trace(words)], [faults])
         for c in range(entry, len(words) + 1):
             if res.port_value("state_e", c) != codes.error_codeword:
                 escapes += 1
@@ -203,8 +203,8 @@ def test_09_verilog_round_trip(design_n2, ref14_fsm):
     for _ in range(100):
         raw = fg.random_trace(ref14_fsm, rng.randrange(1, 20), rng)
         trace = fe._word_trace(design_n2.encode_raw_trace(raw))
-        a = nl_mod.simulate(design_n2.netlist, trace)
-        b = nl_mod.simulate(reparsed, trace)
+        a = nl_mod.simulate_batch(design_n2.netlist, [trace])
+        b = nl_mod.simulate_batch(reparsed, [trace])
         for port in ("state_e", "fsm_alert", "busy"):
             if a.port_column(port) != b.port_column(port):
                 mismatches += 1

@@ -68,6 +68,28 @@ def test_harden_malformed_fsm_located(tmp_path, caplog, doc, where):
     assert where in caplog.text
 
 
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        (["x_e"], "FSM output 'x_e' clashes with a port of the hardened module"),
+        (["fsm_alert"], "FSM output 'fsm_alert' clashes with a port of the hardened module"),
+        (["rst_n"], "FSM output 'rst_n' clashes with a port of the hardened module"),
+        (["busy", "busy"], "FSM output 'busy' clashes with a port of the hardened module"),
+        (["busy-1"], "FSM output 'busy-1' is not a Verilog identifier"),
+    ],
+    ids=["x_e", "fsm_alert", "rst_n", "twice", "not-an-identifier"],
+)
+def test_harden_rejects_output_port_name(tmp_path, caplog, outputs, message):
+    doc = {**REF14_DOC, "outputs": [{"name": n} for n in outputs], "state_outputs": {}}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = cli.main(["harden", "--fsm", str(p), "--level", "2", "--out", str(out)])
+    assert rc == cli.EXIT_FAIL
+    assert [r.getMessage() for r in caplog.records] == [f"hardening failed: {message}"]
+    assert not out.exists()
+
+
 def test_harden_level_one_rejected(fsm_file, tmp_path):
     rc = cli.main(["harden", "--fsm", str(fsm_file), "--level", "1", "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_FAIL
@@ -193,17 +215,46 @@ def _bad_codeword(d, tmp_path):
     return ["--netlist", str(d / "netlist.json")], f"{path}: malformed codebook"
 
 
-def _non_hex_trace_word(d, tmp_path):
+def _trace_word(d, tmp_path, word):
     path = tmp_path / "trace.json"
-    path.write_text(json.dumps(["1", "zz"]))
+    path.write_text(json.dumps(["1", word]))
     return (
         ["--netlist", str(d / "netlist.json"), "--trace", str(path)],
-        f"{path}: trace word 1 ('zz') is not a hex word",
+        f"{path}: trace word 1 ({word!r}) is not a hex word",
     )
 
 
+def _non_hex_trace_word(d, tmp_path):
+    return _trace_word(d, tmp_path, "zz")
+
+
+def _fractional_trace_word(d, tmp_path):
+    return _trace_word(d, tmp_path, 1.7)
+
+
+def _boolean_trace_word(d, tmp_path):
+    return _trace_word(d, tmp_path, True)
+
+
+def _non_integer_meta(d, tmp_path):
+    path = d / "netlist.json"
+    doc = json.loads(path.read_text())
+    doc["meta"]["k"] = "two"
+    path.write_text(json.dumps(doc))
+    return ["--netlist", str(path)], "netlist meta field 'k' is not an integer >= 1: 'two'"
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_truncate_netlist, _drop_gate_input, _bad_codeword, _non_hex_trace_word]
+    "corrupt",
+    [
+        _truncate_netlist,
+        _drop_gate_input,
+        _bad_codeword,
+        _non_hex_trace_word,
+        _fractional_trace_word,
+        _boolean_trace_word,
+        _non_integer_meta,
+    ],
 )
 def test_inject_malformed_input_located(hardened_dir, tmp_path, caplog, corrupt):
     argv, where = corrupt(hardened_dir, tmp_path)
@@ -243,6 +294,15 @@ def test_simulate_malformed_netlist_located(hardened_dir, tmp_path, caplog, corr
     rc = cli.main(["simulate", "--target", argv[1]])
     assert rc == cli.EXIT_FAIL
     assert where in caplog.text
+
+
+@pytest.mark.parametrize("doc", [5, "gates"], ids=["number", "string"])
+def test_simulate_non_object_json_located(tmp_path, caplog, capsys, doc):
+    p = tmp_path / "target.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--target", str(p)]) == cli.EXIT_FAIL
+    assert f"the FSM document is a JSON {type(doc).__name__}, not an object" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_fsm(tmp_path, capsys):

@@ -59,32 +59,6 @@ def test_min_distance_needs_two_entries():
         fg.min_distance(cb)
 
 
-def test_nearest_codeword_exact_and_flipped():
-    code = fg.generate_code(8, 3, seed=2)
-    for sym, word in code.entries:
-        assert fg.nearest_codeword(code, word) == (sym, 0)
-        flipped = word ^ (1 << (word % code.width))
-        got_sym, got_d = fg.nearest_codeword(code, flipped)
-        assert (got_sym, got_d) == (sym, 1)  # distance 3 code: 1-flip spheres disjoint
-
-
-def test_nearest_codeword_matches_linear_scan():
-    code = fg.generate_code(10, 2, seed=9)
-    rng = random.Random(0)
-    for _ in range(200):
-        w = rng.randrange(1 << code.width)
-        sym, d = fg.nearest_codeword(code, w)
-        best = min(fg.hamming(cw, w) for _, cw in code.entries)
-        assert d == best
-        assert fg.hamming(code.codeword(sym), w) == d
-
-
-def test_nearest_codeword_width_mismatch():
-    code = fg.generate_code(4, 2, seed=0)
-    with pytest.raises(coding.CodingError):
-        fg.nearest_codeword(code, 1 << code.width)
-
-
 def test_generation_deterministic():
     a = fg.generate_code(14, 3, seed=42)
     b = fg.generate_code(14, 3, seed=42)

@@ -103,9 +103,23 @@ def test_cycle_restriction(design_n2):
 
 
 def test_exhaustive_bound_enforced(design_n2):
-    spec = fe.CampaignSpec(scope="all", max_simultaneous_faults=2, exhaustive_bound=100)
+    # double faults over the 11,020 atoms of scope all: C(11020, 2) is about 60.7M
+    spec = fe.CampaignSpec(scope="all", max_simultaneous_faults=2)
     with pytest.raises(fe.CampaignError, match="exceed the exhaustive bound"):
         fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("k", "two"), ("k", 0), ("state_width", 1.5), ("error_bits_per_block", True)],
+)
+def test_bad_meta_rejected_before_golden_run(design_n2, name, value):
+    netlist = fg.netlist.from_json_dict(fg.netlist.to_json_dict(design_n2.netlist))
+    netlist.meta[name] = value
+    spec = fe.CampaignSpec(scope="inputs_only")
+    with mock.patch.object(fe, "_golden", side_effect=AssertionError("golden run started")):
+        with pytest.raises(fe.CampaignError, match=f"^netlist meta field '{name}' is not an integer"):
+            fe.run_campaign(netlist, _autocover(design_n2), spec, design_n2.state_codes)
 
 
 def test_sampled_mode_and_ci(design_n2):
@@ -193,9 +207,7 @@ def test_known_hijack_classified_and_replayable(design_n2, ref14_fsm):
     faults = tuple(
         FaultSite(f"st_q_{i}", "flip", 1) for i in range(codes.width) if (diff >> i) & 1
     )
-    from fsmguard.netlist import simulate
-
-    res = simulate(design_n2.netlist, fe._word_trace(words), faults)
+    res = simulate_batch(design_n2.netlist, [fe._word_trace(words)], [faults])
     state_words = [res.port_value("state_e", c) for c in range(len(words) + 1)]
     alerts = [res.port_value("fsm_alert", c) for c in range(len(words) + 1)]
     cls, info = fe._classify(golden_states, state_words, alerts, codes)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -72,6 +73,21 @@ def test_kiss2_parse_basic():
 def test_kiss2_syntax_error_has_line():
     with pytest.raises(fg.FsmParseError, match="line 3"):
         fg.parse_fsm(".i 1\n.o 1\nbogus line here extra\n", format="kiss2")
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (".i two\n.o 1\n1 A B 0\n", "line 1: .i value 'two' is not an integer"),
+        (".i\n.o 1\n1 A B 0\n", "line 1: .i takes exactly one value"),
+        (".i 1\n.o\n1 A B 0\n", "line 2: .o takes exactly one value"),
+        (".i 1\n.o 1\n.r\n1 A B 0\n", "line 3: .r takes exactly one value"),
+    ],
+    ids=["non-integer-i", "bare-i", "bare-o", "bare-r"],
+)
+def test_kiss2_bad_header_located(src, message):
+    with pytest.raises(fg.FsmParseError, match=f"^{re.escape(message)}$"):
+        fg.parse_fsm(src, format="kiss2")
 
 
 def _with(doc, path, value):

@@ -67,10 +67,11 @@ def test_layout_grows_block_count():
     assert layout.k >= 2
 
 
-def test_layout_block_count_override_infeasible():
-    cfg = hd.HardeningConfig(protection_level=2, block_count=1)
+def test_layout_too_wide_infeasible():
+    # 200 state bits need 25 state bytes in at least one of 8 blocks
+    cfg = hd.HardeningConfig(protection_level=2)
     with pytest.raises(hd.LayoutError, match="infeasible"):
-        hd.plan_layout(30, 20, cfg)
+        hd.plan_layout(200, 20, cfg)
 
 
 def test_modifiers_satisfy_block_equations(design_n2):
@@ -156,15 +157,21 @@ def test_higher_levels_bisimulate(design_n3, design_n4, ref14_fsm):
 def test_moore_output_tracks_state(design_n2, ref14_fsm):
     raw = [{"a": 1, "b": 0, "c": 0}, {"a": 0, "b": 1, "c": 0}]  # S0 -> S1 -> S3
     words = design_n2.encode_raw_trace(raw)
-    res = nl_mod.simulate(design_n2.netlist, fe._word_trace(words))
+    res = nl_mod.simulate_batch(design_n2.netlist, [fe._word_trace(words)])
     assert res.port_column("busy")[: len(words) + 1] == [0, 1, 0]
+
+
+def test_encode_raw_trace_needs_every_signal(design_n2):
+    # simulate_spec rejects this trace, so the encoded trace cannot exist either
+    with pytest.raises(fsm_mod.SimulationIncompleteError, match="step 0: .* b, c$"):
+        design_n2.encode_raw_trace([{"a": 1}])
 
 
 def test_invalid_input_word_raises_sticky_alert(design_n2):
     valid = {design_n2.ctrl_codes.codeword(s) for s in design_n2.ctrl_codes.symbols()}
     bad = next(w for w in range(1 << design_n2.ctrl_codes.width) if w not in valid)
     good = design_n2.encode_raw_trace([{"a": 0, "b": 0, "c": 0}])[0]
-    res = nl_mod.simulate(design_n2.netlist, [{"x_e": bad}, {"x_e": good}, {"x_e": good}])
+    res = nl_mod.simulate_batch(design_n2.netlist, [[{"x_e": bad}, {"x_e": good}, {"x_e": good}]])
     alerts = res.port_column("fsm_alert")
     assert alerts[0] == 0  # combinational invalid shows on the next clock edge
     assert alerts[1] == 1 and alerts[2] == 1  # and stays up
@@ -213,42 +220,51 @@ def test_autocover_words_drive_every_edge(design_n2, ref14_fsm):
     assert states[1:] == [t.dst for t in walk]
 
 
-# sha256 of the netlist JSON (as `fsmguard harden` writes it) and of the
-# Verilog, hardened at seed 0; pinned so that speed work cannot move a byte
+# sha256 of the netlist JSON, the Verilog and the hardening report, as
+# `fsmguard harden` writes them at seed 0; pinned so that no refactor can
+# move a byte
 PINNED_OUTPUTS = [
     ("fig2_fsm", 2,
      "76f9e27f4236e25a903bc01081c6a97d84c65fe252a11085b6bff3393075b507",
-     "247d3ce3db57e3927ac4ae6beb038d4acb50f711f0be0ec70354d8219c8f378b"),
+     "247d3ce3db57e3927ac4ae6beb038d4acb50f711f0be0ec70354d8219c8f378b",
+     "6ccb7da2c261cb9e4660c389268fdfc084f7b8a73f0f35ad0d6d5b3fd53a6f75"),
     ("fig2_fsm", 3,
      "b8868eec8a371d77e89cdba7731a09add36cd7ebaab1fb3d4202af26f64d8de2",
-     "6fbce3c7a72a6457448e5d5cad33ea0a935f207ff5234b797700981c03a9694c"),
+     "6fbce3c7a72a6457448e5d5cad33ea0a935f207ff5234b797700981c03a9694c",
+     "773237ba31a6825a6c334b09163064997ff5f3213af6dd939216fda2b215250c"),
     ("fig2_fsm", 4,
      "656022cc24bd6b692a661827ebfadfd33a945686c0ad107e5028c3323679e07b",
-     "d5458c25a16d321ccad6eefc48857a689a577dc25460e96179197bb25ed7a003"),
+     "d5458c25a16d321ccad6eefc48857a689a577dc25460e96179197bb25ed7a003",
+     "f5d3c06387c7e7ac196ba72b1990259c84dd866bdf3f35c6642bff02a1d652e4"),
     ("ref14_fsm", 2,
      "4e931c08bceaf06825da6674d31bd5c01750c098fea94734bf9fc920af8c8b62",
-     "d79c3d54728ee7a5fe8d026ca76021c2f8d5ba695d0561b163ef71291fcad445"),
+     "d79c3d54728ee7a5fe8d026ca76021c2f8d5ba695d0561b163ef71291fcad445",
+     "5309ac7ee209cf593f8f263526e72aa33e85bee020699a1a3cc87f88c1244585"),
     ("ref14_fsm", 3,
      "431ef9d283b75aa88e3aa92935d7661fe48a0a6fe378b27e633606e81c7286f2",
-     "cfd06db7b2c22433e30c4065c156234e2da2af7f7aee343208846a37f1895aaa"),
+     "cfd06db7b2c22433e30c4065c156234e2da2af7f7aee343208846a37f1895aaa",
+     "876c9740bd5738163cf1ee5df2d40e15bf3f97bd951cbd04fe47c1ee233e5726"),
     ("ref14_fsm", 4,
      "bfa00240d13fae8701aec79f4096c711e4bfb659a8a80fe7b4fe912a3e99a483",
-     "56e0dd3258a577045692fd33e041838f5e1458cfb94b6a7883fba1b5323c143f"),
+     "56e0dd3258a577045692fd33e041838f5e1458cfb94b6a7883fba1b5323c143f",
+     "b769c764ea2022cb56391d37c6cef3ed82b99c61461c467b07215bfc172e58d0"),
 ]
 
 
 @pytest.mark.parametrize(
-    "fsm_fixture,level,json_sha,verilog_sha",
+    "fsm_fixture,level,json_sha,verilog_sha,report_sha",
     PINNED_OUTPUTS,
-    ids=[f"{f.split('_')[0]}-N{n}" for f, n, _, _ in PINNED_OUTPUTS],
+    ids=[f"{f.split('_')[0]}-N{n}" for f, n, _, _, _ in PINNED_OUTPUTS],
 )
-def test_harden_output_bytes_pinned(request, fsm_fixture, level, json_sha, verilog_sha):
+def test_harden_output_bytes_pinned(request, fsm_fixture, level, json_sha, verilog_sha, report_sha):
     fsm = request.getfixturevalue(fsm_fixture)
     design = hd.harden(fsm, hd.HardeningConfig(protection_level=level, seed=0))
     doc = json.dumps(nl_mod.to_json_dict(design.netlist), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(doc.encode()).hexdigest() == json_sha
     verilog = nl_mod.emit_verilog(design.netlist)
     assert hashlib.sha256(verilog.encode()).hexdigest() == verilog_sha
+    report = json.dumps(design.report(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(report.encode()).hexdigest() == report_sha
 
 
 def test_nets_same_before_and_after_compile():

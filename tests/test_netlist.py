@@ -47,7 +47,7 @@ def counter2():
 def test_full_adder_truth_table():
     n = full_adder()
     for a, b, c in itertools.product((0, 1), repeat=3):
-        res = nl.simulate(n, [{"a": a, "b": b, "cin": c}])
+        res = nl.simulate_batch(n, [[{"a": a, "b": b, "cin": c}]])
         total = a + b + c
         assert res.port_value("sum", 0) == total & 1
         assert res.port_value("cout", 0) == total >> 1
@@ -58,7 +58,7 @@ def test_compiled_netlist_freed_by_reference_count():
     # collector would free it, so a process that builds one netlist per run
     # keeps the old ones, and their memory, until that collector runs
     n = counter2()
-    nl.simulate(n, [{"en": 1}])
+    nl.simulate_batch(n, [[{"en": 1}]])
     dead = weakref.ref(n)
     gc.disable()
     try:
@@ -71,7 +71,7 @@ def test_compiled_netlist_freed_by_reference_count():
 def test_counter_counts_and_holds():
     n = counter2()
     trace = [{"en": 1}] * 5 + [{"en": 0}] * 2 + [{"en": 1}]
-    res = nl.simulate(n, trace)
+    res = nl.simulate_batch(n, [trace])
     assert res.port_column("count") == [0, 1, 2, 3, 0, 1, 1, 1]
 
 
@@ -82,7 +82,7 @@ def test_flops_reset_values():
     n.add_flop("x", "q", reset_value=1)
     n.add_port("y", "out", ["y"])
     n.validate()
-    res = nl.simulate(n, [{"x": 0}, {"x": 0}])
+    res = nl.simulate_batch(n, [[{"x": 0}, {"x": 0}]])
     assert res.port_column("y") == [1, 0]
 
 
@@ -95,8 +95,8 @@ def test_const_gates():
     n.add_gate("OR", ["a", "lo"], "y")
     n.add_port("y", "out", ["y"])
     n.validate()
-    assert nl.simulate(n, [{"x": 1}]).port_value("y", 0) == 1
-    assert nl.simulate(n, [{"x": 0}]).port_value("y", 0) == 0
+    assert nl.simulate_batch(n, [[{"x": 1}]]).port_value("y", 0) == 1
+    assert nl.simulate_batch(n, [[{"x": 0}]]).port_value("y", 0) == 0
 
 
 def test_multi_driver_rejected():
@@ -136,7 +136,7 @@ def test_batch_matches_single_lane():
     traces = [[{"en": rng.randrange(2)} for _ in range(12)] for _ in range(10)]
     batch = nl.simulate_batch(n, traces)
     for lane, trace in enumerate(traces):
-        single = nl.simulate(n, trace)
+        single = nl.simulate_batch(n, [trace])
         for c in range(12):
             assert batch.port_value("count", c, lane) == single.port_value("count", c)
 
@@ -144,7 +144,7 @@ def test_batch_matches_single_lane():
 def test_flip_fault_single_cycle():
     n = counter2()
     trace = [{"en": 1}] * 4
-    res = nl.simulate(n, trace, [FaultSite("d0", "flip", cycle=1)])
+    res = nl.simulate_batch(n, [trace], [[FaultSite("d0", "flip", cycle=1)]])
     # cycle 1's next-state LSB is inverted: 0,1, then (2^1)=3, then 0
     assert res.port_column("count") == [0, 1, 3, 0]
 
@@ -152,8 +152,8 @@ def test_flip_fault_single_cycle():
 def test_stuck_fault_persists_from_onset():
     n = counter2()
     trace = [{"en": 1}] * 5
-    res = nl.simulate(n, trace, [FaultSite("q0", "stuck1", cycle=2)])
-    golden = nl.simulate(n, trace)
+    res = nl.simulate_batch(n, [trace], [[FaultSite("q0", "stuck1", cycle=2)]])
+    golden = nl.simulate_batch(n, [trace])
     assert res.port_column("count")[:2] == golden.port_column("count")[:2]
     for c in range(2, 5):
         assert res.port_value("count", c) & 1 == 1
@@ -162,20 +162,20 @@ def test_stuck_fault_persists_from_onset():
 def test_two_flips_same_net_cancel():
     n = full_adder()
     faults = [FaultSite("axb", "flip", 0), FaultSite("axb", "flip", 0)]
-    res = nl.simulate(n, [{"a": 1, "b": 0, "cin": 0}], faults)
+    res = nl.simulate_batch(n, [[{"a": 1, "b": 0, "cin": 0}]], [faults])
     assert res.port_value("sum", 0) == 1
 
 
 def test_fault_on_input_port_bit():
     n = full_adder()
-    res = nl.simulate(n, [{"a": 0, "b": 0, "cin": 0}], [FaultSite("a", "flip", 0)])
+    res = nl.simulate_batch(n, [[{"a": 0, "b": 0, "cin": 0}]], [[FaultSite("a", "flip", 0)]])
     assert res.port_value("sum", 0) == 1
 
 
 def test_unknown_fault_location():
     n = full_adder()
     with pytest.raises(nl.NetlistError, match="unknown fault location"):
-        nl.simulate(n, [{"a": 0, "b": 0, "cin": 0}], [FaultSite("nope", "flip", 0)])
+        nl.simulate_batch(n, [[{"a": 0, "b": 0, "cin": 0}]], [[FaultSite("nope", "flip", 0)]])
 
 
 def test_faults_are_lane_local():
@@ -221,7 +221,7 @@ def test_json_round_trip():
     assert again.flops == n.flops
     assert again.ports == n.ports
     assert again.meta == n.meta
-    res = nl.simulate(again, [{"en": 1}] * 3)
+    res = nl.simulate_batch(again, [[{"en": 1}] * 3])
     assert res.port_column("count") == [0, 1, 2]
 
 
@@ -232,15 +232,15 @@ def test_verilog_emit_and_reparse_behavior():
     assert "negedge rst_n" in text
     again = nl.parse_verilog(text)
     trace = [{"en": 1}] * 6
-    a = nl.simulate(n, trace).port_column("count")
-    b = nl.simulate(again, trace).port_column("count")
+    a = nl.simulate_batch(n, [trace]).port_column("count")
+    b = nl.simulate_batch(again, [trace]).port_column("count")
     assert a == b
 
 
 def test_verilog_round_trip_full_adder_exhaustive():
     again = nl.parse_verilog(nl.emit_verilog(full_adder()))
     for a, b, c in itertools.product((0, 1), repeat=3):
-        res = nl.simulate(again, [{"a": a, "b": b, "cin": c}])
+        res = nl.simulate_batch(again, [[{"a": a, "b": b, "cin": c}]])
         assert res.port_value("sum", 0) == (a + b + c) & 1
         assert res.port_value("cout", 0) == (a + b + c) >> 1
 
@@ -259,7 +259,9 @@ def test_verilog_renames_non_identifier_nets():
         assert f"  wire {legal};" in text
     again = nl.parse_verilog(text)
     trace = [{"a": v} for v in (0, 1, 2, 3, 1)]
-    assert nl.simulate(again, trace).port_column("o") == nl.simulate(n, trace).port_column("o")
+    assert nl.simulate_batch(again, [trace]).port_column("o") == nl.simulate_batch(
+        n, [trace]
+    ).port_column("o")
 
 
 # -- reference engine -------------------------------------------------------
