@@ -8,7 +8,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coding import CodeBook, decode_exact
@@ -26,6 +26,8 @@ from .netlist import (
 EXHAUSTIVE_BOUND = 10_000_000
 # lanes of the fault-simulation pool; each lane holds one experiment at a time
 _POOL_LANES = 256
+# lanes of one stuck-at screen call, one per (net, golden edge) pair
+_SCREEN_LANES = 4096
 # effect index = position here; 0 is the one-cycle flip, 1 and 2 are stuck-at
 _EFFECTS = ("flip", "stuck0", "stuck1")
 
@@ -364,29 +366,193 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _golden_nets(
+    comp: _Compiled, golden: Sequence[Tuple[int, int, int]], words: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """Every net's fault-free value on each distinct edge of the ``_golden``
+    record ``golden`` of ``words``, bit ``e`` for edge ``e``, from one
+    ``_run_ops`` call with one lane per edge; and each edge's cycles as a
+    bitmask. Edges are keyed by (flop state, ``x_e`` word), as ``_golden``
+    keys them."""
+    x_nets = comp.out_bits["x_e"]
+    width = len(x_nets)
+    edges: Dict[int, int] = {}  # key -> cycles
+    for c, ((q, _, _), x) in enumerate(zip(golden, (*words, 0))):
+        key = q << width | x
+        edges[key] = edges.get(key, 0) | 1 << c
+    lane_nets = x_nets + [q for _, q, _ in comp.flops]
+    values = [0] * comp.n_nets
+    for net, v in zip(lane_nets, _transpose(list(edges), len(lane_nets))):
+        values[net] = v
+    _run_ops(comp.ops, values, (1 << len(edges)) - 1, [(len(comp.ops), 0, 0, 0, 0)])
+    return values, list(edges.values())
+
+
+def _screen(
+    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int]
+) -> Tuple[List[int], int, int]:
+    """For each of ``nets``, the golden edges (bit ``e`` for edge ``e``) on
+    which flipping that net changes a flop input, ``state_e`` or
+    ``fsm_alert``; and the ``_run_ops`` calls and lanes spent.
+
+    ``golden_values`` and ``n_edges`` come from ``_golden_nets``. There is one
+    lane per (net, edge) pair: each net has a block of ``n_edges`` lanes that
+    start from the golden edges and flip it, and a call holds about
+    ``_SCREEN_LANES`` lanes.
+    """
+    ops, stop = comp.ops, comp.op_stop
+    end = (len(ops), 0, 0, 0, 0)
+    inputs = comp.out_bits["x_e"] + [q for _, q, _ in comp.flops]
+    observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
+    block = (1 << n_edges) - 1
+    per_call = max(1, _SCREEN_LANES // n_edges)
+    values = [0] * comp.n_nets
+    shown: List[int] = []
+    calls = lanes = 0
+    for start in range(0, len(nets), per_call):
+        chunk = nets[start : start + per_call]
+        n = len(chunk) * n_edges
+        full = (1 << n) - 1
+        repeat = full // block  # bit 0 of every block
+        for net in inputs:
+            values[net] = golden_values[net] * repeat
+        masks = sorted((stop[net], net, block << i * n_edges, 0, 0) for i, net in enumerate(chunk))
+        masks.append(end)
+        _run_ops(ops, values, full, masks)
+        changed = 0
+        for net in observed:
+            changed |= values[net] ^ golden_values[net] * repeat
+        shown += [changed >> i * n_edges & block for i in range(len(chunk))]
+        calls += 1
+        lanes += n
+    return shown, calls, lanes
+
+
+class _Activity:
+    """Activity masks for a campaign's experiments, and what they cost.
+
+    An experiment's activity mask is the set of cycles (bit ``c`` for cycle
+    ``c``) at which its faults can change a lane that sits on the golden
+    trajectory: at any other cycle, a lane in the golden flop state evaluates
+    exactly as the golden run does. A flip is active at its own cycle. A
+    stuck-at fault forces its net to a value ``V`` from its onset on, which
+    changes nothing at a cycle where the golden net value is ``V``, and is
+    the same as flipping the net at any other cycle. So a single stuck-at
+    fault is active where its net differs from ``V`` and ``_screen`` finds
+    that a flip of the net shows. Several faults are active at the union of
+    their flip cycles and the cycles where a stuck net differs from its
+    value, without the screen: two faults that each show nowhere can show
+    together.
+
+    Golden net values are computed on the first stuck-at fault, and a net is
+    screened the first time a single-fault experiment needs it, in batches
+    over the next ``_POOL_LANES`` experiments of the stream; both are kept
+    for the rest of the campaign. A flip-only campaign computes neither.
+    """
+
+    def __init__(
+        self, comp: _Compiled, golden: Sequence[Tuple[int, int, int]], words: Sequence[int], single: bool
+    ):
+        self.comp, self.golden, self.words, self.single = comp, golden, words, single
+        self.values: List[int] = []  # golden net values, one bit per edge
+        self.edge_cycles: List[int] = []
+        self.shown: Dict[int, int] = {}  # net -> edges on which its flip shows
+        self.active: Dict[int, int] = {}  # net << 2 | effect -> cycles
+        self.nets = self.calls = self.lanes = self.idle = 0
+        self.seconds = 0.0
+
+    def _golden_values(self) -> List[int]:
+        if not self.edge_cycles:
+            t0 = time.perf_counter()
+            self.values, self.edge_cycles = _golden_nets(self.comp, self.golden, self.words)
+            self.calls += 1
+            self.lanes += len(self.edge_cycles)
+            self.seconds += time.perf_counter() - t0
+        return self.values
+
+    def _screen_nets(self, nets: Iterator[int]) -> None:
+        todo = [n for n in dict.fromkeys(nets) if n not in self.shown]
+        if todo:
+            values = self._golden_values()
+            t0 = time.perf_counter()
+            shown, calls, lanes = _screen(self.comp, values, len(self.edge_cycles), todo)
+            self.shown.update(zip(todo, shown))
+            self.nets += len(todo)
+            self.calls += calls
+            self.lanes += lanes
+            self.seconds += time.perf_counter() - t0
+
+    def _stuck_cycles(self, net: int, effect: int) -> int:
+        """Cycles at which stuck-at ``effect`` on ``net`` can show, from cycle 0."""
+        value = self._golden_values()[net]
+        edges = value if effect == 1 else ~value & (1 << len(self.edge_cycles)) - 1
+        if self.single:
+            edges &= self.shown[net]
+        cycles = 0
+        for e in _set_bits(edges):
+            cycles |= self.edge_cycles[e]
+        self.active[net << 2 | effect] = cycles
+        return cycles
+
+    def masks(
+        self, experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...]]]
+    ) -> Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...], int]]:
+        """``(key, faults, activity mask)`` for each ``(key, faults)``."""
+        active = self.active
+        if self.single:
+            batches = iter(lambda: list(islice(experiments, _POOL_LANES)), [])
+        else:
+            batches = iter((experiments,))
+        for batch in batches:
+            if self.single:
+                self._screen_nets(f[0] for _, (f,) in batch if f[1])
+            for key, faults in batch:
+                mask = 0
+                for net, effect, c in faults:
+                    if effect:
+                        cycles = active.get(net << 2 | effect)
+                        if cycles is None:
+                            cycles = self._stuck_cycles(net, effect)
+                        mask |= cycles >> c << c
+                    else:
+                        mask |= 1 << c
+                if not mask:
+                    self.idle += 1
+                yield key, faults, mask
+
+
 def _run_pool(
     comp: _Compiled,
     words: Sequence[int],
     golden: Sequence[Tuple[int, int, int]],
     golden_states: Sequence[str],
     codes: CodeBook,
-    experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...]]],
+    experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...], int]],
 ) -> Iterator[Tuple[object, str, Optional[Tuple[int, str]]]]:
     """Classify each experiment as ``_classify`` does on a whole-trace run;
     yields ``(key, class, hijack info)`` in retirement order.
 
     ``golden`` is the ``_golden`` record of ``words``. An experiment is a
-    ``key`` and a tuple of ``(net index, effect index, cycle)`` faults. It
-    enters a free lane at its first fault cycle with the golden flop state
-    of that cycle: all machine state is in the flops, so the cycles before
-    match the golden run. Lanes advance one cycle per step; a lane's cycle is
-    the step plus its offset, and lanes are grouped by offset so that input
-    bits and golden words are packed per group. A lane retires once its
-    outcome is fixed: detected or hijacked, or masked once it has no pending
-    fault and its next flop state is golden again, or at the end of the trace.
-    Its lane then takes the next experiment. Scheduled flips, stuck-at onsets
-    and releases carry the lane's generation, which every retirement bumps,
-    so they never reach a later occupant of the lane.
+    ``key``, a tuple of ``(net index, effect index, cycle)`` faults and its
+    activity mask (see ``_Activity``). All machine state is in the flops, so
+    a lane in the golden flop state at a cycle outside its mask repeats the
+    golden run exactly, and a lane is occupied only while its experiment is
+    active or its flop state is off golden. An empty mask is masked without
+    a lane. Otherwise the experiment enters a free lane at the lowest cycle
+    of its mask, with the golden flop state of that cycle and every stuck-at
+    fault whose onset has passed. Lanes advance one cycle per step; a lane's
+    cycle is the step plus its offset, and lanes are grouped by offset so
+    that input bits and golden words are packed per group.
+
+    A lane retires once its outcome is fixed: detected or hijacked; at the
+    end of the trace; or, once the run of consecutive mask cycles it entered
+    at is over, when its next flop state is golden again. A lane that
+    rejoins golden with no mask cycle left is masked; otherwise its
+    experiment is queued again at its next mask cycle, carrying its corrupt
+    flag. Queued experiments take free lanes before new ones, so the queue
+    never outgrows the pool. Scheduled flips, stuck-at onsets and releases
+    carry the lane's generation, which every retirement bumps, so they never
+    reach a later occupant of the lane.
     """
     width = _POOL_LANES
     full = (1 << width) - 1
@@ -407,9 +573,9 @@ def _run_pool(
     st = [0] * len(flops)  # lane-packed flop state
     free = list(range(width))
     gen = [0] * width
-    lane_key: List[object] = [None] * width
+    lane_exp: List[Tuple[object, Tuple[Tuple[int, int, int], ...], int]] = [(None, (), 0)] * width
     lane_off = [0] * width
-    lane_stuck: List[Tuple[int, ...]] = [()] * width
+    queue: List[Tuple[Tuple[object, Tuple[Tuple[int, int, int], ...], int], int]] = []  # + corrupt flag
     groups: Dict[int, int] = {}  # offset -> lanes
     flips: Dict[int, List[Tuple[int, int, int]]] = {}  # step -> (net, lane, gen)
     onsets: Dict[int, List[Tuple[int, int, int, int]]] = {}  # step -> (net, effect, lane, gen)
@@ -418,32 +584,39 @@ def _run_pool(
     active = quiet = corrupt = 0
     step = 0
     while True:
-        entering: Dict[int, int] = {}  # first fault cycle -> lanes
+        entering: Dict[int, int] = {}  # entry cycle -> lanes
+        carried = 0  # entering lanes whose experiment was already corrupt
         while free:
-            nxt = next(experiments, None)
-            if nxt is None:
-                break
-            key, faults = nxt
-            c0 = min(f[2] for f in faults)
+            if queue:
+                exp, dirty = queue.pop()
+            else:
+                exp = next(experiments, None)
+                if exp is None:
+                    break
+                if not exp[2]:
+                    yield exp[0], "masked", None
+                    continue
+                dirty = 0
+            _, faults, mask = exp
+            c0 = (mask & -mask).bit_length() - 1
+            run = mask >> c0
             lane = free.pop()
             bit = 1 << lane
             g = gen[lane]
             off = c0 - step
-            lane_key[lane] = key
+            lane_exp[lane] = exp
             lane_off[lane] = off
             groups[off] = groups.get(off, 0) | bit
             entering[c0] = entering.get(c0, 0) | bit
-            nets = []
+            if dirty:
+                carried |= bit
             for net, effect, c in faults:
-                at = c - off
                 if effect:
-                    onsets.setdefault(at, []).append((net, effect, lane, g))
-                    nets.append(net)
-                else:
-                    flips.setdefault(at, []).append((net, lane, g))
-            lane_stuck[lane] = tuple(nets)
-            if not nets:
-                releases.setdefault(max(f[2] for f in faults) - off, []).append((lane, g))
+                    onsets.setdefault(max(c, c0) - off, []).append((net, effect, lane, g))
+                elif c >= c0:
+                    flips.setdefault(c - off, []).append((net, lane, g))
+            # the lane may rejoin golden from the last cycle of this run of mask bits
+            releases.setdefault(step + (run ^ run + 1).bit_length() - 2, []).append((lane, g))
         if not active and not entering:
             return
         for c0, lanes in entering.items():
@@ -454,6 +627,7 @@ def _run_pool(
                 st[j] &= ~lanes
             for j in flop_ones[c0]:
                 st[j] |= lanes
+        corrupt |= carried
 
         for net, effect, lane, g in onsets.pop(step, ()):
             if gen[lane] == g:
@@ -508,9 +682,9 @@ def _run_pool(
                 corrupt |= 1 << lane
             else:
                 hijacked |= 1 << lane
-                yield lane_key[lane], "hijack", (c, sym)
+                yield lane_exp[lane][0], "hijack", (c, sym)
         for lane in _set_bits(detected):
-            yield lane_key[lane], "detected", None
+            yield lane_exp[lane][0], "detected", None
 
         for lane, g in releases.pop(step, ()):
             if gen[lane] == g:
@@ -524,7 +698,13 @@ def _run_pool(
             rejoined = candidates & ~off_golden
         settled = (rejoined | ending) & active & ~detected & ~hijacked
         for lane in _set_bits(settled):
-            yield lane_key[lane], ("masked_corrupt" if corrupt >> lane & 1 else "masked"), None
+            after = step + lane_off[lane] + 1
+            key, faults, mask = lane_exp[lane]
+            rest = mask >> after << after
+            if rest:
+                queue.append(((key, faults, rest), corrupt >> lane & 1))
+            else:
+                yield key, ("masked_corrupt" if corrupt >> lane & 1 else "masked"), None
 
         retired = detected | hijacked | settled
         for lane in _set_bits(retired):
@@ -534,8 +714,8 @@ def _run_pool(
             groups[off] &= ~bit
             if not groups[off]:
                 del groups[off]
-            for net in lane_stuck[lane]:
-                m = stuck.get(net)
+            for net, effect, _ in lane_exp[lane][1]:
+                m = effect and stuck.get(net)
                 if m:
                     m[0] &= ~bit
                     m[1] &= ~bit
@@ -555,10 +735,12 @@ def run_campaign(
     """Inject every experiment from ``spec``, classify against the golden run.
 
     The golden run is computed once by ``_golden``, which evaluates each
-    distinct (flop state, ``x_e`` word) edge of the trace once, and its cost
-    is logged on the ``fsmguard`` logger. Experiments then run in the
-    lane pool of ``_run_pool``. Experiments are independent and witnesses are
-    listed in enumeration order, so reports do not depend on the pool width.
+    distinct (flop state, ``x_e`` word) edge of the trace once. Each
+    experiment then gets its activity mask from ``_Activity``, and runs in
+    the lane pool of ``_run_pool`` at the cycles its mask needs. The cost of
+    the golden run and of the stuck-at screen is logged on the ``fsmguard``
+    logger. Experiments are independent and witnesses are listed in
+    enumeration order, so reports do not depend on the pool width.
     """
     theo = _theoretical_p(netlist)
     t0 = time.perf_counter()
@@ -568,8 +750,9 @@ def run_campaign(
     # the application has loaded it: before that, no handler is configured
     # that could emit an INFO record
     logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("fsmguard").info(
+    log = logging.getLogger("fsmguard") if logging is not None else None
+    if log is not None:
+        log.info(
             "golden run: %d cycles in %d evaluations (%d lanes), %.3f s",
             len(golden), calls, lanes, time.perf_counter() - t0,
         )
@@ -615,14 +798,22 @@ def run_campaign(
     experiments = (
         ((i, e), tuple(map(atom, e))) for i, e in enumerate(_enumerate_experiments(n_atoms, spec))
     )
+    activity = _Activity(comp, golden, golden_words, spec.max_simultaneous_faults == 1)
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     hijacks: List[Tuple[int, HijackWitness]] = []
-    for (idx, e), cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, experiments):
+    pool = _run_pool(comp, golden_words, golden, golden_states, codes, activity.masks(experiments))
+    for (idx, e), cls, info in pool:
         counts[cls] += 1
         if cls == "hijack":
             cyc, sym = info
             faults = tuple(map(fault_site, e))
             hijacks.append((idx, HijackWitness(faults, cyc, sym, golden_states[cyc])))
+    if log is not None:
+        log.info(
+            "stuck-at screen: %d nets in %d evaluations (%d lanes), %.3f s; "
+            "%d experiments settled without a lane",
+            activity.nets, activity.calls, activity.lanes, activity.seconds, activity.idle,
+        )
 
     total = sum(counts.values())
     hijack = counts["hijack"]

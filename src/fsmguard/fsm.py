@@ -344,18 +344,30 @@ def step(fsm: FsmSpec, state: str, assignment: Dict[str, int], step_index: int =
 def simulate_edges(fsm: FsmSpec, input_trace: Sequence[Dict[str, int]]) -> List[Transition]:
     """The sequence of edges fired along a trace from the reset state.
 
-    Every assignment must give every control signal: a missing one would
+    Every assignment must be a mapping that gives every control signal an
+    integer that fits its width: a missing or malformed value would
     otherwise fire the default edge silently.
     """
-    names = {s.name for s in fsm.control_signals}
+    widths = {s.name: s.width for s in fsm.control_signals}
+    if not isinstance(input_trace, (list, tuple)):
+        raise FsmError(f"the trace is not a list of assignments: {input_trace!r}")
     edges = []
     state = fsm.reset_state
     for i, assignment in enumerate(input_trace):
-        missing = names - set(assignment)
+        if not isinstance(assignment, dict):
+            raise SimulationIncompleteError(f"assignment is not an object: {assignment!r}", i)
+        missing = widths.keys() - assignment.keys()
         if missing:
             raise SimulationIncompleteError(
                 f"assignment missing signals: {', '.join(sorted(missing))}", i
             )
+        for name, width in widths.items():
+            value = assignment[name]
+            # bool is an int subclass, and a string would match no guard
+            if type(value) is not int or not 0 <= value < 1 << width:
+                raise SimulationIncompleteError(
+                    f"signal {name!r} is not a {width}-bit integer: {value!r}", i
+                )
         t = step(fsm, state, assignment, i)
         edges.append(t)
         state = t.dst

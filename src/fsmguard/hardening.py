@@ -17,7 +17,7 @@ from . import fsm as fsm_mod
 from .coding import CodeBook, control_codebook, encode_edge_trace, state_codebook
 from .fsm import FsmSpec, Transition, extract_cfg
 from .gf import BLOCK_BITS, MdsSpec, default_mds, gf2_rank, mds_apply, solve_gf2
-from .netlist import Netlist
+from .netlist import VERILOG_KEYWORDS, Netlist
 
 
 class HardeningError(Exception):
@@ -506,6 +506,8 @@ def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
         # each output becomes a port of the same name in netlist.v
         if not (sig.name.isascii() and sig.name.isidentifier()):
             raise HardeningError(f"FSM output {sig.name!r} is not a Verilog identifier")
+        if sig.name in VERILOG_KEYWORDS:
+            raise HardeningError(f"FSM output {sig.name!r} is a Verilog keyword")
         if sig.name in ports:
             raise HardeningError(
                 f"FSM output {sig.name!r} clashes with a port of the hardened module"
@@ -518,6 +520,14 @@ def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
     edges = extract_cfg(fsm)
     plans = tuple(solve_modifiers(layout, edges, state_codes, ctrl_codes, m))
     nl = build_hardened_netlist(fsm, plans, cfg, state_codes, ctrl_codes, layout, m)
+    if fsm.outputs:
+        # netlist.v declares ports, nets and each flop's q_r register in one namespace
+        taken = set(nl.nets()).union(f"{f.q}_r" for f in nl.flops)
+        for sig in fsm.outputs:
+            if sig.name in taken:
+                raise HardeningError(
+                    f"FSM output {sig.name!r} clashes with a net of the hardened netlist"
+                )
     design = HardenedDesign(fsm, cfg, state_codes, ctrl_codes, layout, plans, nl, m)
     nl.meta = {
         "protection_level": cfg.protection_level,

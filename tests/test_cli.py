@@ -76,8 +76,15 @@ def test_harden_malformed_fsm_located(tmp_path, caplog, doc, where):
         (["rst_n"], "FSM output 'rst_n' clashes with a port of the hardened module"),
         (["busy", "busy"], "FSM output 'busy' clashes with a port of the hardened module"),
         (["busy-1"], "FSM output 'busy-1' is not a Verilog identifier"),
+        (["wire"], "FSM output 'wire' is a Verilog keyword"),
+        (["alert_out"], "FSM output 'alert_out' clashes with a net of the hardened netlist"),
+        (["busy", "st_q_0"], "FSM output 'st_q_0' clashes with a net of the hardened netlist"),
+        (["st_q_0_r"], "FSM output 'st_q_0_r' clashes with a net of the hardened netlist"),
     ],
-    ids=["x_e", "fsm_alert", "rst_n", "twice", "not-an-identifier"],
+    ids=[
+        "x_e", "fsm_alert", "rst_n", "twice", "not-an-identifier",
+        "keyword", "alert_out", "flop-q", "flop-reg",
+    ],
 )
 def test_harden_rejects_output_port_name(tmp_path, caplog, outputs, message):
     doc = {**REF14_DOC, "outputs": [{"name": n} for n in outputs], "state_outputs": {}}
@@ -314,6 +321,25 @@ def test_simulate_fsm(tmp_path, capsys):
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out.split()
     assert "S1" in out and "S0" in out
+
+
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        (5, "the trace is not a list of assignments: 5"),
+        ([{"t": 1}, 5], "step 1: assignment is not an object: 5"),
+        ([{"t": 1}, {"t": "1"}], "step 1: signal 't' is not a 1-bit integer: '1'"),
+    ],
+    ids=["number", "non-object-entry", "string-value"],
+)
+def test_simulate_malformed_trace_located(tmp_path, caplog, capsys, trace, message):
+    p = tmp_path / "toggle.json"
+    p.write_text(json.dumps(TOGGLE_DOC))
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    assert cli.main(["simulate", "--target", str(p), "--trace", str(path)]) == cli.EXIT_FAIL
+    assert [r.getMessage() for r in caplog.records] == [f"simulation failed: {message}"]
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_netlist_autocover(hardened_dir, capsys):

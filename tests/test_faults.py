@@ -431,6 +431,103 @@ def test_pool_matches_reference_on_undetected_corruption(faults, lanes):
     assert totals["masked_corrupt"] > 0
 
 
+def _register_with_and_of_zeros():
+    """``_alert_free_register`` with bit 0 of its next state XORed with the
+    AND of two nets that are 0 in every cycle, ``za`` and ``zb``, the only
+    diffusion-tagged gates: a stuck-at-1 on one of them changes nothing, on
+    both it corrupts the register."""
+    _, words, codes = _alert_free_register()
+    n = Netlist("and_reg")
+    n.add_port("x_e", "in", [f"x_e_{i}" for i in range(4)])
+    n.add_gate("CONST0", [], "za", tag="diffusion")
+    n.add_gate("CONST0", [], "zb", tag="diffusion")
+    n.add_gate("AND", ["za", "zb"], "both")
+    for i in range(3):
+        n.add_gate("MUX", ["x_e_3", f"x_e_{i}", f"st_q_{i}"], f"st_m_{i}")
+    n.add_gate("XOR", ["st_m_0", "both"], "st_d_0")
+    for i, d in enumerate(["st_d_0", "st_m_1", "st_m_2"]):
+        n.add_flop(d, f"st_q_{i}", (0b011 >> i) & 1, tag="state_reg")
+    n.add_gate("CONST0", [], "alert_lo")
+    n.add_port("state_e", "out", [f"st_q_{i}" for i in range(3)])
+    n.add_port("fsm_alert", "out", ["alert_lo"])
+    n.validate()
+    return n, words, codes
+
+
+@pytest.mark.parametrize("faults", [1, 2])
+@pytest.mark.parametrize("lanes", [2, fe._POOL_LANES])
+def test_pool_matches_reference_when_faults_show_only_together(faults, lanes):
+    # the screen of one net says nothing about two: a multi-fault experiment
+    # must stay active wherever any of its stuck nets leaves its golden value
+    netlist, words, codes = _register_with_and_of_zeros()
+    spec = fe.CampaignSpec(
+        scope="diffusion_only", effects=("stuck1",), cycles=(0, 2, 5), max_simultaneous_faults=faults
+    )
+    totals = _assert_pool_matches_reference(netlist, words, spec, codes, lanes)
+    if faults == 1:
+        assert totals["masked"] == totals["total"] and not totals["masked_corrupt"]
+    else:
+        # pairs on one net stay masked, the 9 pairs across za and zb do not
+        assert totals["total"] - totals["masked"] + totals["masked_corrupt"] == 9
+
+
+def _brute_force_screen(netlist, words):
+    """Per net index, the cycles (bit c for cycle c) at which a flip of the
+    net, in an otherwise fault-free ``simulate_batch`` run, changes that
+    cycle's ``state_e`` or ``fsm_alert`` or the next cycle's flops. Lane 0 is
+    fault-free; one more settle cycle shows the flops after the last one."""
+    trace = fe._word_trace(words) + [{"x_e": 0}]
+    cycles = len(words) + 1
+    nets = netlist.nets()
+    faults = [[]] + [[FaultSite(n, "flip", c)] for n in nets for c in range(cycles)]
+    res = simulate_batch(netlist, [trace] * len(faults), faults)
+    full = (1 << res.lanes) - 1
+    shown = [0] * len(nets)
+    for c in range(cycles):
+        changed = 0
+        for bits in (res.port_bits["state_e"][c], res.port_bits["fsm_alert"][c], res.flop_q[c + 1]):
+            for v in bits:
+                changed |= v ^ (full if v & 1 else 0)
+        for i in range(len(nets)):
+            shown[i] |= (changed >> (1 + i * cycles + c) & 1) << c
+    return shown
+
+
+@pytest.mark.parametrize("design", ["fig2_design", "design_n2"])
+def test_screen_matches_single_flips(request, design):
+    design = request.getfixturevalue(design)
+    netlist, words = design.netlist, _autocover(design)
+    comp = netlist._compile()
+    golden, _, _ = fe._golden(netlist, words)
+    values, edge_cycles = fe._golden_nets(comp, golden, words)
+    assert sum(map(int.bit_count, edge_cycles)) == len(golden)
+    want = _brute_force_screen(netlist, words)
+    nets = list(range(comp.n_nets))
+    for width in (1, 7 * len(edge_cycles), fe._SCREEN_LANES):
+        with mock.patch.object(fe, "_SCREEN_LANES", width):
+            shown, calls, lanes = fe._screen(comp, values, len(edge_cycles), nets)
+        per_call = max(1, width // len(edge_cycles))
+        assert (calls, lanes) == (-(-len(nets) // per_call), len(nets) * len(edge_cycles))
+        got = [sum(edge_cycles[e] for e in range(len(edge_cycles)) if edges >> e & 1) for edges in shown]
+        assert got == want
+
+
+@pytest.mark.parametrize("faults", [1, 2])
+def test_flip_only_campaign_skips_the_screen(design_n2, faults):
+    codes, words = design_n2.state_codes, _autocover(design_n2)
+    spec = fe.CampaignSpec(
+        scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=faults
+    )
+    want = fe.run_campaign(design_n2.netlist, words, spec, codes).to_json_dict()
+    boom = AssertionError("the stuck-at screen ran")
+    with mock.patch.object(fe, "_golden_nets", side_effect=boom), \
+            mock.patch.object(fe, "_screen", side_effect=boom):
+        assert fe.run_campaign(design_n2.netlist, words, spec, codes).to_json_dict() == want
+        stuck = dataclasses.replace(spec, effects=("flip", "stuck0"))
+        with pytest.raises(AssertionError, match="the stuck-at screen ran"):
+            fe.run_campaign(design_n2.netlist, words, stuck, codes)
+
+
 # -- the memoized golden run against simulate_batch ---------------------------
 
 
@@ -574,6 +671,25 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     assert re.search(
         rf"golden run: {cycles} cycles in \d+ evaluations \(\d+ lanes\), \d+\.\d{{3}} s", caplog.text
     )
+    assert re.search(
+        r"stuck-at screen: 0 nets in 0 evaluations \(0 lanes\), 0\.000 s; "
+        r"0 experiments settled without a lane",
+        caplog.text,
+    )
+    caplog.clear()
+    spec = fe.CampaignSpec(scope="inputs_only", effects=("stuck0", "stuck1"))
+    rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    found = re.search(
+        r"stuck-at screen: (\d+) nets in (\d+) evaluations \((\d+) lanes\), \d+\.\d{3} s; "
+        r"(\d+) experiments settled without a lane",
+        caplog.text,
+    )
+    nets, calls, lanes, idle = map(int, found.groups())
+    assert nets == rep.metadata["sites"]
+    # one lane per golden edge for the golden net values, and per (net, edge)
+    # pair for the screen
+    assert calls >= 2 and lanes % (nets + 1) == 0
+    assert 0 < idle <= rep.masked - rep.masked_corrupt
 
 
 # -- inputs the campaign must refuse ----------------------------------------------
