@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coding import CodeBook, decode_exact
 from .netlist import (
@@ -428,97 +429,58 @@ def _screen(
     return shown, calls, lanes
 
 
-class _Activity:
-    """Activity masks for a campaign's experiments, and what they cost.
+def _stuck_activity(
+    comp: _Compiled,
+    golden: Sequence[Tuple[int, int, int]],
+    words: Sequence[int],
+    spec: CampaignSpec,
+    site_nets: Sequence[int],
+    n_atoms: int,
+    atom: Callable[[int], Tuple[int, int, int]],
+) -> Tuple[Optional[Callable[[int], int]], int, int, int]:
+    """The cycles (bit ``c`` for cycle ``c``) at which a stuck-at fault can
+    change a lane that sits on the golden trajectory, as a memoised lookup
+    from ``net << 2 | effect``; and the nets screened, ``_run_ops`` calls and
+    lanes spent. A flip-only campaign gets no lookup and spends nothing.
 
-    An experiment's activity mask is the set of cycles (bit ``c`` for cycle
-    ``c``) at which its faults can change a lane that sits on the golden
-    trajectory: at any other cycle, a lane in the golden flop state evaluates
-    exactly as the golden run does. A flip is active at its own cycle. A
-    stuck-at fault forces its net to a value ``V`` from its onset on, which
-    changes nothing at a cycle where the golden net value is ``V``, and is
-    the same as flipping the net at any other cycle. So a single stuck-at
-    fault is active where its net differs from ``V`` and ``_screen`` finds
-    that a flip of the net shows. Several faults are active at the union of
-    their flip cycles and the cycles where a stuck net differs from its
-    value, without the screen: two faults that each show nowhere can show
-    together.
-
-    Golden net values are computed on the first stuck-at fault, and a net is
-    screened the first time a single-fault experiment needs it, in batches
-    over the next ``_POOL_LANES`` experiments of the stream; both are kept
-    for the rest of the campaign. A flip-only campaign computes neither.
+    A stuck-at fault forces its net to a value ``V`` from its onset on, which
+    changes nothing at a cycle where the golden net value is ``V``, and is the
+    same as flipping the net at any other cycle. So a single stuck-at fault
+    is active where its net differs from ``V`` and ``_screen`` finds that a
+    flip of the net shows. A single-fault campaign screens the nets of its
+    stuck-at atoms up front: every site's net in exhaustive mode, the drawn
+    ones in sampled mode, found by a second pass over the seeded stream.
+    Several faults are active wherever a stuck net differs from its value,
+    without the screen, because two faults that each show nowhere can show
+    together; their lookup is filled on first use from golden values alone.
     """
-
-    def __init__(
-        self, comp: _Compiled, golden: Sequence[Tuple[int, int, int]], words: Sequence[int], single: bool
-    ):
-        self.comp, self.golden, self.words, self.single = comp, golden, words, single
-        self.values: List[int] = []  # golden net values, one bit per edge
-        self.edge_cycles: List[int] = []
-        self.shown: Dict[int, int] = {}  # net -> edges on which its flip shows
-        self.active: Dict[int, int] = {}  # net << 2 | effect -> cycles
-        self.nets = self.calls = self.lanes = self.idle = 0
-        self.seconds = 0.0
-
-    def _golden_values(self) -> List[int]:
-        if not self.edge_cycles:
-            t0 = time.perf_counter()
-            self.values, self.edge_cycles = _golden_nets(self.comp, self.golden, self.words)
-            self.calls += 1
-            self.lanes += len(self.edge_cycles)
-            self.seconds += time.perf_counter() - t0
-        return self.values
-
-    def _screen_nets(self, nets: Iterator[int]) -> None:
-        todo = [n for n in dict.fromkeys(nets) if n not in self.shown]
-        if todo:
-            values = self._golden_values()
-            t0 = time.perf_counter()
-            shown, calls, lanes = _screen(self.comp, values, len(self.edge_cycles), todo)
-            self.shown.update(zip(todo, shown))
-            self.nets += len(todo)
-            self.calls += calls
-            self.lanes += lanes
-            self.seconds += time.perf_counter() - t0
-
-    def _stuck_cycles(self, net: int, effect: int) -> int:
-        """Cycles at which stuck-at ``effect`` on ``net`` can show, from cycle 0."""
-        value = self._golden_values()[net]
-        edges = value if effect == 1 else ~value & (1 << len(self.edge_cycles)) - 1
-        if self.single:
-            edges &= self.shown[net]
-        cycles = 0
-        for e in _set_bits(edges):
-            cycles |= self.edge_cycles[e]
-        self.active[net << 2 | effect] = cycles
-        return cycles
-
-    def masks(
-        self, experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...]]]
-    ) -> Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...], int]]:
-        """``(key, faults, activity mask)`` for each ``(key, faults)``."""
-        active = self.active
-        if self.single:
-            batches = iter(lambda: list(islice(experiments, _POOL_LANES)), [])
+    if all(e == "flip" for e in spec.effects):
+        return None, 0, 0, 0
+    values, edge_cycles = _golden_nets(comp, golden, words)
+    every = (1 << len(edge_cycles)) - 1
+    shown: Dict[int, int] = {}  # net -> edges on which its flip shows
+    calls, lanes = 1, len(edge_cycles)
+    if spec.max_simultaneous_faults == 1:
+        if spec.mode == "exhaustive":
+            nets = list(dict.fromkeys(site_nets))
         else:
-            batches = iter((experiments,))
-        for batch in batches:
-            if self.single:
-                self._screen_nets(f[0] for _, (f,) in batch if f[1])
-            for key, faults in batch:
-                mask = 0
-                for net, effect, c in faults:
-                    if effect:
-                        cycles = active.get(net << 2 | effect)
-                        if cycles is None:
-                            cycles = self._stuck_cycles(net, effect)
-                        mask |= cycles >> c << c
-                    else:
-                        mask |= 1 << c
-                if not mask:
-                    self.idle += 1
-                yield key, faults, mask
+            drawn = (atom(i) for (i,) in _enumerate_experiments(n_atoms, spec))
+            nets = list(dict.fromkeys(net for net, effect, _ in drawn if effect))
+        flags, screen_calls, screen_lanes = _screen(comp, values, len(edge_cycles), nets)
+        shown = dict(zip(nets, flags))
+        calls += screen_calls
+        lanes += screen_lanes
+
+    @functools.cache
+    def active(key: int) -> int:
+        net, effect = key >> 2, key & 3
+        edges = (values[net] if effect == 1 else ~values[net] & every) & shown.get(net, every)
+        out = 0
+        for e in _set_bits(edges):
+            out |= edge_cycles[e]
+        return out
+
+    return active, len(shown), calls, lanes
 
 
 def _run_pool(
@@ -534,7 +496,9 @@ def _run_pool(
 
     ``golden`` is the ``_golden`` record of ``words``. An experiment is a
     ``key``, a tuple of ``(net index, effect index, cycle)`` faults and its
-    activity mask (see ``_Activity``). All machine state is in the flops, so
+    activity mask: the cycles at which its faults can change a lane that
+    sits on the golden trajectory, a flip at its own cycle and a stuck-at
+    fault as ``_stuck_activity`` finds. All machine state is in the flops, so
     a lane in the golden flop state at a cycle outside its mask repeats the
     golden run exactly, and a lane is occupied only while its experiment is
     active or its flop state is off golden. An empty mask is masked without
@@ -736,10 +700,11 @@ def run_campaign(
 
     The golden run is computed once by ``_golden``, which evaluates each
     distinct (flop state, ``x_e`` word) edge of the trace once. Each
-    experiment then gets its activity mask from ``_Activity``, and runs in
-    the lane pool of ``_run_pool`` at the cycles its mask needs. The cost of
-    the golden run and of the stuck-at screen is logged on the ``fsmguard``
-    logger. Experiments are independent and witnesses are listed in
+    experiment then gets its activity mask, from its flip cycles and the
+    stuck-at table that ``_stuck_activity`` builds before the pool starts,
+    and runs in the lane pool of ``_run_pool`` at the cycles its mask needs.
+    The cost of the golden run and of the stuck-at screen is logged on the
+    ``fsmguard`` logger. Experiments are independent and witnesses are listed in
     enumeration order, so reports do not depend on the pool width.
     """
     theo = _theoretical_p(netlist)
@@ -795,14 +760,27 @@ def run_campaign(
         site, effect, cycle = split(i)
         return FaultSite(sites[site], spec.effects[effect], cycles[cycle])
 
-    experiments = (
-        ((i, e), tuple(map(atom, e))) for i, e in enumerate(_enumerate_experiments(n_atoms, spec))
+    stream = _enumerate_experiments(n_atoms, spec)  # checks the exhaustive bound before the screen
+    t0 = time.perf_counter()
+    stuck, nets, screen_calls, screen_lanes = _stuck_activity(
+        comp, golden, golden_words, spec, site_nets, n_atoms, atom
     )
-    activity = _Activity(comp, golden, golden_words, spec.max_simultaneous_faults == 1)
+    screen_s = time.perf_counter() - t0
+    idle = 0
+
+    def experiments() -> Iterator[Tuple[Tuple[int, Tuple[int, ...]], Tuple[Tuple[int, int, int], ...], int]]:
+        nonlocal idle
+        for i, e in enumerate(stream):
+            faults = tuple(map(atom, e))
+            mask = 0
+            for net, effect, c in faults:
+                mask |= stuck(net << 2 | effect) >> c << c if effect else 1 << c
+            idle += not mask
+            yield (i, e), faults, mask
+
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     hijacks: List[Tuple[int, HijackWitness]] = []
-    pool = _run_pool(comp, golden_words, golden, golden_states, codes, activity.masks(experiments))
-    for (idx, e), cls, info in pool:
+    for (idx, e), cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, experiments()):
         counts[cls] += 1
         if cls == "hijack":
             cyc, sym = info
@@ -812,7 +790,7 @@ def run_campaign(
         log.info(
             "stuck-at screen: %d nets in %d evaluations (%d lanes), %.3f s; "
             "%d experiments settled without a lane",
-            activity.nets, activity.calls, activity.lanes, activity.seconds, activity.idle,
+            nets, screen_calls, screen_lanes, screen_s, idle,
         )
 
     total = sum(counts.values())

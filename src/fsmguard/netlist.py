@@ -382,7 +382,11 @@ def simulate_batch(
 
 
 def enumerate_fault_sites(netlist: Netlist, scope: str = "all") -> List[str]:
-    """Candidate fault locations (net names) filtered by scope, in stable order."""
+    """Candidate fault locations (net names) filtered by scope, in stable order.
+
+    ``all`` is every gate output and every flop's q net. It leaves out the
+    input port bits (``x_e``), so it is not a superset of ``inputs_only``.
+    """
     if scope == "all":
         return [g.output for g in netlist.gates] + [f.q for f in netlist.flops]
     if scope == "diffusion_only":

@@ -6,7 +6,6 @@ import math
 import random
 import re
 import tracemalloc
-import warnings
 from unittest import mock
 
 import pytest
@@ -17,6 +16,7 @@ import fsmguard as fg
 from fsmguard import faults as fe
 from fsmguard.coding import CodeBook, decode_exact
 from fsmguard.netlist import FaultSite, Netlist, enumerate_fault_sites, simulate_batch
+from tests.strategies import random_fsms
 
 
 def _autocover(design):
@@ -107,6 +107,14 @@ def test_exhaustive_bound_enforced(design_n2):
     spec = fe.CampaignSpec(scope="all", max_simultaneous_faults=2)
     with pytest.raises(fe.CampaignError, match="exceed the exhaustive bound"):
         fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+
+
+def test_exhaustive_bound_checked_before_the_screen(design_n2):
+    spec = fe.CampaignSpec(scope="all", effects=("stuck0",))
+    boom = AssertionError("the stuck-at screen ran")
+    with mock.patch.object(fe, "EXHAUSTIVE_BOUND", 100), mock.patch.object(fe, "_screen", side_effect=boom):
+        with pytest.raises(fe.CampaignError, match="exceed the exhaustive bound"):
+            fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
 
 
 @pytest.mark.parametrize(
@@ -343,27 +351,7 @@ def _assert_pool_matches_reference(netlist, words, spec, codes, lanes):
 def small_campaigns(draw):
     """A random FSM of 2-4 states, hardened at N=2..3, with a random campaign
     spec small enough for the whole-trace reference."""
-    n_states = draw(st.integers(2, 4))
-    states = [f"S{i}" for i in range(n_states)]
-    inputs = ["a", "b"][: draw(st.integers(1, 2))]
-    guards = [{"a": 1}, {"a": 0, "b": 1}][: len(inputs)]
-    transitions = [
-        {"from": s, "guard": g, "to": draw(st.sampled_from(states))}
-        for s in states
-        for g in guards
-        if draw(st.booleans())
-    ]
-    doc = {
-        "name": "rand",
-        "states": states,
-        "reset": "S0",
-        "inputs": [{"name": x} for x in inputs],
-        "outputs": [],
-        "transitions": transitions,
-    }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # unreachable states are fine here
-        fsm = fg.parse_fsm(json.dumps(doc))
+    fsm = draw(random_fsms())
     level = draw(st.integers(2, 3))
     design = fg.harden(fsm, fg.HardeningConfig(protection_level=level, seed=draw(st.integers(0, 9))))
     words = _autocover(design)
@@ -526,6 +514,63 @@ def test_flip_only_campaign_skips_the_screen(design_n2, faults):
         stuck = dataclasses.replace(spec, effects=("flip", "stuck0"))
         with pytest.raises(AssertionError, match="the stuck-at screen ran"):
             fe.run_campaign(design_n2.netlist, words, stuck, codes)
+
+
+def _screen_log(caplog):
+    found = re.search(
+        r"stuck-at screen: (\d+) nets in (\d+) evaluations \((\d+) lanes\)", caplog.text
+    )
+    return tuple(map(int, found.groups()))
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 256])
+def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lanes):
+    # every scope net is screened up front in full passes of _SCREEN_LANES
+    # lanes, whatever the pool width and the order of the experiment stream
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
+    golden, _, _ = fe._golden(netlist, words)
+    edges = len(fe._golden_nets(netlist._compile(), golden, words)[1])
+    nets = len(enumerate_fault_sites(netlist, "all"))
+    # two cycles keep the one-lane pool quick; the screen covers every cycle
+    spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), cycles=(0, 7))
+    with mock.patch.object(fe, "_POOL_LANES", lanes):
+        fe.run_campaign(netlist, words, spec, codes)
+    per_call = max(1, fe._SCREEN_LANES // edges)
+    assert _screen_log(caplog) == (nets, 1 + math.ceil(nets / per_call), (1 + nets) * edges)
+
+
+def test_screen_covers_the_drawn_stuck_nets_only(design_n2, caplog):
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
+    common = dict(scope="all", effects=("flip", "stuck1"), cycles=(1, 4), mode="sampled", seed=3)
+    spec = fe.CampaignSpec(**common, sample_count=40)
+    atoms = [
+        (site, effect)
+        for site in enumerate_fault_sites(netlist, spec.scope)
+        for effect in spec.effects
+        for _ in spec.cycles
+    ]
+    drawn = {atoms[i][0] for (i,) in fe._enumerate_experiments(len(atoms), spec) if atoms[i][1] != "flip"}
+    screen = mock.Mock(wraps=fe._screen)
+    with mock.patch.object(fe, "_screen", screen):
+        fe.run_campaign(netlist, words, spec, codes)
+    (comp, _, _, nets), _ = screen.call_args
+    assert screen.call_count == 1
+    assert sorted(nets) == sorted(comp.index[site] for site in drawn)
+    assert _screen_log(caplog)[0] == len(drawn) < len(enumerate_fault_sites(netlist, spec.scope))
+
+    # several faults use no screen, and the stream is drawn once, not twice
+    caplog.clear()
+    spec = fe.CampaignSpec(**common, sample_count=200, max_simultaneous_faults=2)
+    screen = mock.Mock(wraps=fe._screen)
+    stream = mock.Mock(wraps=fe._enumerate_experiments)
+    with mock.patch.object(fe, "_screen", screen), mock.patch.object(fe, "_enumerate_experiments", stream):
+        fe.run_campaign(netlist, words, spec, codes)
+    screen.assert_not_called()
+    assert stream.call_count == 1
+    # only the golden net values, one pass
+    assert _screen_log(caplog)[:2] == (0, 1)
 
 
 # -- the memoized golden run against simulate_batch ---------------------------
