@@ -8,6 +8,7 @@ import random
 import sys
 import time
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -391,42 +392,72 @@ def _golden_nets(
 
 def _screen(
     comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int]
-) -> Tuple[List[int], int, int]:
+) -> Tuple[List[int], int, int, int]:
     """For each of ``nets``, the golden edges (bit ``e`` for edge ``e``) on
     which flipping that net changes a flop input, ``state_e`` or
-    ``fsm_alert``; and the ``_run_ops`` calls and lanes spent.
+    ``fsm_alert``; and the ``_run_ops`` calls, lanes and gate ops spent.
 
     ``golden_values`` and ``n_edges`` come from ``_golden_nets``. There is one
     lane per (net, edge) pair: each net has a block of ``n_edges`` lanes that
     start from the golden edges and flip it, and a call holds about
-    ``_SCREEN_LANES`` lanes.
+    ``_SCREEN_LANES`` lanes. Nets are taken in the order of the ops that
+    drive them, so that the nets of a call share most of their fanout cones.
+    A call runs only the ops in the union of those cones (``comp.users``),
+    with each mask's stop re-indexed into that sub-list; every other net
+    holds its golden value in every block.
     """
-    ops, stop = comp.ops, comp.op_stop
-    end = (len(ops), 0, 0, 0, 0)
-    inputs = comp.out_bits["x_e"] + [q for _, q, _ in comp.flops]
+    ops, stop, users = comp.ops, comp.op_stop, comp.users
+    outs = [op[1] for op in ops]
     observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
     block = (1 << n_edges) - 1
     per_call = max(1, _SCREEN_LANES // n_edges)
-    values = [0] * comp.n_nets
-    shown: List[int] = []
-    calls = lanes = 0
+    order = sorted(range(len(nets)), key=lambda i: stop[nets[i]])
+    shown = [0] * len(nets)
+    # golden_values replicated over the blocks of the first call, the widest;
+    # many nets share a value, so each distinct one is multiplied once
+    width = min(len(nets), per_call) * n_edges
+    repeat = ((1 << width) - 1) // block  # bit 0 of every block
+    copies = {v: v * repeat for v in set(golden_values)}
+    golden = [copies[v] for v in golden_values]
+    values = golden.copy()
+    calls = lanes = gate_ops = 0
     for start in range(0, len(nets), per_call):
-        chunk = nets[start : start + per_call]
-        n = len(chunk) * n_edges
+        picked = order[start : start + per_call]
+        n = len(picked) * n_edges
         full = (1 << n) - 1
-        repeat = full // block  # bit 0 of every block
-        for net in inputs:
-            values[net] = golden_values[net] * repeat
-        masks = sorted((stop[net], net, block << i * n_edges, 0, 0) for i, net in enumerate(chunk))
-        masks.append(end)
-        _run_ops(ops, values, full, masks)
+        if n < width:  # only the last call is narrower
+            width = n
+            golden = [v & full for v in golden]
+            values = golden.copy()
+        # the union of the picked nets' fanout cones, as positions in ops
+        mark = bytearray(len(ops))
+        reached = [nets[i] for i in picked]
+        cone: List[int] = []
+        for net in reached:
+            for pos in users[net]:
+                if not mark[pos]:
+                    mark[pos] = 1
+                    cone.append(pos)
+                    reached.append(outs[pos])
+        cone.sort()
+        # a mask applies after the cone ops that precede its net's users
+        masks = sorted(
+            (bisect_left(cone, stop[nets[i]]), nets[i], block << b * n_edges, 0, 0)
+            for b, i in enumerate(picked)
+        )
+        masks.append((len(cone), 0, 0, 0, 0))
+        _run_ops([ops[pos] for pos in cone], values, full, masks)
         changed = 0
         for net in observed:
-            changed |= values[net] ^ golden_values[net] * repeat
-        shown += [changed >> i * n_edges & block for i in range(len(chunk))]
+            changed |= values[net] ^ golden[net]
+        for b, i in enumerate(picked):
+            shown[i] = changed >> b * n_edges & block
+        for net in reached:
+            values[net] = golden[net]
         calls += 1
         lanes += n
-    return shown, calls, lanes
+        gate_ops += len(cone)
+    return shown, calls, lanes, gate_ops
 
 
 def _stuck_activity(
@@ -437,11 +468,12 @@ def _stuck_activity(
     site_nets: Sequence[int],
     n_atoms: int,
     atom: Callable[[int], Tuple[int, int, int]],
-) -> Tuple[Optional[Callable[[int], int]], int, int, int]:
+) -> Tuple[Optional[Callable[[int], int]], int, int, int, int]:
     """The cycles (bit ``c`` for cycle ``c``) at which a stuck-at fault can
     change a lane that sits on the golden trajectory, as a memoised lookup
-    from ``net << 2 | effect``; and the nets screened, ``_run_ops`` calls and
-    lanes spent. A flip-only campaign gets no lookup and spends nothing.
+    from ``net << 2 | effect``; and the nets screened, ``_run_ops`` calls,
+    lanes and gate ops spent. A flip-only campaign gets no lookup and spends
+    nothing.
 
     A stuck-at fault forces its net to a value ``V`` from its onset on, which
     changes nothing at a cycle where the golden net value is ``V``, and is the
@@ -455,21 +487,22 @@ def _stuck_activity(
     together; their lookup is filled on first use from golden values alone.
     """
     if all(e == "flip" for e in spec.effects):
-        return None, 0, 0, 0
+        return None, 0, 0, 0, 0
     values, edge_cycles = _golden_nets(comp, golden, words)
     every = (1 << len(edge_cycles)) - 1
     shown: Dict[int, int] = {}  # net -> edges on which its flip shows
-    calls, lanes = 1, len(edge_cycles)
+    calls, lanes, gate_ops = 1, len(edge_cycles), len(comp.ops)
     if spec.max_simultaneous_faults == 1:
         if spec.mode == "exhaustive":
             nets = list(dict.fromkeys(site_nets))
         else:
             drawn = (atom(i) for (i,) in _enumerate_experiments(n_atoms, spec))
             nets = list(dict.fromkeys(net for net, effect, _ in drawn if effect))
-        flags, screen_calls, screen_lanes = _screen(comp, values, len(edge_cycles), nets)
+        flags, screen_calls, screen_lanes, screen_ops = _screen(comp, values, len(edge_cycles), nets)
         shown = dict(zip(nets, flags))
         calls += screen_calls
         lanes += screen_lanes
+        gate_ops += screen_ops
 
     @functools.cache
     def active(key: int) -> int:
@@ -480,7 +513,7 @@ def _stuck_activity(
             out |= edge_cycles[e]
         return out
 
-    return active, len(shown), calls, lanes
+    return active, len(shown), calls, lanes, gate_ops
 
 
 def _run_pool(
@@ -762,7 +795,7 @@ def run_campaign(
 
     stream = _enumerate_experiments(n_atoms, spec)  # checks the exhaustive bound before the screen
     t0 = time.perf_counter()
-    stuck, nets, screen_calls, screen_lanes = _stuck_activity(
+    stuck, nets, screen_calls, screen_lanes, screen_ops = _stuck_activity(
         comp, golden, golden_words, spec, site_nets, n_atoms, atom
     )
     screen_s = time.perf_counter() - t0
@@ -789,8 +822,8 @@ def run_campaign(
     if log is not None:
         log.info(
             "stuck-at screen: %d nets in %d evaluations (%d lanes), %.3f s; "
-            "%d experiments settled without a lane",
-            nets, screen_calls, screen_lanes, screen_s, idle,
+            "%d experiments settled without a lane; %d of %d gate ops",
+            nets, screen_calls, screen_lanes, screen_s, idle, screen_ops, screen_calls * len(comp.ops),
         )
 
     total = sum(counts.values())

@@ -181,7 +181,13 @@ class Netlist:
 
 
 class _Compiled:
-    """Topologically ordered evaluation program over net indices."""
+    """Topologically ordered evaluation program over net indices.
+
+    ``ops`` holds one flat ``(kind, out, in0, in1, in2)`` tuple per gate:
+    ``kind`` is the gate's position in ``GATE_KINDS``, ``out`` and the inputs
+    are net indices, the inputs in ``Gate.inputs`` order (a MUX reads
+    ``(sel, a, b)``) and the ones past the gate's arity 0.
+    """
 
     def __init__(self, nl: Netlist):
         nets = nl.nets()
@@ -208,10 +214,10 @@ class _Compiled:
         if len(order) != len(nl.gates):
             raise NetlistError("combinational cycle detected")
         kind_code = {k: i for i, k in enumerate(GATE_KINDS)}
-        self.ops: List[Tuple[int, int, Tuple[int, ...]]] = [
-            (kind_code[g.kind], self.index[g.output], tuple(self.index[n] for n in g.inputs))
-            for g in order
-        ]
+        self.ops: List[Tuple[int, int, int, int, int]] = []
+        for g in order:
+            ins = [self.index[n] for n in g.inputs] + [0, 0, 0]
+            self.ops.append((kind_code[g.kind], self.index[g.output], *ins[:3]))
         self.flops = [(self.index[f.d], self.index[f.q], f.reset_value) for f in nl.flops]
         self.in_ports = [
             (p.name, [self.index[b] for b in p.bits]) for p in nl.ports if p.direction == "in"
@@ -224,9 +230,20 @@ class _Compiled:
         flop q and input-port nets): its fault mask applies once ``ops[:stop]``
         have run. Built on the first faulted simulation only."""
         stop = [0] * self.n_nets
-        for pos, (_, out, _) in enumerate(self.ops, 1):
+        for pos, (_, out, _, _, _) in enumerate(self.ops, 1):
             stop[out] = pos
         return stop
+
+    @cached_property
+    def users(self) -> List[List[int]]:
+        """net index -> the positions in ``ops`` of the ops that read it, in
+        order. Built on the first stuck-at screen only."""
+        arity = [_ARITY[k] for k in GATE_KINDS]
+        users: List[List[int]] = [[] for _ in range(self.n_nets)]
+        for pos, (kind, _, *ins) in enumerate(self.ops):
+            for net in ins[: arity[kind]]:
+                users[net].append(pos)
+        return users
 
 
 @dataclass
@@ -280,7 +297,7 @@ def _expand_faults(
 
 
 def _run_ops(
-    ops: Sequence[Tuple[int, int, Tuple[int, ...]]],
+    ops: Sequence[Tuple[int, int, int, int, int]],
     values: List[int],
     full: int,
     masks: Sequence[Tuple[int, int, int, int, int]],
@@ -290,30 +307,33 @@ def _run_ops(
     ``masks`` holds the cycle's ``(stop, net, flip, clear, set)`` fault masks
     sorted by ``stop`` and closed by the sentinel ``(len(ops), 0, 0, 0, 0)``
     (see ``_expand_faults``). ``full`` has one bit per lane.
+
+    Values that start in ``0..full`` stay there: no formula takes a complement
+    with ``~``, because ``&`` on a negative int leaves CPython's fast path for
+    non-negative ones.
     """
     start = 0
     for stop, net, flip, clr, st in masks:
-        for kind, out, ins in ops[start:stop]:
-            if kind == 0:
-                v = values[ins[0]] ^ values[ins[1]]
+        for kind, out, i, j, k in ops[start:stop]:
+            if kind == 4:  # MUX (sel i, a j, b k); 3,552 of big32's 4,582 gates
+                a = values[j]
+                values[out] = a ^ (values[i] & (a ^ values[k]))
+            elif kind == 0:
+                values[out] = values[i] ^ values[j]
             elif kind == 1:
-                v = values[ins[0]] & values[ins[1]]
+                values[out] = values[i] & values[j]
             elif kind == 2:
-                v = values[ins[0]] | values[ins[1]]
+                values[out] = values[i] | values[j]
             elif kind == 3:
-                v = full ^ values[ins[0]]
-            elif kind == 4:
-                s = values[ins[0]]
-                v = (s & values[ins[2]]) | (~s & values[ins[1]]) & full
+                values[out] = full ^ values[i]
+            elif kind == 7:
+                values[out] = values[i]
             elif kind == 5:
-                v = 0
-            elif kind == 6:
-                v = full
+                values[out] = 0
             else:
-                v = values[ins[0]]
-            values[out] = v
+                values[out] = full
         # a net's mask applies after the op that drives it, before its users
-        values[net] = ((values[net] ^ flip) & ~clr) | st
+        values[net] = ((values[net] ^ flip) & (full ^ clr)) | st
         start = stop
 
 

@@ -484,7 +484,12 @@ def _brute_force_screen(netlist, words):
 @pytest.mark.parametrize("design", ["fig2_design", "design_n2"])
 def test_screen_matches_single_flips(request, design):
     design = request.getfixturevalue(design)
-    netlist, words = design.netlist, _autocover(design)
+    _check_screen_of_every_net(design.netlist, _autocover(design))
+
+
+def _check_screen_of_every_net(netlist, words):
+    """``fe._screen`` of every net against ``_brute_force_screen``, at one
+    net per call, 7 nets per call and full calls."""
     comp = netlist._compile()
     golden, _, _ = fe._golden(netlist, words)
     values, edge_cycles = fe._golden_nets(comp, golden, words)
@@ -493,9 +498,10 @@ def test_screen_matches_single_flips(request, design):
     nets = list(range(comp.n_nets))
     for width in (1, 7 * len(edge_cycles), fe._SCREEN_LANES):
         with mock.patch.object(fe, "_SCREEN_LANES", width):
-            shown, calls, lanes = fe._screen(comp, values, len(edge_cycles), nets)
+            shown, calls, lanes, gate_ops = fe._screen(comp, values, len(edge_cycles), nets)
         per_call = max(1, width // len(edge_cycles))
         assert (calls, lanes) == (-(-len(nets) // per_call), len(nets) * len(edge_cycles))
+        assert gate_ops <= calls * len(comp.ops)
         got = [sum(edge_cycles[e] for e in range(len(edge_cycles)) if edges >> e & 1) for edges in shown]
         assert got == want
 
@@ -538,6 +544,19 @@ def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lan
         fe.run_campaign(netlist, words, spec, codes)
     per_call = max(1, fe._SCREEN_LANES // edges)
     assert _screen_log(caplog) == (nets, 1 + math.ceil(nets / per_call), (1 + nets) * edges)
+
+
+def test_screen_runs_only_the_fanout_cones(design_n2, caplog):
+    # each screen call runs the ops that its nets can reach, not every op
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
+    spec = fe.CampaignSpec(scope="all", effects=("stuck0",), cycles=(0,))
+    fe.run_campaign(netlist, words, spec, codes)
+    _, calls, _ = _screen_log(caplog)
+    found = re.search(r"; (\d+) of (\d+) gate ops$", caplog.text, re.M)
+    gate_ops, every = map(int, found.groups())
+    assert every == calls * len(netlist._compile().ops)
+    assert 0 < gate_ops < every
 
 
 def test_screen_covers_the_drawn_stuck_nets_only(design_n2, caplog):
@@ -641,6 +660,13 @@ def test_golden_sim_matches_simulate_batch_on_random_netlists(case, lanes):
         record, calls, used = fe._golden(n, words)
     assert record == _lane0_record(n, words)
     assert calls <= used <= calls * lanes
+
+
+@settings(max_examples=100, deadline=None)
+@given(golden_netlists())
+def test_screen_matches_single_flips_on_random_netlists(case):
+    # reconvergent fanout, and screened nets in each other's fanout cones
+    _check_screen_of_every_net(*case)
 
 
 def _counter(bits, port="x"):

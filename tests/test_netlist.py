@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,24 @@ def test_const_gates():
     n.validate()
     assert nl.simulate_batch(n, [[{"x": 1}]]).port_value("y", 0) == 1
     assert nl.simulate_batch(n, [[{"x": 0}]]).port_value("y", 0) == 0
+
+
+def test_mux_all_cases():
+    # MUX (sel, a, b) is sel ? b : a, on one lane and on 8 lanes packed
+    n = Netlist("m")
+    n.add_port("x", "in", ["s", "a", "b"])
+    n.add_gate("MUX", ["s", "a", "b"], "y")
+    n.add_port("y", "out", ["y"])
+    n.validate()
+    idx = n._compile().index
+    assert n._compile().ops == [(nl.GATE_KINDS.index("MUX"), idx["y"], idx["s"], idx["a"], idx["b"])]
+    cases = list(itertools.product((0, 1), repeat=3))
+    want = [b if s else a for s, a, b in cases]
+    traces = [[{"x": s | a << 1 | b << 2}] for s, a, b in cases]
+    for trace, y in zip(traces, want):
+        assert nl.simulate_batch(n, [trace]).port_bits["y"] == [[y]]
+    # exact ints: a negative or over-wide value would not compare equal
+    assert nl.simulate_batch(n, traces).port_bits["y"] == [[sum(y << lane for lane, y in enumerate(want))]]
 
 
 def test_multi_driver_rejected():
@@ -372,3 +391,22 @@ def test_simulate_batch_matches_reference(case):
             for name, bits in ports[c].items():
                 assert [(v >> lane) & 1 for v in res.port_bits[name][c]] == bits, (lane, c, name)
             assert [(v >> lane) & 1 for v in res.flop_q[c]] == flop_q[c], (lane, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulted_netlists())
+def test_run_ops_keeps_values_in_lane_range(case):
+    # every value _run_ops leaves is in 0..full: a negative int would put
+    # every later & on it on CPython's slow path
+    n, traces, fault_lanes = case
+    run = nl._run_ops
+    fulls = []
+
+    def checked(ops, values, full, masks):
+        run(ops, values, full, masks)
+        fulls.append(full)
+        assert all(0 <= v <= full for v in values)
+
+    with mock.patch.object(nl, "_run_ops", checked):
+        nl.simulate_batch(n, traces, fault_lanes)
+    assert fulls == [(1 << len(traces)) - 1] * len(traces[0])
