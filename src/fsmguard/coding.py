@@ -63,10 +63,22 @@ class CodeBook:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "CodeBook":
+        for name in ("width", "protection_level"):
+            # bool is an int subclass; int() would take "2" or truncate 1.5
+            if type(doc[name]) is not int or doc[name] < 1:
+                raise CodingError(f"{name} is not an integer >= 1: {doc[name]!r}")
+        width = doc["width"]
         entries = tuple((s, int(w, 16)) for s, w in doc["entries"].items())
+        owner: Dict[int, str] = {}  # codeword -> symbol
+        for s, w in entries:
+            if not 0 <= w < 1 << width:
+                raise CodingError(f"codeword {w:x} of {s!r} does not fit width {width}")
+            if w in owner:
+                raise CodingError(f"symbols {owner[w]!r} and {s!r} share codeword {w:x}")
+            owner[w] = s
         if doc["error"] not in doc["entries"]:
             raise CodingError(f"error symbol {doc['error']!r} names no entry")
-        return CodeBook(int(doc["protection_level"]), int(doc["width"]), entries, doc["error"])
+        return CodeBook(doc["protection_level"], width, entries, doc["error"])
 
 
 def min_distance(code: CodeBook) -> int:

@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -234,70 +235,59 @@ def _golden(netlist: Netlist, words: Sequence[int]) -> Tuple[List[Tuple[int, int
     being flop ``j``, and the ``_run_ops`` calls and lanes spent.
 
     All machine state is in the flops and ``x_e`` is the only driven input,
-    so a cycle depends only on its (flop state, ``x_e`` word) edge. Each
-    distinct edge is evaluated once: a miss is evaluated in one ``_run_ops``
-    call of at most ``_POOL_LANES`` lanes, with its state under every other
-    word of the trace and, breadth-first, every discovered state not yet
-    expanded.
+    so a cycle depends only on its (flop state, ``x_e`` word) edge, and each
+    distinct edge is evaluated once. A breadth-first queue holds every
+    discovered flop state under every distinct word of the walk; a miss is
+    evaluated by one ``_eval_edges`` call, together with the next queued
+    edges not yet evaluated, up to ``_POOL_LANES`` lanes.
     """
     x_nets, state_nets, alert_nets = _port_nets(netlist, words)
     comp = netlist._compile()
-    ops, flops = comp.ops, comp.flops
-    end = [(len(ops), 0, 0, 0, 0)]
-    # a lane is its memo key: the x_e word in the low bits, the flop state above
     width = len(x_nets)
-    lane_nets = x_nets + [q for _, q, _ in flops]
     walk = [*words, 0]  # the settle cycle shows the final register state and alert
     rows = list(dict.fromkeys(walk))
-    state = sum(1 << j for j, (_, _, rv) in enumerate(flops) if rv)
+    state = sum(1 << j for j, (_, _, rv) in enumerate(comp.flops) if rv)
     memo: Dict[int, Tuple[int, int, int]] = {}  # key -> (next state, state_e word, alert)
-    frontier = [state]  # discovered states in breadth-first order
-    queued = {state}
-    head = 0
-    values = [0] * comp.n_nets
+    seen = {state}
+    queue = deque(state << width | r for r in rows)
     calls = lanes = 0
-
-    def evaluate(key: int) -> None:
-        nonlocal head, calls, lanes
-        current = key >> width
-        base = current << width
-        batch = [key] + [base | r for r in rows if base | r not in memo and base | r != key]
-        del batch[_POOL_LANES:]
-        while head < len(frontier) and len(batch) < _POOL_LANES:
-            if frontier[head] != current:
-                base = frontier[head] << width
-                todo = [base | r for r in rows if base | r not in memo]
-                room = _POOL_LANES - len(batch)
-                batch += todo[:room]
-                if len(todo) > room:
-                    break
-            head += 1
-        n = len(batch)
-        full = (1 << n) - 1
-        for net, v in zip(lane_nets, _transpose(batch, len(lane_nets))):
-            values[net] = v
-        _run_ops(ops, values, full, end)
-        nxt, state_words, alerts = (
-            _transpose([values[i] & full for i in nets], n)
-            for nets in ([d for d, _, _ in flops], state_nets, alert_nets)
-        )
-        for k, s, w, a in zip(batch, nxt, state_words, alerts):
-            memo[k] = (s, w, a)
-            if s not in queued:
-                queued.add(s)
-                frontier.append(s)
-        calls += 1
-        lanes += n
-
     record = []
     for x in walk:
         key = state << width | x
         if key not in memo:
-            evaluate(key)
+            batch = [key]
+            while queue and len(batch) < _POOL_LANES:
+                k = queue.popleft()
+                if k not in memo and k != key:
+                    batch.append(k)
+            values = _eval_edges(comp, batch)
+            nxt, state_words, alerts = (
+                _transpose([values[i] for i in nets], len(batch))
+                for nets in ([d for d, _, _ in comp.flops], state_nets, alert_nets)
+            )
+            for k, s, w, a in zip(batch, nxt, state_words, alerts):
+                memo[k] = (s, w, a)
+                if s not in seen:
+                    seen.add(s)
+                    queue.extend(s << width | r for r in rows)
+            calls += 1
+            lanes += len(batch)
         state_next, word, alert = memo[key]
         record.append((state, word, alert))
         state = state_next
     return record, calls, lanes
+
+
+def _eval_edges(comp: _Compiled, keys: Sequence[int]) -> List[int]:
+    """Every net's value from one ``_run_ops`` call in which lane ``i`` runs
+    the edge ``keys[i]``: the ``x_e`` word in the low bits of the key, the
+    flop state above them."""
+    lane_nets = comp.out_bits["x_e"] + [q for _, q, _ in comp.flops]
+    values = [0] * comp.n_nets
+    for net, v in zip(lane_nets, _transpose(keys, len(lane_nets))):
+        values[net] = v
+    _run_ops(comp.ops, values, (1 << len(keys)) - 1, [(len(comp.ops), 0, 0, 0, 0)])
+    return values
 
 
 def _transpose(words: Sequence[int], width: int) -> List[int]:
@@ -373,21 +363,13 @@ def _golden_nets(
 ) -> Tuple[List[int], List[int]]:
     """Every net's fault-free value on each distinct edge of the ``_golden``
     record ``golden`` of ``words``, bit ``e`` for edge ``e``, from one
-    ``_run_ops`` call with one lane per edge; and each edge's cycles as a
-    bitmask. Edges are keyed by (flop state, ``x_e`` word), as ``_golden``
-    keys them."""
-    x_nets = comp.out_bits["x_e"]
-    width = len(x_nets)
+    ``_eval_edges`` call; and each edge's cycles as a bitmask."""
+    width = len(comp.out_bits["x_e"])
     edges: Dict[int, int] = {}  # key -> cycles
     for c, ((q, _, _), x) in enumerate(zip(golden, (*words, 0))):
         key = q << width | x
         edges[key] = edges.get(key, 0) | 1 << c
-    lane_nets = x_nets + [q for _, q, _ in comp.flops]
-    values = [0] * comp.n_nets
-    for net, v in zip(lane_nets, _transpose(list(edges), len(lane_nets))):
-        values[net] = v
-    _run_ops(comp.ops, values, (1 << len(edges)) - 1, [(len(comp.ops), 0, 0, 0, 0)])
-    return values, list(edges.values())
+    return _eval_edges(comp, list(edges)), list(edges.values())
 
 
 def _screen(
@@ -413,22 +395,18 @@ def _screen(
     per_call = max(1, _SCREEN_LANES // n_edges)
     order = sorted(range(len(nets)), key=lambda i: stop[nets[i]])
     shown = [0] * len(nets)
-    # golden_values replicated over the blocks of the first call, the widest;
-    # many nets share a value, so each distinct one is multiplied once
-    width = min(len(nets), per_call) * n_edges
-    repeat = ((1 << width) - 1) // block  # bit 0 of every block
+    # golden_values replicated over the blocks of a call. Every call is as
+    # wide as the first: the last call's spare blocks keep these values and
+    # flip nothing. Many nets share a value, so each distinct one is
+    # multiplied once
+    full = (1 << min(len(nets), per_call) * n_edges) - 1
+    repeat = full // block  # bit 0 of every block
     copies = {v: v * repeat for v in set(golden_values)}
     golden = [copies[v] for v in golden_values]
     values = golden.copy()
     calls = lanes = gate_ops = 0
     for start in range(0, len(nets), per_call):
         picked = order[start : start + per_call]
-        n = len(picked) * n_edges
-        full = (1 << n) - 1
-        if n < width:  # only the last call is narrower
-            width = n
-            golden = [v & full for v in golden]
-            values = golden.copy()
         # the union of the picked nets' fanout cones, as positions in ops
         mark = bytearray(len(ops))
         reached = [nets[i] for i in picked]
@@ -455,7 +433,7 @@ def _screen(
         for net in reached:
             values[net] = golden[net]
         calls += 1
-        lanes += n
+        lanes += len(picked) * n_edges
         gate_ops += len(cone)
     return shown, calls, lanes, gate_ops
 

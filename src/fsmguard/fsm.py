@@ -99,8 +99,32 @@ def _guards_compatible(a: Transition, b: Transition) -> bool:
     return True
 
 
+def _check_outputs(pairs: Tuple[Tuple[str, int], ...], widths: Dict[str, int], where: str) -> None:
+    for sig, val in pairs:
+        if sig not in widths:
+            raise FsmValidationError(f"unknown output {sig!r} {where}")
+        if not 0 <= val < (1 << widths[sig]):
+            raise FsmValidationError(f"value {val} does not fit output {sig!r} ({widths[sig]} bits) {where}")
+
+
 def validate(fsm: FsmSpec) -> FsmSpec:
-    """Check membership, determinism and reachability invariants."""
+    """Check names, widths, membership, determinism and reachability invariants."""
+    if not isinstance(fsm.name, str):
+        raise FsmValidationError(f"the FSM name is not a string: {fsm.name!r}")
+    for what, names in (
+        ("state", fsm.states),
+        ("input signal", [s.name for s in fsm.control_signals]),
+        ("output signal", [s.name for s in fsm.outputs]),
+    ):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise FsmValidationError(f"duplicate {what} {name!r}")
+            seen.add(name)
+    for what, sigs in (("input", fsm.control_signals), ("output", fsm.outputs)):
+        for sig in sigs:
+            if sig.width < 1:
+                raise FsmValidationError(f"{what} signal {sig.name!r} has width {sig.width}, below 1")
     states = set(fsm.states)
     if len(fsm.states) < 2:
         raise FsmValidationError("an FSM needs at least 2 states")
@@ -119,11 +143,13 @@ def validate(fsm: FsmSpec) -> FsmSpec:
                 raise FsmValidationError(
                     f"value {val} does not fit signal {sig!r} ({signals[sig].width} bits)"
                 )
-    out_names = {s.name for s in fsm.outputs}
+    out_widths = {s.name: s.width for s in fsm.outputs}
     for t in fsm.transitions:
-        for sig, _ in t.outputs:
-            if sig not in out_names:
-                raise FsmValidationError(f"unknown output {sig!r} on {t.src}->{t.dst}")
+        _check_outputs(t.outputs, out_widths, f"on {t.src}->{t.dst}")
+    for state, vals in fsm.state_outputs:
+        if state not in states:
+            raise FsmValidationError(f"unknown state {state!r} in state_outputs")
+        _check_outputs(vals, out_widths, f"in state_outputs of {state!r}")
     # determinism: explicit guards of a state must be pairwise disjoint
     for state in fsm.states:
         outgoing = fsm.transitions_from(state)

@@ -391,22 +391,15 @@ def build_hardened_netlist(
             ]
         mod_copies.append(mod)
 
-    if copies == 1:
-        xa_bits, mod_bits = xa_copies[0], mod_copies[0]
-    else:
-        xa_bits = [
-            b.tree("AND", [xa_copies[r][j] for r in range(copies)], "match", "xa_join")
-            for j in range(x_w)
-        ]
-        mod_bits = [
-            b.tree(
-                "AND",
-                [mod_copies[r][j] for r in range(copies)],
-                "modifier_select",
-                "mod_join",
-            )
-            for j in range(layout.mod_width)
-        ]
+    # a lone copy passes through the AND-join unchanged, without a gate
+    xa_bits = [
+        b.tree("AND", [xa_copies[r][j] for r in range(copies)], "match", "xa_join")
+        for j in range(x_w)
+    ]
+    mod_bits = [
+        b.tree("AND", [mod_copies[r][j] for r in range(copies)], "modifier_select", "mod_join")
+        for j in range(layout.mod_width)
+    ]
 
     # the all-zeros error codeword is deliberately absent here: in the error
     # state no match line rises, so the machine stays at all-zeros forever

@@ -522,8 +522,17 @@ def emit_verilog(netlist: Netlist) -> str:
     nets = netlist.nets()
     # checked once per net, not per use; nets that are identifiers keep their name
     alias = {n: _vnet(n) for n in nets if not _ID_RE.match(n)}
+    owner: Dict[str, str] = {}  # Verilog name -> net
     for n in sorted(nets):
-        lines.append(f"  wire {alias.get(n, n)};")
+        v = alias.get(n, n)
+        if v in owner:
+            raise NetlistError(f"nets {owner[v]!r} and {n!r} are both named {v!r} in Verilog")
+        owner[v] = n
+        lines.append(f"  wire {v};")
+    for f in netlist.flops:
+        reg = f"{alias.get(f.q, f.q)}_r"
+        if reg in owner:
+            raise NetlistError(f"net {owner[reg]!r} is named like the register {reg!r} of flop {f.q!r}")
     # unpack input ports onto their bit nets
     for p in in_ports:
         for i, b in enumerate(p.bits):

@@ -71,15 +71,15 @@ def test_harden_malformed_fsm_located(tmp_path, caplog, doc, where):
 @pytest.mark.parametrize(
     "outputs, message",
     [
-        (["x_e"], "FSM output 'x_e' clashes with a port of the hardened module"),
-        (["fsm_alert"], "FSM output 'fsm_alert' clashes with a port of the hardened module"),
-        (["rst_n"], "FSM output 'rst_n' clashes with a port of the hardened module"),
-        (["busy", "busy"], "FSM output 'busy' clashes with a port of the hardened module"),
-        (["busy-1"], "FSM output 'busy-1' is not a Verilog identifier"),
-        (["wire"], "FSM output 'wire' is a Verilog keyword"),
-        (["alert_out"], "FSM output 'alert_out' clashes with a net of the hardened netlist"),
-        (["busy", "st_q_0"], "FSM output 'st_q_0' clashes with a net of the hardened netlist"),
-        (["st_q_0_r"], "FSM output 'st_q_0_r' clashes with a net of the hardened netlist"),
+        (["x_e"], "hardening failed: FSM output 'x_e' clashes with a port of the hardened module"),
+        (["fsm_alert"], "hardening failed: FSM output 'fsm_alert' clashes with a port of the hardened module"),
+        (["rst_n"], "hardening failed: FSM output 'rst_n' clashes with a port of the hardened module"),
+        (["busy", "busy"], "FSM error: duplicate output signal 'busy'"),
+        (["busy-1"], "hardening failed: FSM output 'busy-1' is not a Verilog identifier"),
+        (["wire"], "hardening failed: FSM output 'wire' is a Verilog keyword"),
+        (["alert_out"], "hardening failed: FSM output 'alert_out' clashes with a net of the hardened netlist"),
+        (["busy", "st_q_0"], "hardening failed: FSM output 'st_q_0' clashes with a net of the hardened netlist"),
+        (["st_q_0_r"], "hardening failed: FSM output 'st_q_0_r' clashes with a net of the hardened netlist"),
     ],
     ids=[
         "x_e", "fsm_alert", "rst_n", "twice", "not-an-identifier",
@@ -93,7 +93,7 @@ def test_harden_rejects_output_port_name(tmp_path, caplog, outputs, message):
     out = tmp_path / "o"
     rc = cli.main(["harden", "--fsm", str(p), "--level", "2", "--out", str(out)])
     assert rc == cli.EXIT_FAIL
-    assert [r.getMessage() for r in caplog.records] == [f"hardening failed: {message}"]
+    assert [r.getMessage() for r in caplog.records] == [message]
     assert not out.exists()
 
 
@@ -280,6 +280,41 @@ def test_inject_unknown_error_symbol_located(hardened_dir, tmp_path, caplog):
     rc = cli.main(["inject", "--netlist", str(hardened_dir / "netlist.json"), "--out", str(out)])
     assert rc == cli.EXIT_FAIL
     assert f"{path}: malformed codebook: error symbol 'NOWHERE' names no entry" in caplog.text
+    assert not out.exists()
+
+
+def _width_fraction(doc):
+    doc["width"] = 1.5
+    return "width is not an integer >= 1: 1.5"
+
+
+def _level_bool(doc):
+    doc["protection_level"] = True
+    return "protection_level is not an integer >= 1: True"
+
+
+def _wide_word(doc):
+    first = next(iter(doc["entries"]))
+    doc["entries"][first] = format(1 << doc["width"], "x")
+    return f"codeword {1 << doc['width']:x} of {first!r} does not fit width {doc['width']}"
+
+
+def _shared_word(doc):
+    first, second = list(doc["entries"])[:2]
+    doc["entries"][second] = doc["entries"][first]
+    return f"symbols {first!r} and {second!r} share codeword {int(doc['entries'][first], 16):x}"
+
+
+@pytest.mark.parametrize("corrupt", [_width_fraction, _level_bool, _wide_word, _shared_word])
+def test_inject_malformed_codebook_located(hardened_dir, tmp_path, caplog, corrupt):
+    doc = json.loads((hardened_dir / "codebook.json").read_text())
+    message = corrupt(doc["state"])
+    path = tmp_path / "cb.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    argv = ["inject", "--netlist", str(hardened_dir / "netlist.json"), "--codebook", str(path)]
+    assert cli.main([*argv, "--scope", "inputs", "--out", str(out)]) == cli.EXIT_FAIL
+    assert f"{path}: malformed codebook: {message}" in caplog.text
     assert not out.exists()
 
 

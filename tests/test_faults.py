@@ -691,8 +691,9 @@ def _counter(bits, port="x"):
 @pytest.mark.parametrize("lanes", [1, 3, 256])
 def test_golden_sim_counter_that_never_repeats(lanes):
     # every cycle reaches a new flop state, so every cycle misses and no
-    # lookahead helps; each miss evaluates the state under all 5 distinct
-    # words (the trace's 4 and the settle cycle's 0), cut to the lane cap
+    # lookahead helps; each miss fills its pass from the queue, which holds
+    # each new state under all 5 distinct words (the trace's 4 and the
+    # settle cycle's 0), cut to the lane cap
     n = _counter(9, port="x_e")
     words = [1 | (c % 4) << 1 for c in range(300)]
     with mock.patch.object(fe, "_POOL_LANES", lanes):
@@ -700,6 +701,18 @@ def test_golden_sim_counter_that_never_repeats(lanes):
     assert record == _lane0_record(n, words)
     assert calls == len(words) + 1
     assert used == calls * min(lanes, 5)
+
+
+@pytest.mark.parametrize("lanes, calls, used", [(3, 12, 36), (8, 7, 56), (256, 3, 70)])
+def test_golden_sim_fills_each_pass_from_the_queue(design_n2, lanes, calls, used):
+    # a miss takes the next queued edges, whatever their flop state, so every
+    # pass is full while the queue lasts; here it holds 70 keys, each
+    # discovered flop state under each distinct word of the walk
+    words = _autocover(design_n2)
+    with mock.patch.object(fe, "_POOL_LANES", lanes):
+        record, got_calls, got_used = fe._golden(design_n2.netlist, words)
+    assert record == _lane0_record(design_n2.netlist, words)
+    assert (got_calls, got_used) == (calls, used)
 
 
 def _ring_doc(m, seed):

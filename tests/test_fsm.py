@@ -6,7 +6,7 @@ import pytest
 
 import fsmguard as fg
 from fsmguard import fsm as F
-from tests.conftest import FIG2_DOC, TOGGLE_DOC
+from tests.conftest import FIG2_DOC, REF14_DOC, TOGGLE_DOC
 
 
 def test_parse_toggle_minimal(toggle_fsm):
@@ -113,6 +113,39 @@ def _with(doc, path, value):
 )
 def test_json_bad_values_located(doc, message):
     with pytest.raises(fg.FsmParseError, match=f"^{message}$"):
+        fg.parse_fsm(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_with(REF14_DOC, ["states"], [*REF14_DOC["states"], "S0"]), "duplicate state 'S0'"),
+        (_with(REF14_DOC, ["inputs"], [*REF14_DOC["inputs"], {"name": "a"}]), "duplicate input signal 'a'"),
+        (_with(REF14_DOC, ["outputs"], [{"name": "busy"}] * 2), "duplicate output signal 'busy'"),
+        (_with(REF14_DOC, ["inputs", 0, "width"], -1), "input signal 'a' has width -1, below 1"),
+        (_with(REF14_DOC, ["inputs", 0, "width"], 0), "input signal 'a' has width 0, below 1"),
+        (_with(REF14_DOC, ["outputs", 0, "width"], 0), "output signal 'busy' has width 0, below 1"),
+        (_with(REF14_DOC, ["state_outputs", "S9"], {"busy": 1}), "unknown state 'S9' in state_outputs"),
+        (_with(REF14_DOC, ["state_outputs", "S1"], {"idle": 1}), "unknown output 'idle' in state_outputs of 'S1'"),
+        (
+            _with(REF14_DOC, ["state_outputs", "S2", "busy"], 2),
+            "value 2 does not fit output 'busy' (1 bits) in state_outputs of 'S2'",
+        ),
+        (
+            _with(REF14_DOC, ["transitions", 0, "outputs"], {"busy": 3}),
+            "value 3 does not fit output 'busy' (1 bits) on S0->S1",
+        ),
+        (_with(REF14_DOC, ["name"], 14), "the FSM name is not a string: 14"),
+    ],
+    ids=[
+        "duplicate-state", "duplicate-input", "duplicate-output", "negative-width",
+        "zero-width", "zero-output-width", "state-outputs-unknown-state",
+        "state-outputs-unknown-output", "state-output-too-wide", "edge-output-too-wide",
+        "non-string-name",
+    ],
+)
+def test_malformed_fsm_rejected_located(doc, message):
+    with pytest.raises(fg.FsmValidationError, match=f"^{re.escape(message)}$"):
         fg.parse_fsm(json.dumps(doc))
 
 

@@ -283,6 +283,25 @@ def test_verilog_renames_non_identifier_nets():
     ).port_column("o")
 
 
+def test_verilog_rejects_nets_renamed_to_one_name():
+    n = nl.Netlist("clash")
+    n.add_port("a", "in", ["a.0", "a_0"])
+    n.add_gate("XOR", ["a.0", "a_0"], "x")
+    n.add_port("o", "out", ["x"])
+    n.validate()
+    with pytest.raises(nl.NetlistError, match=r"^nets 'a\.0' and 'a_0' are both named 'a_0' in Verilog$"):
+        nl.emit_verilog(n)
+
+
+def test_verilog_rejects_net_named_like_a_flop_register():
+    n = counter2()
+    n.add_gate("NOT", ["q1"], "q1_r")
+    n.add_port("o", "out", ["q1_r"])
+    n.validate()
+    with pytest.raises(nl.NetlistError, match=r"^net 'q1_r' is named like the register 'q1_r' of flop 'q1'$"):
+        nl.emit_verilog(n)
+
+
 # -- reference engine -------------------------------------------------------
 
 _REF_OPS = {
