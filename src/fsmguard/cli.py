@@ -58,12 +58,7 @@ def cmd_harden(args: argparse.Namespace) -> int:
         log.error("FSM error: %s", exc)
         return EXIT_FAIL
     try:
-        cfg = HardeningConfig(
-            protection_level=args.level,
-            error_bits=args.error_bits,
-            seed=args.seed,
-            encoded_mux_selectors=args.encoded_selectors,
-        )
+        cfg = HardeningConfig(protection_level=args.level, seed=args.seed)
         design = harden(fsm, cfg)
     except HardeningError as exc:
         log.error("hardening failed: %s", exc)
@@ -242,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--format", choices=["json", "kiss2"], default=None)
     h.add_argument("--level", type=int, required=True, help="protection level N (>= 2)")
     h.add_argument("--seed", type=int, default=0)
-    h.add_argument("--error-bits", type=int, default=None, dest="error_bits")
-    h.add_argument("--encoded-selectors", action="store_true", dest="encoded_selectors")
     h.add_argument("--out", required=True, help="output directory")
     h.set_defaults(func=cmd_harden)
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import fsm as fsm_mod
 from .coding import CodeBook, control_codebook, encode_edge_trace, state_codebook
@@ -37,21 +38,13 @@ class ModifierSolveError(HardeningError):
 @dataclass(frozen=True)
 class HardeningConfig:
     protection_level: int
-    error_bits: Optional[int] = None  # per-block error bits, defaults to N
     seed: int = 0
-    encoded_mux_selectors: bool = False
 
     def __post_init__(self):
         if self.protection_level < 2:
             raise HardeningError(
                 "protection level must be >= 2; with N=1 there is no redundancy to detect anything"
             )
-        if self.error_bits is not None and self.error_bits < 0:
-            raise HardeningError("error_bits must be >= 0")
-
-    @property
-    def e(self) -> int:
-        return self.protection_level if self.error_bits is None else self.error_bits
 
 
 BitMap = Tuple[Tuple[int, int], ...]  # bit index -> (block, position)
@@ -100,13 +93,13 @@ def plan_layout(state_width: int, ctrl_width: int, cfg: HardeningConfig) -> Bloc
     Modifier bits occupy whole byte lanes so every constrained output byte
     depends on modifier bytes through invertible square byte-submatrices of
     the diffusion matrix, which guarantees the modifier equations are
-    solvable.
+    solvable. Each block carries N error bits, N being the protection level.
     """
     if state_width < 1:
         raise LayoutError("state codeword width must be >= 1")
     if ctrl_width < 1:
         raise LayoutError("control codeword width must be >= 1")
-    e = cfg.e
+    e = cfg.protection_level
     err_lanes = (e + 7) // 8
     for k in range(1, 9):
         n_st = [sum(1 for j in range(state_width) if j % k == b) for b in range(k)]
@@ -247,6 +240,19 @@ class _Builder:
                 bits.append(self.gate("NOT", [net], tag, prefix + "_n"))
         return self.tree("AND", bits, tag, prefix)
 
+    def mux_chain(
+        self, selects: Sequence[str], words: Sequence[int], width: int, tag: str, prefix: str
+    ) -> List[str]:
+        """Priority-MUX chain over constant words: the output carries the word
+        of the last raised select line, or all-zeros when none is raised."""
+        out = [self.const0] * width
+        for sel, word in zip(selects, words):
+            out = [
+                self.gate("MUX", [sel, out[j], self.const((word >> j) & 1)], tag, prefix)
+                for j in range(width)
+            ]
+        return out
+
 
 @dataclass
 class HardenedDesign:
@@ -265,10 +271,9 @@ class HardenedDesign:
                 "fsm": fsm_mod.to_json_dict(self.fsm),
                 "config": {
                     "protection_level": self.config.protection_level,
-                    "error_bits": self.config.e,
+                    "error_bits": self.layout.error_bits,
                     "block_count": self.layout.k,
                     "seed": self.config.seed,
-                    "encoded_mux_selectors": self.config.encoded_mux_selectors,
                     "matrix": self.matrix.name,
                 },
             },
@@ -297,7 +302,6 @@ class HardenedDesign:
             "state_width": self.state_codes.width,
             "control_width": self.ctrl_codes.width,
             "modifier_width": self.layout.mod_width,
-            "encoded_mux_selectors": self.config.encoded_mux_selectors,
             "diffusion_matrix": {
                 "name": self.matrix.name,
                 "entries": [[hex(x) for x in row] for row in self.matrix.entries],
@@ -326,7 +330,6 @@ class HardenedDesign:
 def build_hardened_netlist(
     fsm: FsmSpec,
     plans: Sequence[TransitionPlan],
-    cfg: HardeningConfig,
     state_codes: CodeBook,
     ctrl_codes: CodeBook,
     layout: BlockLayout,
@@ -341,72 +344,38 @@ def build_hardened_netlist(
     xe_bits = [f"x_e_{i}" for i in range(x_w)]
     nl.add_port("x_e", "in", xe_bits)
 
-    copies = cfg.protection_level if cfg.encoded_mux_selectors else 1
-    state_match: List[Dict[str, str]] = []
-    edge_match: List[List[str]] = []
-    xa_copies: List[List[str]] = []
-    mod_copies: List[List[str]] = []
-    # st_q nets must exist before comparators reference them
     reset_word = state_codes.codeword(fsm.reset_state)
 
     # forward-declare flop q nets via the flops themselves at the end; gate
     # inputs may reference them before the flop is added, so build order here
-    # is: comparators and cascades first, flops last.
+    # is: comparators and cascades first, flops last. The match nets keep an
+    # `m0_` prefix, which the pinned netlists and Verilog carry.
+    state_match = {
+        s: b.match_const(st_q, state_codes.codeword(s), "match", f"m0_st_{_sanitize(s)}")
+        for s in fsm.states
+    }
+    ctrl_match: Dict[str, str] = {}
+    edge_match = []
+    for p in plans:
+        label = p.edge.guard_label()
+        if label not in ctrl_match:
+            ctrl_match[label] = b.match_const(
+                xe_bits, p.xe_word, "match", f"m0_ctrl_{len(ctrl_match)}"
+            )
+        edge_match.append(
+            b.gate("AND", [state_match[p.edge.src], ctrl_match[label]], "match", "m0_edge")
+        )
 
-    for r in range(copies):
-        sm = {
-            s: b.match_const(st_q, state_codes.codeword(s), "match", f"m{r}_st_{_sanitize(s)}")
-            for s in fsm.states
-        }
-        state_match.append(sm)
-        cm: Dict[str, str] = {}
-        em = []
-        for i, p in enumerate(plans):
-            label = p.edge.guard_label()
-            if label not in cm:
-                cm[label] = b.match_const(xe_bits, p.xe_word, "match", f"m{r}_ctrl_{len(cm)}")
-            em.append(b.gate("AND", [sm[p.edge.src], cm[label]], "match", f"m{r}_edge"))
-        edge_match.append(em)
-
-        # active-control and modifier selection cascades (MUX chains)
-        xa = [b.const0] * x_w
-        for i, p in enumerate(plans):
-            xa = [
-                b.gate(
-                    "MUX", [em[i], xa[j], b.const((p.xe_word >> j) & 1)], "match", f"m{r}_xa"
-                )
-                for j in range(x_w)
-            ]
-        xa_copies.append(xa)
-        mod = [b.const0] * layout.mod_width
-        for i, p in enumerate(plans):
-            mod = [
-                b.gate(
-                    "MUX",
-                    [em[i], mod[j], b.const((p.modifier >> j) & 1)],
-                    "modifier_select",
-                    f"m{r}_mod",
-                )
-                for j in range(layout.mod_width)
-            ]
-        mod_copies.append(mod)
-
-    # a lone copy passes through the AND-join unchanged, without a gate
-    xa_bits = [
-        b.tree("AND", [xa_copies[r][j] for r in range(copies)], "match", "xa_join")
-        for j in range(x_w)
-    ]
-    mod_bits = [
-        b.tree("AND", [mod_copies[r][j] for r in range(copies)], "modifier_select", "mod_join")
-        for j in range(layout.mod_width)
-    ]
+    # active-control and modifier selection cascades
+    xa_bits = b.mux_chain(edge_match, [p.xe_word for p in plans], x_w, "match", "m0_xa")
+    mod_bits = b.mux_chain(
+        edge_match, [p.modifier for p in plans], layout.mod_width, "modifier_select", "m0_mod"
+    )
 
     # the all-zeros error codeword is deliberately absent here: in the error
     # state no match line rises, so the machine stays at all-zeros forever
-    state_valid = b.tree(
-        "OR", [state_match[0][s] for s in fsm.states], "alert", "state_valid"
-    )
-    input_valid = b.tree("OR", edge_match[0], "alert", "input_valid")
+    state_valid = b.tree("OR", [state_match[s] for s in fsm.states], "alert", "state_valid")
+    input_valid = b.tree("OR", edge_match, "alert", "input_valid")
 
     # mix layer: route the (state, active control, modifier) triple to blocks
     block_in: List[List[str]] = [[b.const0] * BLOCK_BITS for _ in range(layout.k)]
@@ -469,10 +438,10 @@ def build_hardened_netlist(
             contributors = []
             for s, vals in state_out_map.items():
                 if (vals.get(sig.name, 0) >> bit_i) & 1:
-                    contributors.append(state_match[0][s])
+                    contributors.append(state_match[s])
             for i, p in enumerate(plans):
                 if (dict(p.edge.outputs).get(sig.name, 0) >> bit_i) & 1:
-                    contributors.append(edge_match[0][i])
+                    contributors.append(edge_match[i])
             if contributors:
                 bits.append(b.tree("OR", contributors, "output_logic", f"out_{_sanitize(sig.name)}"))
             else:
@@ -494,6 +463,10 @@ def _sanitize(name: str) -> str:
 
 def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
     """Full hardening pipeline: codebooks, layout, modifiers, netlist."""
+    with warnings.catch_warnings():
+        # only the errors matter here; parse_fsm already warns about unreachable states
+        warnings.simplefilter("ignore")
+        fsm_mod.validate(fsm)
     ports = {"x_e", "state_e", "fsm_alert", "clk", "rst_n"}
     for sig in fsm.outputs:
         # each output becomes a port of the same name in netlist.v
@@ -512,7 +485,7 @@ def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
     layout = plan_layout(state_codes.width, ctrl_codes.width, cfg)
     edges = extract_cfg(fsm)
     plans = tuple(solve_modifiers(layout, edges, state_codes, ctrl_codes, m))
-    nl = build_hardened_netlist(fsm, plans, cfg, state_codes, ctrl_codes, layout, m)
+    nl = build_hardened_netlist(fsm, plans, state_codes, ctrl_codes, layout, m)
     if fsm.outputs:
         # netlist.v declares ports, nets and each flop's q_r register in one namespace
         taken = set(nl.nets()).union(f"{f.q}_r" for f in nl.flops)
