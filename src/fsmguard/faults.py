@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coding import CodeBook, decode_exact
 from .netlist import (
+    FAULT_EFFECTS,
     FaultSite,
     Netlist,
     SimResult,
@@ -31,8 +32,6 @@ EXHAUSTIVE_BOUND = 10_000_000
 _POOL_LANES = 256
 # lanes of one stuck-at screen call, one per (net, golden edge) pair
 _SCREEN_LANES = 4096
-# effect index = position here; 0 is the one-cycle flip, 1 and 2 are stuck-at
-_EFFECTS = ("flip", "stuck0", "stuck1")
 
 
 class CampaignError(Exception):
@@ -57,7 +56,7 @@ class CampaignSpec:
         if self.mode == "sampled" and self.sample_count < 1:
             raise CampaignError("sample_count must be >= 1 in sampled mode")
         for e in self.effects:
-            if e not in _EFFECTS:
+            if e not in FAULT_EFFECTS:
                 raise CampaignError(f"unknown effect {e!r}")
         # a repeated effect or cycle would count each of its atoms twice
         for what, items in (("effect", self.effects), ("cycle", self.cycles or ())):
@@ -757,7 +756,7 @@ def run_campaign(
 
     comp = netlist._compile()
     site_nets = [comp.index[s] for s in sites]
-    effect_ids = [_EFFECTS.index(e) for e in spec.effects]
+    effect_ids = [FAULT_EFFECTS.index(e) for e in spec.effects]
 
     def split(i: int) -> Tuple[int, int, int]:
         site, rest = divmod(i, per_site)

@@ -411,10 +411,7 @@ def build_hardened_netlist(
 
     # error infection: clearing any error bit drives the state to all-zeros,
     # which is the terminal error codeword
-    if err_taps:
-        err_conj = b.tree("AND", err_taps, "error_logic", "err_conj")
-    else:
-        err_conj = b.const1
+    err_conj = b.tree("AND", err_taps, "error_logic", "err_conj")
     guard_net = b.gate("AND", [state_valid, input_valid], "error_logic", "valid_all")
     gate_net = b.gate("AND", [err_conj, guard_net], "error_logic", "infect")
     st_d = [

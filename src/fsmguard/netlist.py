@@ -10,20 +10,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-GATE_KINDS = ("XOR", "AND", "OR", "NOT", "MUX", "CONST0", "CONST1", "BUF")
-
-_ARITY = {
-    "XOR": 2,
-    "AND": 2,
-    "OR": 2,
-    "NOT": 1,
-    "MUX": 3,  # (sel, a, b): sel ? b : a
-    "CONST0": 0,
-    "CONST1": 0,
-    "BUF": 1,
+# kind -> (arity, Verilog right-hand side over the inputs). A kind's position
+# is its op code in ``_Compiled.ops``; a MUX reads (sel, a, b) as sel ? b : a.
+_GATES = {
+    "XOR": (2, "{0} ^ {1}"),
+    "AND": (2, "{0} & {1}"),
+    "OR": (2, "{0} | {1}"),
+    "NOT": (1, "~{0}"),
+    "MUX": (3, "{0} ? {2} : {1}"),
+    "CONST0": (0, "1'b0"),
+    "CONST1": (0, "1'b1"),
+    "BUF": (1, "{0}"),
 }
+GATE_KINDS = tuple(_GATES)
+_ARITY = {kind: arity for kind, (arity, _) in _GATES.items()}
+# effect index = position here; 0 is the one-cycle flip, 1 and 2 are stuck-at
+FAULT_EFFECTS = ("flip", "stuck0", "stuck1")
 
 
 class NetlistError(Exception):
@@ -66,7 +70,7 @@ class FaultSite:
     cycle: Optional[int] = None
 
     def __post_init__(self):
-        if self.effect not in ("flip", "stuck0", "stuck1"):
+        if self.effect not in FAULT_EFFECTS:
             raise NetlistError(f"unknown fault effect {self.effect!r}")
 
 
@@ -79,28 +83,28 @@ class Netlist:
         self.flops: List[Flop] = []
         self.ports: List[Port] = []
         self.meta: Dict[str, object] = {}
-        self._drivers: Dict[str, str] = {}  # net -> "gate"/"flop"/"port"
+        self._drivers: Set[str] = set()
         self._compiled: Optional["_Compiled"] = None
 
     # -- construction -------------------------------------------------------
 
-    def _claim(self, net: str, kind: str) -> None:
+    def _claim(self, net: str) -> None:
         if net in self._drivers:
             raise NetlistError(f"net {net!r} has multiple drivers")
-        self._drivers[net] = kind
+        self._drivers.add(net)
 
     def add_gate(self, kind: str, inputs: Sequence[str], output: str, tag: str = "") -> str:
-        if kind not in GATE_KINDS:
+        if kind not in _ARITY:
             raise NetlistError(f"unknown gate kind {kind!r}")
         if len(inputs) != _ARITY[kind]:
             raise NetlistError(f"{kind} expects {_ARITY[kind]} inputs, got {len(inputs)}")
-        self._claim(output, "gate")
+        self._claim(output)
         self.gates.append(Gate(kind, tuple(inputs), output, tag))
         self._compiled = None
         return output
 
     def add_flop(self, d: str, q: str, reset_value: int = 0, tag: str = "") -> str:
-        self._claim(q, "flop")
+        self._claim(q)
         self.flops.append(Flop(d, q, int(reset_value) & 1, tag))
         self._compiled = None
         return q
@@ -113,7 +117,7 @@ class Netlist:
         port = Port(name, direction, tuple(bits))
         if direction == "in":
             for b in bits:
-                self._claim(b, "port")
+                self._claim(b)
         self.ports.append(port)
         self._compiled = None
         return port
@@ -159,7 +163,7 @@ class Netlist:
     # -- validation / compilation -------------------------------------------
 
     def validate(self) -> None:
-        driven = set(self._drivers)
+        driven = self._drivers
         for g in self.gates:
             for n in g.inputs:
                 if n not in driven:
@@ -238,7 +242,7 @@ class _Compiled:
     def users(self) -> List[List[int]]:
         """net index -> the positions in ``ops`` of the ops that read it, in
         order. Built on the first stuck-at screen only."""
-        arity = [_ARITY[k] for k in GATE_KINDS]
+        arity = list(_ARITY.values())
         users: List[List[int]] = [[] for _ in range(self.n_nets)]
         for pos, (kind, _, *ins) in enumerate(self.ops):
             for net in ins[: arity[kind]]:
@@ -507,18 +511,15 @@ def emit_verilog(netlist: Netlist) -> str:
     lines: List[str] = []
     in_ports = [p for p in netlist.ports if p.direction == "in"]
     out_ports = [p for p in netlist.ports if p.direction == "out"]
-    port_names = ["clk", "rst_n"] + [p.name for p in in_ports] + [p.name for p in out_ports]
+    port_names = ["clk", "rst_n"] + [p.name for p in in_ports + out_ports]
     lines.append(f"module {_vnet(netlist.name)} (")
     lines.append("  " + ",\n  ".join(port_names))
     lines.append(");")
     lines.append("  input clk;")
     lines.append("  input rst_n;")
-    for p in in_ports:
+    for p in in_ports + out_ports:
         rng = f"[{len(p.bits) - 1}:0] " if len(p.bits) > 1 else ""
-        lines.append(f"  input {rng}{p.name};")
-    for p in out_ports:
-        rng = f"[{len(p.bits) - 1}:0] " if len(p.bits) > 1 else ""
-        lines.append(f"  output {rng}{p.name};")
+        lines.append(f"  {p.direction}put {rng}{p.name};")
     nets = netlist.nets()
     # checked once per net, not per use; nets that are identifiers keep their name
     alias = {n: _vnet(n) for n in nets if not _ID_RE.match(n)}
@@ -538,26 +539,11 @@ def emit_verilog(netlist: Netlist) -> str:
         for i, b in enumerate(p.bits):
             sel = f"{p.name}[{i}]" if len(p.bits) > 1 else p.name
             lines.append(f"  assign {alias.get(b, b)} = {sel}; // portin")
+    # one format call per gate, its output as field {arity}; hardened netlists rename no net
+    assign = {kind: f"  assign {{{arity}}} = {rhs};".format for kind, (arity, rhs) in _GATES.items()}
     for g in netlist.gates:
-        ins = [alias.get(n, n) for n in g.inputs]
-        out = alias.get(g.output, g.output)
-        if g.kind == "XOR":
-            expr = f"{ins[0]} ^ {ins[1]}"
-        elif g.kind == "AND":
-            expr = f"{ins[0]} & {ins[1]}"
-        elif g.kind == "OR":
-            expr = f"{ins[0]} | {ins[1]}"
-        elif g.kind == "NOT":
-            expr = f"~{ins[0]}"
-        elif g.kind == "MUX":
-            expr = f"{ins[0]} ? {ins[2]} : {ins[1]}"
-        elif g.kind == "CONST0":
-            expr = "1'b0"
-        elif g.kind == "CONST1":
-            expr = "1'b1"
-        else:  # BUF
-            expr = ins[0]
-        lines.append(f"  assign {out} = {expr};")
+        nets = (*g.inputs, g.output)
+        lines.append(assign[g.kind](*(map(alias.get, nets, nets) if alias else nets)))
     for f in netlist.flops:
         q, d = alias.get(f.q, f.q), alias.get(f.d, f.d)
         lines.append(f"  reg {q}_r;")
@@ -573,111 +559,82 @@ def emit_verilog(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ASSIGN_RE = re.compile(r"^assign\s+(\S+)\s*=\s*(.+?);(?:\s*//\s*(\w+))?$")
-_PORT_DECL_RE = re.compile(r"^(input|output)\s+(?:\[(\d+):0\]\s+)?(\w+);$")
-_FLOPQ_RE = re.compile(r"^assign\s+(\w+)\s*=\s*(\w+)_r;\s*//\s*flopq$")
-_RESET_RE = re.compile(r"^if \(!rst_n\) (\w+)_r <= 1'b([01]);$")
-_NEXT_RE = re.compile(r"^else (\w+)_r <= (\w+);$")
-_BIT_RE = re.compile(r"^(\w+)\[(\d+)\]$")
+_MODULE_RE = re.compile(r"module\s+(\w+)\s*\(")
+_PORT_DECL_RE = re.compile(r"(in|out)put\s+(?:\[(\d+):0\]\s+)?(\w+);")
+_ASSIGN_RE = re.compile(r"assign\s+(\S+)\s*=\s*(.+?);(?:\s*//\s*(\w+))?")
+_RESET_RE = re.compile(r"if \(!rst_n\) (\w+)_r <= 1'b([01]);")
+_NEXT_RE = re.compile(r"else (\w+)_r <= (\w+);")
+_BIT_RE = re.compile(r"(\w+)\[(\d+)\]")
+_PORT_LIST_RE = re.compile(r"\w+,?|\);")
+# wire and reg declarations, the flop clocking, module end
+_SKIP_RE = re.compile(r"(wire|reg) \w+;|always @\(posedge clk or negedge rst_n\)|endmodule")
+# one full-match pattern per gate form; input i of the gate is group ``in{i}``
+_GATE_RES = [
+    (kind, re.compile(re.sub(r"\\\{(\d)\\\}", r"(?P<in\1>\\w+)", re.escape(rhs))))
+    for kind, (_, rhs) in _GATES.items()
+]
 
 
 def parse_verilog(source: str) -> Netlist:
     """Parse the emitter's own structural subset back into a Netlist.
 
-    Only intended for round-trip checks of emit_verilog output.
+    Only intended for round-trip checks of emit_verilog output: any line
+    outside that subset raises NetlistError naming its line number.
     """
-    name = "top"
-    port_dirs: Dict[str, Tuple[str, int]] = {}
-    assigns: List[Tuple[str, str, Optional[str]]] = []
+    nl = Netlist()
+    ports: Dict[str, Tuple[str, List[Optional[str]]]] = {}  # name -> (direction, bits)
     resets: Dict[str, int] = {}
-    nexts: Dict[str, str] = {}
-    for raw in source.splitlines():
+    nexts: Dict[str, str] = {}  # flop q -> d, in emitted order
+    in_port_list = False
+
+    def bind(ref: str, net: str, direction: str) -> None:
+        m = _BIT_RE.fullmatch(ref)
+        pname, i = (m.group(1), int(m.group(2))) if m else (ref, 0)
+        d, bits = ports.get(pname, (None, []))
+        if d != direction or i >= len(bits):
+            raise NetlistError(f"no {direction}put port bit {ref!r}")
+        bits[i] = net
+
+    for lineno, raw in enumerate(source.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("//"):
+        if not line or line.startswith("//") or _SKIP_RE.fullmatch(line):
             continue
-        m = re.match(r"^module\s+(\w+)\s*\($", line)
-        if m:
-            name = m.group(1)
-            continue
-        m = _PORT_DECL_RE.match(line)
-        if m:
-            direction, msb, pname = m.groups()
-            if pname in ("clk", "rst_n"):
-                continue
-            width = int(msb) + 1 if msb else 1
-            port_dirs[pname] = ("in" if direction == "input" else "out", width)
-            continue
-        m = _RESET_RE.match(line)
-        if m:
-            resets[m.group(1)] = int(m.group(2))
-            continue
-        m = _NEXT_RE.match(line)
-        if m:
-            nexts[m.group(1)] = m.group(2)
-            continue
-        m = _ASSIGN_RE.match(line)
-        if m:
-            assigns.append((m.group(1), m.group(2).strip(), m.group(3)))
-            continue
-        # module header body lines, wire/reg decls, always, endmodule: ignored
-    nl = Netlist(name)
-    in_port_bits: Dict[str, List[Optional[str]]] = {
-        p: [None] * w for p, (d, w) in port_dirs.items() if d == "in"
-    }
-    out_port_bits: Dict[str, List[Optional[str]]] = {
-        p: [None] * w for p, (d, w) in port_dirs.items() if d == "out"
-    }
-    gates: List[Tuple[str, List[str], str]] = []
-    for lhs, rhs, marker in assigns:
-        if marker == "flopq":
-            continue  # handled via resets/nexts
-        if marker == "portin":
-            m = _BIT_RE.match(rhs)
-            if m:
-                in_port_bits[m.group(1)][int(m.group(2))] = lhs
+        try:
+            if m := _MODULE_RE.fullmatch(line):
+                nl.name = m.group(1)
+                in_port_list = True
+            elif in_port_list and _PORT_LIST_RE.fullmatch(line):
+                in_port_list = line != ");"
+            elif m := _PORT_DECL_RE.fullmatch(line):
+                direction, msb, pname = m.groups()
+                if pname not in ("clk", "rst_n"):
+                    ports[pname] = (direction, [None] * (int(msb) + 1 if msb else 1))
+            elif m := _RESET_RE.fullmatch(line):
+                resets[m.group(1)] = int(m.group(2))
+            elif m := _NEXT_RE.fullmatch(line):
+                nexts[m.group(1)] = m.group(2)
+            elif m := _ASSIGN_RE.fullmatch(line):
+                lhs, rhs, marker = m.groups()
+                if marker == "portin":
+                    bind(rhs, lhs, "in")
+                elif marker == "portout":
+                    bind(lhs, rhs, "out")
+                elif marker != "flopq":  # flops come from the reset and next lines
+                    for kind, pattern in _GATE_RES:
+                        if g := pattern.fullmatch(rhs):
+                            nl.add_gate(kind, [g.group(f"in{i}") for i in range(_ARITY[kind])], lhs)
+                            break
+                    else:
+                        raise NetlistError("the right-hand side matches no gate form")
             else:
-                in_port_bits[rhs][0] = lhs
-            continue
-        if marker == "portout":
-            m = _BIT_RE.match(lhs)
-            if m:
-                out_port_bits[m.group(1)][int(m.group(2))] = rhs
-            else:
-                out_port_bits[lhs][0] = rhs
-            continue
-        if rhs == "1'b0":
-            gates.append(("CONST0", [], lhs))
-        elif rhs == "1'b1":
-            gates.append(("CONST1", [], lhs))
-        elif "?" in rhs:
-            m = re.match(r"^(\w+) \? (\w+) : (\w+)$", rhs)
-            if not m:
-                raise NetlistError(f"unparseable mux expression {rhs!r}")
-            gates.append(("MUX", [m.group(1), m.group(3), m.group(2)], lhs))
-        elif "^" in rhs:
-            a, b = [s.strip() for s in rhs.split("^")]
-            gates.append(("XOR", [a, b], lhs))
-        elif "&" in rhs:
-            a, b = [s.strip() for s in rhs.split("&")]
-            gates.append(("AND", [a, b], lhs))
-        elif "|" in rhs:
-            a, b = [s.strip() for s in rhs.split("|")]
-            gates.append(("OR", [a, b], lhs))
-        elif rhs.startswith("~"):
-            gates.append(("NOT", [rhs[1:]], lhs))
-        else:
-            gates.append(("BUF", [rhs], lhs))
-    for pname, bits in in_port_bits.items():
-        if any(b is None for b in bits):
-            raise NetlistError(f"input port {pname!r} has unbound bits")
-        nl.add_port(pname, "in", [b for b in bits])
-    for kind, ins, out in gates:
-        nl.add_gate(kind, ins, out)
-    for q, d in sorted(nexts.items()):
+                raise NetlistError("not in the emitter's subset")
+        except NetlistError as exc:
+            raise NetlistError(f"line {lineno}: {exc}: {line!r}") from None
+    for q, d in nexts.items():
         nl.add_flop(d, q, resets.get(q, 0))
-    for pname, bits in out_port_bits.items():
-        if any(b is None for b in bits):
-            raise NetlistError(f"output port {pname!r} has unbound bits")
-        nl.add_port(pname, "out", [b for b in bits])
+    for pname, (direction, bits) in ports.items():  # as declared: inputs first
+        if None in bits:
+            raise NetlistError(f"{direction}put port {pname!r} has unbound bits")
+        nl.add_port(pname, direction, bits)
     nl.validate()
     return nl

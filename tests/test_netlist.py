@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmguard import netlist as nl
-from fsmguard.netlist import FaultSite, Netlist
+from fsmguard.netlist import FaultSite, Gate, Netlist
 
 
 def full_adder():
@@ -302,6 +303,35 @@ def test_verilog_rejects_net_named_like_a_flop_register():
         nl.emit_verilog(n)
 
 
+def small_verilog():
+    n = Netlist("m")
+    n.add_port("x", "in", ["a", "c"])
+    n.add_gate("NOT", ["a"], "a_n")
+    n.add_gate("XOR", ["a_n", "c"], "b")
+    n.add_port("o", "out", ["b"])
+    n.validate()
+    return nl.emit_verilog(n)
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        ("assign a = x[0]; // portin", "assign a = x[5]; // portin"),  # past the port's width
+        ("assign a = x[0]; // portin", "assign a = y; // portin"),  # undeclared port
+        ("assign b = a_n ^ c;", "assign b = a_n ^ a_n ^ a_n;"),  # three XOR inputs
+        ("assign b = a_n ^ c;", "assign b = a_n + a_n;"),  # no gate kind emits +
+    ],
+)
+def test_verilog_parse_errors_name_the_line(good, bad):
+    text = small_verilog()
+    assert nl.parse_verilog(text).gates == [Gate("NOT", ("a",), "a_n"), Gate("XOR", ("a_n", "c"), "b")]
+    assert f"\n  {good}\n" in text
+    text = text.replace(good, bad)
+    lineno = text.splitlines().index(f"  {bad}") + 1
+    with pytest.raises(nl.NetlistError, match=rf"^line {lineno}: .+: {re.escape(repr(bad))}$"):
+        nl.parse_verilog(text)
+
+
 # -- reference engine -------------------------------------------------------
 
 _REF_OPS = {
@@ -429,3 +459,15 @@ def test_run_ops_keeps_values_in_lane_range(case):
     with mock.patch.object(nl, "_run_ops", checked):
         nl.simulate_batch(n, traces, fault_lanes)
     assert fulls == [(1 << len(traces)) - 1] * len(traces[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulted_netlists())
+def test_verilog_round_trip_keeps_structure(case):
+    # every gate kind in random order, MUX legs and both constants included
+    n = case[0]
+    again = nl.parse_verilog(nl.emit_verilog(n))
+    assert again.name == n.name
+    assert again.gates == n.gates
+    assert again.flops == n.flops
+    assert again.ports == n.ports
