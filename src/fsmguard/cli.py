@@ -64,17 +64,21 @@ def cmd_harden(args: argparse.Namespace) -> int:
         log.error("hardening failed: %s", exc)
         return EXIT_FAIL
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "netlist.json", nl_mod.to_json_dict(design.netlist))
-    (out / "netlist.v").write_text(nl_mod.emit_verilog(design.netlist), encoding="utf-8")
-    _dump_json(
-        out / "codebook.json",
-        {
-            "state": design.state_codes.to_json_dict(),
-            "control": design.ctrl_codes.to_json_dict(),
-        },
-    )
-    _dump_json(out / "hardening_report.json", design.report())
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _dump_json(out / "netlist.json", nl_mod.to_json_dict(design.netlist))
+        (out / "netlist.v").write_text(nl_mod.emit_verilog(design.netlist), encoding="utf-8")
+        _dump_json(
+            out / "codebook.json",
+            {
+                "state": design.state_codes.to_json_dict(),
+                "control": design.ctrl_codes.to_json_dict(),
+            },
+        )
+        _dump_json(out / "hardening_report.json", design.report())
+    except OSError as exc:
+        log.error("cannot write %s: %s", out, exc)
+        return EXIT_IO
     log.info(
         "hardened %s: N=%d k=%d e=%d, %d gates",
         fsm.name,
@@ -143,17 +147,16 @@ def cmd_inject(args: argparse.Namespace) -> int:
     try:
         netlist = _netlist_from_json(_read_json(args.netlist), args.netlist)
         codes = _load_codebook(args, args.netlist)
+        if not any(g.tag for g in netlist.gates):
+            raise InputError("netlist carries no stage tags; run 'harden' first")
+        words = _trace_words(args, netlist, args.netlist)
     except OSError as exc:
         log.error("cannot read inputs: %s", exc)
         return EXIT_IO
-    except InputError as exc:
+    except (InputError, fe.CampaignError) as exc:
         log.error("%s", exc)
         return EXIT_FAIL
-    if not any(g.tag for g in netlist.gates):
-        log.error("netlist carries no stage tags; run 'harden' first")
-        return EXIT_FAIL
     try:
-        words = _trace_words(args, netlist, args.netlist)
         spec = CampaignSpec(
             scope=_SCOPES[args.scope],
             max_simultaneous_faults=args.max_faults,
@@ -165,7 +168,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         report = run_campaign(netlist, words, spec, codes)
         elapsed = time.perf_counter() - t0
-    except (fe.CampaignError, nl_mod.NetlistError, InputError, OSError) as exc:
+    except (fe.CampaignError, nl_mod.NetlistError) as exc:
         log.error("campaign failed: %s", exc)
         return EXIT_FAIL
     # timings go to the log: the report stays identical from run to run
@@ -175,7 +178,11 @@ def cmd_inject(args: argparse.Namespace) -> int:
         elapsed,
         report.total / elapsed if elapsed else 0.0,
     )
-    _dump_json(Path(args.out), report.to_json_dict())
+    try:
+        _dump_json(Path(args.out), report.to_json_dict())
+    except OSError as exc:
+        log.error("cannot write %s: %s", args.out, exc)
+        return EXIT_IO
     print(report.summary_table())
     print(f"report written to {args.out}")
     return EXIT_FAIL if report.hijack else EXIT_OK
@@ -202,7 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"{i:4d}  {s or '<invalid>'}  alert={a}")
             return EXIT_OK
         fsm = parse_fsm(source, format=_guess_format(args.target, args.format))
-        trace = _read_json(args.trace)
+        trace = fsm_mod.edge_cover_walk(fsm)[1] if args.trace == "auto-cover" else _read_json(args.trace)
         trajectory = fsm_mod.simulate_spec(fsm, trace)
         for i, s in enumerate(trajectory):
             print(f"{i:4d}  {s}")
@@ -211,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         log.error("simulation failed: %s", exc)
         return EXIT_FAIL
     except OSError as exc:
-        log.error("cannot read trace: %s", exc)
+        log.error("cannot read inputs: %s", exc)
         return EXIT_IO
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import sys
@@ -30,7 +29,7 @@ from .netlist import (
 EXHAUSTIVE_BOUND = 10_000_000
 # lanes of the fault-simulation pool; each lane holds one experiment at a time
 _POOL_LANES = 256
-# lanes of one stuck-at screen call, one per (net, golden edge) pair
+# lanes of one stuck-at screen call, one per (net, cycle) pair
 _SCREEN_LANES = 4096
 
 
@@ -357,48 +356,35 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _golden_nets(
-    comp: _Compiled, golden: Sequence[Tuple[int, int, int]], words: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """Every net's fault-free value on each distinct edge of the ``_golden``
-    record ``golden`` of ``words``, bit ``e`` for edge ``e``, from one
-    ``_eval_edges`` call; and each edge's cycles as a bitmask."""
-    width = len(comp.out_bits["x_e"])
-    edges: Dict[int, int] = {}  # key -> cycles
-    for c, ((q, _, _), x) in enumerate(zip(golden, (*words, 0))):
-        key = q << width | x
-        edges[key] = edges.get(key, 0) | 1 << c
-    return _eval_edges(comp, list(edges)), list(edges.values())
-
-
 def _screen(
-    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int]
+    comp: _Compiled, golden_values: Sequence[int], n_cycles: int, nets: Sequence[int]
 ) -> Tuple[List[int], int, int, int]:
-    """For each of ``nets``, the golden edges (bit ``e`` for edge ``e``) on
-    which flipping that net changes a flop input, ``state_e`` or
-    ``fsm_alert``; and the ``_run_ops`` calls, lanes and gate ops spent.
+    """For each of ``nets``, the cycles (bit ``c`` for cycle ``c``) at which
+    flipping that net changes a flop input, ``state_e`` or ``fsm_alert``;
+    and the ``_run_ops`` calls, lanes and gate ops spent.
 
-    ``golden_values`` and ``n_edges`` come from ``_golden_nets``. There is one
-    lane per (net, edge) pair: each net has a block of ``n_edges`` lanes that
-    start from the golden edges and flip it, and a call holds about
-    ``_SCREEN_LANES`` lanes. Nets are taken in the order of the ops that
-    drive them, so that the nets of a call share most of their fanout cones.
-    A call runs only the ops in the union of those cones (``comp.users``),
-    with each mask's stop re-indexed into that sub-list; every other net
-    holds its golden value in every block.
+    ``golden_values`` holds every net's fault-free value with one lane per
+    cycle of the ``n_cycles``-cycle golden run. There is one lane per (net,
+    cycle) pair: each net has a block of ``n_cycles`` lanes that start from
+    the golden cycles and flip it, and a call holds about ``_SCREEN_LANES``
+    lanes. Nets are taken in the order of the ops that drive them, so that
+    the nets of a call share most of their fanout cones. A call runs only
+    the ops in the union of those cones (``comp.users``), with each mask's
+    stop re-indexed into that sub-list; every other net holds its golden
+    value in every block.
     """
     ops, stop, users = comp.ops, comp.op_stop, comp.users
     outs = [op[1] for op in ops]
     observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
-    block = (1 << n_edges) - 1
-    per_call = max(1, _SCREEN_LANES // n_edges)
+    block = (1 << n_cycles) - 1
+    per_call = max(1, _SCREEN_LANES // n_cycles)
     order = sorted(range(len(nets)), key=lambda i: stop[nets[i]])
     shown = [0] * len(nets)
     # golden_values replicated over the blocks of a call. Every call is as
     # wide as the first: the last call's spare blocks keep these values and
     # flip nothing. Many nets share a value, so each distinct one is
     # multiplied once
-    full = (1 << min(len(nets), per_call) * n_edges) - 1
+    full = (1 << min(len(nets), per_call) * n_cycles) - 1
     repeat = full // block  # bit 0 of every block
     copies = {v: v * repeat for v in set(golden_values)}
     golden = [copies[v] for v in golden_values]
@@ -419,7 +405,7 @@ def _screen(
         cone.sort()
         # a mask applies after the cone ops that precede its net's users
         masks = sorted(
-            (bisect_left(cone, stop[nets[i]]), nets[i], block << b * n_edges, 0, 0)
+            (bisect_left(cone, stop[nets[i]]), nets[i], block << b * n_cycles, 0, 0)
             for b, i in enumerate(picked)
         )
         masks.append((len(cone), 0, 0, 0, 0))
@@ -428,11 +414,11 @@ def _screen(
         for net in observed:
             changed |= values[net] ^ golden[net]
         for b, i in enumerate(picked):
-            shown[i] = changed >> b * n_edges & block
+            shown[i] = changed >> b * n_cycles & block
         for net in reached:
             values[net] = golden[net]
         calls += 1
-        lanes += len(picked) * n_edges
+        lanes += len(picked) * n_cycles
         gate_ops += len(cone)
     return shown, calls, lanes, gate_ops
 
@@ -445,14 +431,16 @@ def _stuck_activity(
     site_nets: Sequence[int],
     n_atoms: int,
     atom: Callable[[int], Tuple[int, int, int]],
-) -> Tuple[Optional[Callable[[int], int]], int, int, int, int]:
+) -> Tuple[Optional[Callable[[int, int], int]], int, int, int, int]:
     """The cycles (bit ``c`` for cycle ``c``) at which a stuck-at fault can
-    change a lane that sits on the golden trajectory, as a memoised lookup
-    from ``net << 2 | effect``; and the nets screened, ``_run_ops`` calls,
-    lanes and gate ops spent. A flip-only campaign gets no lookup and spends
+    change a lane that sits on the golden trajectory, as a lookup from its
+    net and effect index; and the nets screened, ``_run_ops`` calls, lanes
+    and gate ops spent. A flip-only campaign gets no lookup and spends
     nothing.
 
-    A stuck-at fault forces its net to a value ``V`` from its onset on, which
+    Every net's golden value comes from one ``_eval_edges`` call with one
+    lane per cycle of the ``_golden`` record ``golden`` of ``words``. A
+    stuck-at fault forces its net to a value ``V`` from its onset on, which
     changes nothing at a cycle where the golden net value is ``V``, and is the
     same as flipping the net at any other cycle. So a single stuck-at fault
     is active where its net differs from ``V`` and ``_screen`` finds that a
@@ -461,34 +449,29 @@ def _stuck_activity(
     ones in sampled mode, found by a second pass over the seeded stream.
     Several faults are active wherever a stuck net differs from its value,
     without the screen, because two faults that each show nowhere can show
-    together; their lookup is filled on first use from golden values alone.
+    together.
     """
     if all(e == "flip" for e in spec.effects):
         return None, 0, 0, 0, 0
-    values, edge_cycles = _golden_nets(comp, golden, words)
-    every = (1 << len(edge_cycles)) - 1
-    shown: Dict[int, int] = {}  # net -> edges on which its flip shows
-    calls, lanes, gate_ops = 1, len(edge_cycles), len(comp.ops)
+    width = len(comp.out_bits["x_e"])
+    values = _eval_edges(comp, [q << width | x for (q, _, _), x in zip(golden, (*words, 0))])
+    every = (1 << len(golden)) - 1
+    shown: Dict[int, int] = {}  # net -> cycles at which its flip shows
+    calls, lanes, gate_ops = 1, len(golden), len(comp.ops)
     if spec.max_simultaneous_faults == 1:
         if spec.mode == "exhaustive":
             nets = list(dict.fromkeys(site_nets))
         else:
             drawn = (atom(i) for (i,) in _enumerate_experiments(n_atoms, spec))
             nets = list(dict.fromkeys(net for net, effect, _ in drawn if effect))
-        flags, screen_calls, screen_lanes, screen_ops = _screen(comp, values, len(edge_cycles), nets)
+        flags, screen_calls, screen_lanes, screen_ops = _screen(comp, values, len(golden), nets)
         shown = dict(zip(nets, flags))
         calls += screen_calls
         lanes += screen_lanes
         gate_ops += screen_ops
 
-    @functools.cache
-    def active(key: int) -> int:
-        net, effect = key >> 2, key & 3
-        edges = (values[net] if effect == 1 else ~values[net] & every) & shown.get(net, every)
-        out = 0
-        for e in _set_bits(edges):
-            out |= edge_cycles[e]
-        return out
+    def active(net: int, effect: int) -> int:
+        return (values[net] if effect == 1 else every ^ values[net]) & shown.get(net, every)
 
     return active, len(shown), calls, lanes, gate_ops
 
@@ -524,9 +507,9 @@ def _run_pool(
     rejoins golden with no mask cycle left is masked; otherwise its
     experiment is queued again at its next mask cycle, carrying its corrupt
     flag. Queued experiments take free lanes before new ones, so the queue
-    never outgrows the pool. Scheduled flips, stuck-at onsets and releases
-    carry the lane's generation, which every retirement bumps, so they never
-    reach a later occupant of the lane.
+    never outgrows the pool. Flips and stuck-at onsets share one schedule of
+    events; events and releases carry the lane's generation, which every
+    retirement bumps, so they never reach a later occupant of the lane.
     """
     width = _POOL_LANES
     full = (1 << width) - 1
@@ -551,8 +534,7 @@ def _run_pool(
     lane_off = [0] * width
     queue: List[Tuple[Tuple[object, Tuple[Tuple[int, int, int], ...], int], int]] = []  # + corrupt flag
     groups: Dict[int, int] = {}  # offset -> lanes
-    flips: Dict[int, List[Tuple[int, int, int]]] = {}  # step -> (net, lane, gen)
-    onsets: Dict[int, List[Tuple[int, int, int, int]]] = {}  # step -> (net, effect, lane, gen)
+    events: Dict[int, List[Tuple[int, int, int, int]]] = {}  # step -> (net, effect, lane, gen)
     releases: Dict[int, List[Tuple[int, int]]] = {}  # step -> (lane, gen)
     stuck: Dict[int, List[int]] = {}  # net -> [clear, set] lanes
     active = quiet = corrupt = 0
@@ -585,10 +567,9 @@ def _run_pool(
             if dirty:
                 carried |= bit
             for net, effect, c in faults:
-                if effect:
-                    onsets.setdefault(max(c, c0) - off, []).append((net, effect, lane, g))
-                elif c >= c0:
-                    flips.setdefault(c - off, []).append((net, lane, g))
+                # a flip before c0 is spent; a stuck-at fault whose onset has passed starts at c0
+                if effect or c >= c0:
+                    events.setdefault(max(c, c0) - off, []).append((net, effect, lane, g))
             # the lane may rejoin golden from the last cycle of this run of mask bits
             releases.setdefault(step + (run ^ run + 1).bit_length() - 2, []).append((lane, g))
         if not active and not entering:
@@ -603,12 +584,11 @@ def _run_pool(
                 st[j] |= lanes
         corrupt |= carried
 
-        for net, effect, lane, g in onsets.pop(step, ()):
-            if gen[lane] == g:
-                stuck.setdefault(net, [0, 0])[effect - 1] |= 1 << lane
         flipped: Dict[int, int] = {}
-        for net, lane, g in flips.pop(step, ()):
-            if gen[lane] == g:
+        for net, effect, lane, g in events.pop(step, ()):
+            if gen[lane] == g and effect:
+                stuck.setdefault(net, [0, 0])[effect - 1] |= 1 << lane
+            elif gen[lane] == g:
                 flipped[net] = flipped.get(net, 0) ^ (1 << lane)
         masks = [(stop[net], net, m, 0, 0) for net, m in flipped.items() if net not in stuck]
         masks += [(stop[net], net, flipped.get(net, 0), clr, sets) for net, (clr, sets) in stuck.items()]
@@ -784,7 +764,7 @@ def run_campaign(
             faults = tuple(map(atom, e))
             mask = 0
             for net, effect, c in faults:
-                mask |= stuck(net << 2 | effect) >> c << c if effect else 1 << c
+                mask |= stuck(net, effect) >> c << c if effect else 1 << c
             idle += not mask
             yield (i, e), faults, mask
 

@@ -18,7 +18,7 @@ from . import fsm as fsm_mod
 from .coding import CodeBook, control_codebook, encode_edge_trace, state_codebook
 from .fsm import FsmSpec, Transition, extract_cfg
 from .gf import BLOCK_BITS, MdsSpec, default_mds, gf2_rank, mds_apply, solve_gf2
-from .netlist import VERILOG_KEYWORDS, Netlist
+from .netlist import VERILOG_KEYWORDS, Netlist, _vnet
 
 
 class HardeningError(Exception):
@@ -337,7 +337,7 @@ def build_hardened_netlist(
 ) -> Netlist:
     s_w = state_codes.width
     x_w = ctrl_codes.width
-    nl = Netlist(f"{_sanitize(fsm.name)}_hardened")
+    nl = Netlist(f"{_vnet(fsm.name)}_hardened")
     b = _Builder(nl)
 
     st_q = [f"st_q_{i}" for i in range(s_w)]
@@ -351,7 +351,7 @@ def build_hardened_netlist(
     # is: comparators and cascades first, flops last. The match nets keep an
     # `m0_` prefix, which the pinned netlists and Verilog carry.
     state_match = {
-        s: b.match_const(st_q, state_codes.codeword(s), "match", f"m0_st_{_sanitize(s)}")
+        s: b.match_const(st_q, state_codes.codeword(s), "match", f"m0_st_{_vnet(s)}")
         for s in fsm.states
     }
     ctrl_match: Dict[str, str] = {}
@@ -440,7 +440,7 @@ def build_hardened_netlist(
                 if (dict(p.edge.outputs).get(sig.name, 0) >> bit_i) & 1:
                     contributors.append(edge_match[i])
             if contributors:
-                bits.append(b.tree("OR", contributors, "output_logic", f"out_{_sanitize(sig.name)}"))
+                bits.append(b.tree("OR", contributors, "output_logic", f"out_{_vnet(sig.name)}"))
             else:
                 bits.append(b.const0)
         nl.add_port(sig.name, "out", bits)
@@ -449,13 +449,6 @@ def build_hardened_netlist(
     nl.add_port("fsm_alert", "out", ["alert_out"])
     nl.validate()
     return nl
-
-
-def _sanitize(name: str) -> str:
-    import re
-
-    out = re.sub(r"[^A-Za-z0-9_]", "_", name)
-    return out if out and not out[0].isdigit() else f"n{out}"
 
 
 def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:

@@ -481,7 +481,7 @@ def from_json_dict(doc: dict) -> Netlist:
 # ---------------------------------------------------------------------------
 # Structural Verilog emission and subset re-parsing
 
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # the reserved keywords of Verilog-2001 (IEEE 1364-2001, Annex B)
 VERILOG_KEYWORDS = frozenset(
     """
@@ -501,9 +501,12 @@ VERILOG_KEYWORDS = frozenset(
 
 
 def _vnet(name: str) -> str:
-    if _ID_RE.match(name):
+    """``name`` as a Verilog identifier: every other character becomes ``_``,
+    and ``n`` goes in front of a name that is empty or starts with a digit."""
+    if _ID_RE.fullmatch(name):
         return name
-    return re.sub(r"[^A-Za-z0-9_]", "_", name)
+    out = re.sub(r"[^A-Za-z0-9_]", "_", name)
+    return out if out and not out[0].isdigit() else f"n{out}"
 
 
 def emit_verilog(netlist: Netlist) -> str:
@@ -522,7 +525,7 @@ def emit_verilog(netlist: Netlist) -> str:
         lines.append(f"  {p.direction}put {rng}{p.name};")
     nets = netlist.nets()
     # checked once per net, not per use; nets that are identifiers keep their name
-    alias = {n: _vnet(n) for n in nets if not _ID_RE.match(n)}
+    alias = {n: _vnet(n) for n in nets if not _ID_RE.fullmatch(n)}
     owner: Dict[str, str] = {}  # Verilog name -> net
     for n in sorted(nets):
         v = alias.get(n, n)
@@ -585,7 +588,15 @@ def parse_verilog(source: str) -> Netlist:
     ports: Dict[str, Tuple[str, List[Optional[str]]]] = {}  # name -> (direction, bits)
     resets: Dict[str, int] = {}
     nexts: Dict[str, str] = {}  # flop q -> d, in emitted order
+    # input port bits and flop outputs: their drivers join ``nl`` only after
+    # the whole file is read, so a second driver is caught here, at its line
+    late: Set[str] = set()
     in_port_list = False
+
+    def drive(net: str) -> str:
+        if net in late or net in nl._drivers:
+            raise NetlistError(f"net {net!r} has multiple drivers")
+        return net
 
     def bind(ref: str, net: str, direction: str) -> None:
         m = _BIT_RE.fullmatch(ref)
@@ -616,13 +627,16 @@ def parse_verilog(source: str) -> Netlist:
             elif m := _ASSIGN_RE.fullmatch(line):
                 lhs, rhs, marker = m.groups()
                 if marker == "portin":
-                    bind(rhs, lhs, "in")
+                    bind(rhs, drive(lhs), "in")
+                    late.add(lhs)
                 elif marker == "portout":
                     bind(lhs, rhs, "out")
-                elif marker != "flopq":  # flops come from the reset and next lines
+                elif marker == "flopq":  # flops come from the reset and next lines
+                    late.add(drive(lhs))
+                else:
                     for kind, pattern in _GATE_RES:
                         if g := pattern.fullmatch(rhs):
-                            nl.add_gate(kind, [g.group(f"in{i}") for i in range(_ARITY[kind])], lhs)
+                            nl.add_gate(kind, [g.group(f"in{i}") for i in range(_ARITY[kind])], drive(lhs))
                             break
                     else:
                         raise NetlistError("the right-hand side matches no gate form")

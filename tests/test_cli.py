@@ -384,6 +384,41 @@ def test_simulate_netlist_autocover(hardened_dir, capsys):
     assert "S0" in out and "alert=0" in out
 
 
+def test_simulate_fsm_autocover_matches_netlist(fsm_file, hardened_dir, capsys):
+    # the default trace of an FSM target is the walk that the hardened
+    # netlist's auto-cover words encode, so both print one trajectory
+    assert cli.main(["simulate", "--target", str(fsm_file)]) == cli.EXIT_OK
+    spec_rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert cli.main(["simulate", "--target", str(hardened_dir / "netlist.json")]) == cli.EXIT_OK
+    netlist_rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+    assert len(spec_rows) > 10
+    assert spec_rows == netlist_rows
+
+
+@pytest.mark.parametrize("command", ["inject", "simulate"])
+def test_missing_trace_exits_io(hardened_dir, tmp_path, caplog, command):
+    netlist, out = str(hardened_dir / "netlist.json"), tmp_path / "r.json"
+    target = ["--netlist", netlist, "--out", str(out)] if command == "inject" else ["--target", netlist]
+    assert cli.main([command, *target, "--trace", str(tmp_path / "missing.json")]) == cli.EXIT_IO
+    assert "cannot read inputs: " in caplog.text and "missing.json" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["harden", "inject"])
+def test_unwritable_out_exits_io(fsm_file, hardened_dir, tmp_path, caplog, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out"
+    if command == "harden":
+        argv = ["harden", "--fsm", str(fsm_file), "--level", "2"]
+    else:
+        argv = ["inject", "--netlist", str(hardened_dir / "netlist.json"), "--scope", "inputs"]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_IO
+    assert f"cannot write {out}: " in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_entry_point_installed(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     package_parent = Path(fsmguard.__file__).resolve().parent.parent

@@ -492,34 +492,39 @@ def _check_screen_of_every_net(netlist, words):
     net per call, 7 nets per call and full calls."""
     comp = netlist._compile()
     golden, _, _ = fe._golden(netlist, words)
-    values, edge_cycles = fe._golden_nets(comp, golden, words)
-    assert sum(map(int.bit_count, edge_cycles)) == len(golden)
+    width = len(comp.out_bits["x_e"])
+    values = fe._eval_edges(comp, [q << width | x for (q, _, _), x in zip(golden, (*words, 0))])
+    cycles = len(golden)
     want = _brute_force_screen(netlist, words)
     nets = list(range(comp.n_nets))
-    for width in (1, 7 * len(edge_cycles), fe._SCREEN_LANES):
-        with mock.patch.object(fe, "_SCREEN_LANES", width):
-            shown, calls, lanes, gate_ops = fe._screen(comp, values, len(edge_cycles), nets)
-        per_call = max(1, width // len(edge_cycles))
-        assert (calls, lanes) == (-(-len(nets) // per_call), len(nets) * len(edge_cycles))
+    for lanes_per_call in (1, 7 * cycles, fe._SCREEN_LANES):
+        with mock.patch.object(fe, "_SCREEN_LANES", lanes_per_call):
+            shown, calls, lanes, gate_ops = fe._screen(comp, values, cycles, nets)
+        per_call = max(1, lanes_per_call // cycles)
+        assert (calls, lanes) == (-(-len(nets) // per_call), len(nets) * cycles)
         assert gate_ops <= calls * len(comp.ops)
-        got = [sum(edge_cycles[e] for e in range(len(edge_cycles)) if edges >> e & 1) for edges in shown]
-        assert got == want
+        assert shown == want
 
 
 @pytest.mark.parametrize("faults", [1, 2])
 def test_flip_only_campaign_skips_the_screen(design_n2, faults):
-    codes, words = design_n2.state_codes, _autocover(design_n2)
+    # the golden net values of a stuck-at campaign take one _eval_edges call
+    # beyond the golden run's; a flip-only campaign makes none
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     spec = fe.CampaignSpec(
         scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=faults
     )
-    want = fe.run_campaign(design_n2.netlist, words, spec, codes).to_json_dict()
-    boom = AssertionError("the stuck-at screen ran")
-    with mock.patch.object(fe, "_golden_nets", side_effect=boom), \
-            mock.patch.object(fe, "_screen", side_effect=boom):
-        assert fe.run_campaign(design_n2.netlist, words, spec, codes).to_json_dict() == want
-        stuck = dataclasses.replace(spec, effects=("flip", "stuck0"))
-        with pytest.raises(AssertionError, match="the stuck-at screen ran"):
-            fe.run_campaign(design_n2.netlist, words, stuck, codes)
+    want = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
+    _, golden_calls, _ = fe._golden(netlist, words)
+    for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1)):
+        evals = mock.Mock(wraps=fe._eval_edges)
+        screen = mock.Mock(wraps=fe._screen)
+        with mock.patch.object(fe, "_eval_edges", evals), mock.patch.object(fe, "_screen", screen):
+            got = fe.run_campaign(netlist, words, dataclasses.replace(spec, effects=effects), codes)
+        assert evals.call_count == golden_calls + passes
+        assert screen.call_count == (1 if passes and faults == 1 else 0)
+        if not passes:
+            assert got.to_json_dict() == want
 
 
 def _screen_log(caplog):
@@ -535,15 +540,14 @@ def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lan
     # lanes, whatever the pool width and the order of the experiment stream
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
-    golden, _, _ = fe._golden(netlist, words)
-    edges = len(fe._golden_nets(netlist._compile(), golden, words)[1])
+    cycles = len(words) + 1
     nets = len(enumerate_fault_sites(netlist, "all"))
     # two cycles keep the one-lane pool quick; the screen covers every cycle
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), cycles=(0, 7))
     with mock.patch.object(fe, "_POOL_LANES", lanes):
         fe.run_campaign(netlist, words, spec, codes)
-    per_call = max(1, fe._SCREEN_LANES // edges)
-    assert _screen_log(caplog) == (nets, 1 + math.ceil(nets / per_call), (1 + nets) * edges)
+    per_call = max(1, fe._SCREEN_LANES // cycles)
+    assert _screen_log(caplog) == (nets, 1 + math.ceil(nets / per_call), (1 + nets) * cycles)
 
 
 def test_screen_runs_only_the_fanout_cones(design_n2, caplog):
@@ -770,9 +774,9 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     )
     nets, calls, lanes, idle = map(int, found.groups())
     assert nets == rep.metadata["sites"]
-    # one lane per golden edge for the golden net values, and per (net, edge)
+    # one lane per cycle for the golden net values, and per (net, cycle)
     # pair for the screen
-    assert calls >= 2 and lanes % (nets + 1) == 0
+    assert calls >= 2 and lanes == (nets + 1) * cycles
     assert 0 < idle <= rep.masked - rep.masked_corrupt
 
 

@@ -284,6 +284,26 @@ def test_verilog_renames_non_identifier_nets():
     ).port_column("o")
 
 
+def test_verilog_renames_nets_that_start_with_a_digit():
+    # a Verilog identifier cannot start with a digit, nor end with a newline
+    n = nl.Netlist("digits")
+    n.add_port("a", "in", ["0a"])
+    n.add_gate("NOT", ["0a"], "1-b")
+    n.add_gate("BUF", ["1-b"], "c\n")
+    n.add_port("o", "out", ["1-b", "c\n"])
+    n.validate()
+    text = nl.emit_verilog(n)
+    wires = re.findall(r"^  wire (.*);$", text, re.M)
+    assert sorted(wires) == ["c_", "n0a", "n1_b"]
+    assert "  assign n1_b = ~n0a;" in text
+    again = nl.parse_verilog(text)
+    assert again.gates == [Gate("NOT", ("n0a",), "n1_b"), Gate("BUF", ("n1_b",), "c_")]
+    trace = [{"a": v} for v in (0, 1, 1, 0)]
+    assert nl.simulate_batch(again, [trace]).port_column("o") == nl.simulate_batch(
+        n, [trace]
+    ).port_column("o")
+
+
 def test_verilog_rejects_nets_renamed_to_one_name():
     n = nl.Netlist("clash")
     n.add_port("a", "in", ["a.0", "a_0"])
@@ -320,6 +340,7 @@ def small_verilog():
         ("assign a = x[0]; // portin", "assign a = y; // portin"),  # undeclared port
         ("assign b = a_n ^ c;", "assign b = a_n ^ a_n ^ a_n;"),  # three XOR inputs
         ("assign b = a_n ^ c;", "assign b = a_n + a_n;"),  # no gate kind emits +
+        ("assign b = a_n ^ c;", "assign a = ~c;"),  # drives an input port's bit
     ],
 )
 def test_verilog_parse_errors_name_the_line(good, bad):
