@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -29,7 +30,7 @@ from .netlist import (
 EXHAUSTIVE_BOUND = 10_000_000
 # lanes of the fault-simulation pool; each lane holds one experiment at a time
 _POOL_LANES = 256
-# lanes of one stuck-at screen call, one per (net, cycle) pair
+# lanes of one stuck-at screen call, one per (net, golden edge) pair
 _SCREEN_LANES = 4096
 
 
@@ -357,34 +358,34 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 def _screen(
-    comp: _Compiled, golden_values: Sequence[int], n_cycles: int, nets: Sequence[int]
+    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int]
 ) -> Tuple[List[int], int, int, int]:
-    """For each of ``nets``, the cycles (bit ``c`` for cycle ``c``) at which
-    flipping that net changes a flop input, ``state_e`` or ``fsm_alert``;
-    and the ``_run_ops`` calls, lanes and gate ops spent.
+    """For each of ``nets``, the golden edges (bit ``e`` for edge ``e``) on
+    which flipping that net changes a flop input, ``state_e`` or
+    ``fsm_alert``; and the ``_run_ops`` calls, lanes and gate ops spent.
 
     ``golden_values`` holds every net's fault-free value with one lane per
-    cycle of the ``n_cycles``-cycle golden run. There is one lane per (net,
-    cycle) pair: each net has a block of ``n_cycles`` lanes that start from
-    the golden cycles and flip it, and a call holds about ``_SCREEN_LANES``
-    lanes. Nets are taken in the order of the ops that drive them, so that
-    the nets of a call share most of their fanout cones. A call runs only
-    the ops in the union of those cones (``comp.users``), with each mask's
-    stop re-indexed into that sub-list; every other net holds its golden
-    value in every block.
+    distinct edge of the golden run, ``n_edges`` lanes in all. There is one
+    lane per (net, edge) pair: each net has a block of ``n_edges`` lanes that
+    start from the golden edges and flip it, and a call holds about
+    ``_SCREEN_LANES`` lanes. Nets are taken in the order of the ops that
+    drive them, so that the nets of a call share most of their fanout cones.
+    A call runs only the ops in the union of those cones (``comp.users``),
+    with each mask's stop re-indexed into that sub-list; every other net
+    holds its golden value in every block.
     """
     ops, stop, users = comp.ops, comp.op_stop, comp.users
     outs = [op[1] for op in ops]
     observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
-    block = (1 << n_cycles) - 1
-    per_call = max(1, _SCREEN_LANES // n_cycles)
+    block = (1 << n_edges) - 1
+    per_call = max(1, _SCREEN_LANES // n_edges)
     order = sorted(range(len(nets)), key=lambda i: stop[nets[i]])
     shown = [0] * len(nets)
     # golden_values replicated over the blocks of a call. Every call is as
     # wide as the first: the last call's spare blocks keep these values and
     # flip nothing. Many nets share a value, so each distinct one is
     # multiplied once
-    full = (1 << min(len(nets), per_call) * n_cycles) - 1
+    full = (1 << min(len(nets), per_call) * n_edges) - 1
     repeat = full // block  # bit 0 of every block
     copies = {v: v * repeat for v in set(golden_values)}
     golden = [copies[v] for v in golden_values]
@@ -405,7 +406,7 @@ def _screen(
         cone.sort()
         # a mask applies after the cone ops that precede its net's users
         masks = sorted(
-            (bisect_left(cone, stop[nets[i]]), nets[i], block << b * n_cycles, 0, 0)
+            (bisect_left(cone, stop[nets[i]]), nets[i], block << b * n_edges, 0, 0)
             for b, i in enumerate(picked)
         )
         masks.append((len(cone), 0, 0, 0, 0))
@@ -414,11 +415,11 @@ def _screen(
         for net in observed:
             changed |= values[net] ^ golden[net]
         for b, i in enumerate(picked):
-            shown[i] = changed >> b * n_cycles & block
+            shown[i] = changed >> b * n_edges & block
         for net in reached:
             values[net] = golden[net]
         calls += 1
-        lanes += len(picked) * n_cycles
+        lanes += len(picked) * n_edges
         gate_ops += len(cone)
     return shown, calls, lanes, gate_ops
 
@@ -439,7 +440,8 @@ def _stuck_activity(
     nothing.
 
     Every net's golden value comes from one ``_eval_edges`` call with one
-    lane per cycle of the ``_golden`` record ``golden`` of ``words``. A
+    lane per distinct edge of the ``_golden`` record ``golden`` of ``words``,
+    so the work grows with the edges of the trace, not its length. A
     stuck-at fault forces its net to a value ``V`` from its onset on, which
     changes nothing at a cycle where the golden net value is ``V``, and is the
     same as flipping the net at any other cycle. So a single stuck-at fault
@@ -449,29 +451,49 @@ def _stuck_activity(
     ones in sampled mode, found by a second pass over the seeded stream.
     Several faults are active wherever a stuck net differs from its value,
     without the screen, because two faults that each show nowhere can show
-    together.
+    together. The lookup turns a mask of edges into cycles four edges at a
+    time, from one table per group of four edges that holds the cycles of
+    each of its 16 subsets.
     """
     if all(e == "flip" for e in spec.effects):
         return None, 0, 0, 0, 0
     width = len(comp.out_bits["x_e"])
-    values = _eval_edges(comp, [q << width | x for (q, _, _), x in zip(golden, (*words, 0))])
-    every = (1 << len(golden)) - 1
-    shown: Dict[int, int] = {}  # net -> cycles at which its flip shows
-    calls, lanes, gate_ops = 1, len(golden), len(comp.ops)
+    edges: Dict[int, int] = {}  # key -> cycles
+    for c, ((q, _, _), x) in enumerate(zip(golden, (*words, 0))):
+        key = q << width | x
+        edges[key] = edges.get(key, 0) | 1 << c
+    values = _eval_edges(comp, list(edges))
+    every = (1 << len(edges)) - 1
+    shown: Dict[int, int] = {}  # net -> edges on which its flip shows
+    calls, lanes, gate_ops = 1, len(edges), len(comp.ops)
     if spec.max_simultaneous_faults == 1:
         if spec.mode == "exhaustive":
             nets = list(dict.fromkeys(site_nets))
         else:
             drawn = (atom(i) for (i,) in _enumerate_experiments(n_atoms, spec))
             nets = list(dict.fromkeys(net for net, effect, _ in drawn if effect))
-        flags, screen_calls, screen_lanes, screen_ops = _screen(comp, values, len(golden), nets)
+        flags, screen_calls, screen_lanes, screen_ops = _screen(comp, values, len(edges), nets)
         shown = dict(zip(nets, flags))
         calls += screen_calls
         lanes += screen_lanes
         gate_ops += screen_ops
+    # tables[g][s]: the cycles of the edges 4g..4g+3 whose bits are set in s
+    cycles = list(edges.values())
+    tables: List[List[int]] = []
+    for lo in range(0, len(cycles), 4):
+        table = [0]
+        for edge_cycles in cycles[lo : lo + 4]:
+            table += [t | edge_cycles for t in table]
+        tables.append(table)
 
+    @functools.cache
     def active(net: int, effect: int) -> int:
-        return (values[net] if effect == 1 else every ^ values[net]) & shown.get(net, every)
+        mask = (values[net] if effect == 1 else every ^ values[net]) & shown.get(net, every)
+        out = 0
+        for table in tables:
+            out |= table[mask & 15]
+            mask >>= 4
+        return out
 
     return active, len(shown), calls, lanes, gate_ops
 
@@ -586,9 +608,11 @@ def _run_pool(
 
         flipped: Dict[int, int] = {}
         for net, effect, lane, g in events.pop(step, ()):
-            if gen[lane] == g and effect:
+            if gen[lane] != g:
+                continue
+            if effect:
                 stuck.setdefault(net, [0, 0])[effect - 1] |= 1 << lane
-            elif gen[lane] == g:
+            else:
                 flipped[net] = flipped.get(net, 0) ^ (1 << lane)
         masks = [(stop[net], net, m, 0, 0) for net, m in flipped.items() if net not in stuck]
         masks += [(stop[net], net, flipped.get(net, 0), clr, sets) for net, (clr, sets) in stuck.items()]

@@ -18,7 +18,7 @@ from . import fsm as fsm_mod
 from .coding import CodeBook, control_codebook, encode_edge_trace, state_codebook
 from .fsm import FsmSpec, Transition, extract_cfg
 from .gf import BLOCK_BITS, MdsSpec, default_mds, gf2_rank, mds_apply, solve_gf2
-from .netlist import VERILOG_KEYWORDS, Netlist, _vnet
+from .netlist import VERILOG_KEYWORDS, Netlist, verilog_name
 
 
 class HardeningError(Exception):
@@ -337,7 +337,7 @@ def build_hardened_netlist(
 ) -> Netlist:
     s_w = state_codes.width
     x_w = ctrl_codes.width
-    nl = Netlist(f"{_vnet(fsm.name)}_hardened")
+    nl = Netlist(f"{verilog_name(fsm.name)}_hardened")
     b = _Builder(nl)
 
     st_q = [f"st_q_{i}" for i in range(s_w)]
@@ -351,7 +351,7 @@ def build_hardened_netlist(
     # is: comparators and cascades first, flops last. The match nets keep an
     # `m0_` prefix, which the pinned netlists and Verilog carry.
     state_match = {
-        s: b.match_const(st_q, state_codes.codeword(s), "match", f"m0_st_{_vnet(s)}")
+        s: b.match_const(st_q, state_codes.codeword(s), "match", f"m0_st_{verilog_name(s)}")
         for s in fsm.states
     }
     ctrl_match: Dict[str, str] = {}
@@ -440,7 +440,7 @@ def build_hardened_netlist(
                 if (dict(p.edge.outputs).get(sig.name, 0) >> bit_i) & 1:
                     contributors.append(edge_match[i])
             if contributors:
-                bits.append(b.tree("OR", contributors, "output_logic", f"out_{_vnet(sig.name)}"))
+                bits.append(b.tree("OR", contributors, "output_logic", f"out_{verilog_name(sig.name)}"))
             else:
                 bits.append(b.const0)
         nl.add_port(sig.name, "out", bits)

@@ -500,7 +500,7 @@ VERILOG_KEYWORDS = frozenset(
 )
 
 
-def _vnet(name: str) -> str:
+def verilog_name(name: str) -> str:
     """``name`` as a Verilog identifier: every other character becomes ``_``,
     and ``n`` goes in front of a name that is empty or starts with a digit."""
     if _ID_RE.fullmatch(name):
@@ -515,7 +515,7 @@ def emit_verilog(netlist: Netlist) -> str:
     in_ports = [p for p in netlist.ports if p.direction == "in"]
     out_ports = [p for p in netlist.ports if p.direction == "out"]
     port_names = ["clk", "rst_n"] + [p.name for p in in_ports + out_ports]
-    lines.append(f"module {_vnet(netlist.name)} (")
+    lines.append(f"module {verilog_name(netlist.name)} (")
     lines.append("  " + ",\n  ".join(port_names))
     lines.append(");")
     lines.append("  input clk;")
@@ -525,7 +525,7 @@ def emit_verilog(netlist: Netlist) -> str:
         lines.append(f"  {p.direction}put {rng}{p.name};")
     nets = netlist.nets()
     # checked once per net, not per use; nets that are identifiers keep their name
-    alias = {n: _vnet(n) for n in nets if not _ID_RE.fullmatch(n)}
+    alias = {n: verilog_name(n) for n in nets if not _ID_RE.fullmatch(n)}
     owner: Dict[str, str] = {}  # Verilog name -> net
     for n in sorted(nets):
         v = alias.get(n, n)

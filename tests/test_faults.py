@@ -487,23 +487,38 @@ def test_screen_matches_single_flips(request, design):
     _check_screen_of_every_net(design.netlist, _autocover(design))
 
 
+def _edge_keys(netlist, words):
+    """The (flop state, x_e word) key of every golden cycle, settle cycle included."""
+    golden, _, _ = fe._golden(netlist, words)
+    width = len(netlist._compile().out_bits["x_e"])
+    return [q << width | x for (q, _, _), x in zip(golden, (*words, 0))]
+
+
 def _check_screen_of_every_net(netlist, words):
-    """``fe._screen`` of every net against ``_brute_force_screen``, at one
-    net per call, 7 nets per call and full calls."""
+    """The stuck-at lookup of an exhaustive single-fault campaign over every
+    net against ``_brute_force_screen`` and each cycle's golden net values,
+    at one net per screen call, 7 nets per call and full calls: a stuck-at-0
+    fault is active where the net is 1 and a flip shows, a stuck-at-1 fault
+    where it is 0 and a flip shows."""
     comp = netlist._compile()
     golden, _, _ = fe._golden(netlist, words)
-    width = len(comp.out_bits["x_e"])
-    values = fe._eval_edges(comp, [q << width | x for (q, _, _), x in zip(golden, (*words, 0))])
-    cycles = len(golden)
+    keys = _edge_keys(netlist, words)
+    ones = fe._eval_edges(comp, keys)  # per net, the cycles at which it is 1
+    every = (1 << len(keys)) - 1
+    edges = len(set(keys))
     want = _brute_force_screen(netlist, words)
     nets = list(range(comp.n_nets))
-    for lanes_per_call in (1, 7 * cycles, fe._SCREEN_LANES):
+    spec = fe.CampaignSpec(scope="all", effects=("stuck0", "stuck1"))
+    for lanes_per_call in (1, 7 * edges, fe._SCREEN_LANES):
         with mock.patch.object(fe, "_SCREEN_LANES", lanes_per_call):
-            shown, calls, lanes, gate_ops = fe._screen(comp, values, cycles, nets)
-        per_call = max(1, lanes_per_call // cycles)
-        assert (calls, lanes) == (-(-len(nets) // per_call), len(nets) * cycles)
+            active, screened, calls, lanes, gate_ops = fe._stuck_activity(
+                comp, golden, words, spec, nets, 0, None
+            )
+        per_call = max(1, lanes_per_call // edges)
+        assert (screened, calls, lanes) == (len(nets), 1 + -(-len(nets) // per_call), (1 + len(nets)) * edges)
         assert gate_ops <= calls * len(comp.ops)
-        assert shown == want
+        assert [active(n, 1) for n in nets] == [w & ones[n] for n, w in zip(nets, want)]
+        assert [active(n, 2) for n in nets] == [w & (every ^ ones[n]) for n, w in zip(nets, want)]
 
 
 @pytest.mark.parametrize("faults", [1, 2])
@@ -540,14 +555,14 @@ def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lan
     # lanes, whatever the pool width and the order of the experiment stream
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
-    cycles = len(words) + 1
+    edges = len(set(_edge_keys(netlist, words)))
     nets = len(enumerate_fault_sites(netlist, "all"))
-    # two cycles keep the one-lane pool quick; the screen covers every cycle
+    # two cycles keep the one-lane pool quick; the screen covers every edge
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), cycles=(0, 7))
     with mock.patch.object(fe, "_POOL_LANES", lanes):
         fe.run_campaign(netlist, words, spec, codes)
-    per_call = max(1, fe._SCREEN_LANES // cycles)
-    assert _screen_log(caplog) == (nets, 1 + math.ceil(nets / per_call), (1 + nets) * cycles)
+    per_call = max(1, fe._SCREEN_LANES // edges)
+    assert _screen_log(caplog) == (nets, 1 + math.ceil(nets / per_call), (1 + nets) * edges)
 
 
 def test_screen_runs_only_the_fanout_cones(design_n2, caplog):
@@ -774,9 +789,9 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     )
     nets, calls, lanes, idle = map(int, found.groups())
     assert nets == rep.metadata["sites"]
-    # one lane per cycle for the golden net values, and per (net, cycle)
-    # pair for the screen
-    assert calls >= 2 and lanes == (nets + 1) * cycles
+    # one lane per distinct golden edge for the golden net values, and per
+    # (net, edge) pair for the screen
+    assert calls >= 2 and lanes == (nets + 1) * len(set(_edge_keys(design_n2.netlist, _autocover(design_n2))))
     assert 0 < idle <= rep.masked - rep.masked_corrupt
 
 
