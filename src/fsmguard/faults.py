@@ -424,7 +424,7 @@ def _screen(
     return shown, calls, lanes, gate_ops
 
 
-def _stuck_activity(
+def _activity(
     comp: _Compiled,
     golden: Sequence[Tuple[int, int, int]],
     words: Sequence[int],
@@ -433,11 +433,11 @@ def _stuck_activity(
     n_atoms: int,
     atom: Callable[[int], Tuple[int, int, int]],
 ) -> Tuple[Optional[Callable[[int, int], int]], int, int, int, int]:
-    """The cycles (bit ``c`` for cycle ``c``) at which a stuck-at fault can
-    change a lane that sits on the golden trajectory, as a lookup from its
-    net and effect index; and the nets screened, ``_run_ops`` calls, lanes
-    and gate ops spent. A flip-only campaign gets no lookup and spends
-    nothing.
+    """The cycles (bit ``c`` for cycle ``c``) at which a fault can change a
+    lane that sits on the golden trajectory, as a lookup from its net and
+    effect index; and the nets screened, ``_run_ops`` calls, lanes and gate
+    ops spent. A campaign without a stuck-at effect gets no lookup, spends
+    nothing, and its flips are active at their own cycles.
 
     Every net's golden value comes from one ``_eval_edges`` call with one
     lane per distinct edge of the ``_golden`` record ``golden`` of ``words``,
@@ -446,14 +446,15 @@ def _stuck_activity(
     changes nothing at a cycle where the golden net value is ``V``, and is the
     same as flipping the net at any other cycle. So a single stuck-at fault
     is active where its net differs from ``V`` and ``_screen`` finds that a
-    flip of the net shows. A single-fault campaign screens the nets of its
-    stuck-at atoms up front: every site's net in exhaustive mode, the drawn
-    ones in sampled mode, found by a second pass over the seeded stream.
-    Several faults are active wherever a stuck net differs from its value,
-    without the screen, because two faults that each show nowhere can show
-    together. The lookup turns a mask of edges into cycles four edges at a
-    time, from one table per group of four edges that holds the cycles of
-    each of its 16 subsets.
+    flip of the net shows, and a single flip where the flip shows. A
+    single-fault campaign screens the nets of its stuck-at atoms up front:
+    every site's net in exhaustive mode, the drawn ones in sampled mode,
+    found by a second pass over the seeded stream; an unscreened net shows
+    everywhere. Several faults are active wherever a stuck net differs from
+    its value, and flips at every cycle, without the screen, because two
+    faults that each show nowhere can show together. The lookup turns a mask
+    of edges into cycles four edges at a time, from one table per group of
+    four edges that holds the cycles of each of its 16 subsets.
     """
     if all(e == "flip" for e in spec.effects):
         return None, 0, 0, 0, 0
@@ -488,7 +489,7 @@ def _stuck_activity(
 
     @functools.cache
     def active(net: int, effect: int) -> int:
-        mask = (values[net] if effect == 1 else every ^ values[net]) & shown.get(net, every)
+        mask = (every, values[net], every ^ values[net])[effect] & shown.get(net, every)
         out = 0
         for table in tables:
             out |= table[mask & 15]
@@ -512,13 +513,12 @@ def _run_pool(
     ``golden`` is the ``_golden`` record of ``words``. An experiment is a
     ``key``, a tuple of ``(net index, effect index, cycle)`` faults and its
     activity mask: the cycles at which its faults can change a lane that
-    sits on the golden trajectory, a flip at its own cycle and a stuck-at
-    fault as ``_stuck_activity`` finds. All machine state is in the flops, so
-    a lane in the golden flop state at a cycle outside its mask repeats the
-    golden run exactly, and a lane is occupied only while its experiment is
-    active or its flop state is off golden. An empty mask is masked without
-    a lane. Otherwise the experiment enters a free lane at the lowest cycle
-    of its mask, with the golden flop state of that cycle and every stuck-at
+    sits on the golden trajectory, as ``_activity`` finds; it is never
+    empty. All machine state is in the flops, so a lane in the golden flop
+    state at a cycle outside its mask repeats the golden run exactly, and a
+    lane is occupied only while its experiment is active or its flop state
+    is off golden. The experiment enters a free lane at the lowest cycle of
+    its mask, with the golden flop state of that cycle and every stuck-at
     fault whose onset has passed. Lanes advance one cycle per step; a lane's
     cycle is the step plus its offset, and lanes are grouped by offset so
     that input bits and golden words are packed per group.
@@ -571,9 +571,6 @@ def _run_pool(
                 exp = next(experiments, None)
                 if exp is None:
                     break
-                if not exp[2]:
-                    yield exp[0], "masked", None
-                    continue
                 dirty = 0
             _, faults, mask = exp
             c0 = (mask & -mask).bit_length() - 1
@@ -714,12 +711,16 @@ def run_campaign(
 
     The golden run is computed once by ``_golden``, which evaluates each
     distinct (flop state, ``x_e`` word) edge of the trace once. Each
-    experiment then gets its activity mask, from its flip cycles and the
-    stuck-at table that ``_stuck_activity`` builds before the pool starts,
-    and runs in the lane pool of ``_run_pool`` at the cycles its mask needs.
-    The cost of the golden run and of the stuck-at screen is logged on the
-    ``fsmguard`` logger. Experiments are independent and witnesses are listed in
-    enumeration order, so reports do not depend on the pool width.
+    experiment then gets its activity mask from the table that ``_activity``
+    builds before the pool starts. An empty mask is masked without a lane.
+    Consecutive single-fault experiments with the same net, effect and mask
+    all enter at the mask's first cycle with the fault active from there, so
+    they run as one experiment in the lane pool of ``_run_pool``, at the
+    cycles its mask needs, and each member counts its outcome; a hijack gives
+    each member its own witness. The cost of the golden run and of the
+    stuck-at screen is logged on the ``fsmguard`` logger. Experiments are
+    independent and witnesses are listed in enumeration order, so reports do
+    not depend on the pool width.
     """
     theo = _theoretical_p(netlist)
     t0 = time.perf_counter()
@@ -760,51 +761,67 @@ def run_campaign(
 
     comp = netlist._compile()
     site_nets = [comp.index[s] for s in sites]
-    effect_ids = [FAULT_EFFECTS.index(e) for e in spec.effects]
-
-    def split(i: int) -> Tuple[int, int, int]:
-        site, rest = divmod(i, per_site)
-        return (site, *divmod(rest, len(cycles)))
+    # (effect index, cycle) of each atom of a site, in atom order
+    within = [(FAULT_EFFECTS.index(e), c) for e in spec.effects for c in cycles]
 
     def atom(i: int) -> Tuple[int, int, int]:
-        site, effect, cycle = split(i)
-        return site_nets[site], effect_ids[effect], cycles[cycle]
+        site, rest = divmod(i, per_site)
+        effect, c = within[rest]
+        return site_nets[site], effect, c
 
     def fault_site(i: int) -> FaultSite:
-        site, effect, cycle = split(i)
-        return FaultSite(sites[site], spec.effects[effect], cycles[cycle])
+        site, rest = divmod(i, per_site)
+        effect, c = within[rest]
+        return FaultSite(sites[site], FAULT_EFFECTS[effect], c)
 
     stream = _enumerate_experiments(n_atoms, spec)  # checks the exhaustive bound before the screen
     t0 = time.perf_counter()
-    stuck, nets, screen_calls, screen_lanes, screen_ops = _stuck_activity(
+    active, nets, screen_calls, screen_lanes, screen_ops = _activity(
         comp, golden, golden_words, spec, site_nets, n_atoms, atom
     )
     screen_s = time.perf_counter() - t0
-    idle = 0
+    counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
+    idle = shared = 0
 
-    def experiments() -> Iterator[Tuple[Tuple[int, Tuple[int, ...]], Tuple[Tuple[int, int, int], ...], int]]:
-        nonlocal idle
+    def experiments() -> Iterator[Tuple[List[Tuple[int, Tuple[int, ...]]], Tuple[Tuple[int, int, int], ...], int]]:
+        nonlocal idle, shared
+        lane: tuple = ([], (), 0)  # members, faults and mask of the lane being filled
+        last: object = None
         for i, e in enumerate(stream):
             faults = tuple(map(atom, e))
             mask = 0
             for net, effect, c in faults:
-                mask |= stuck(net, effect) >> c << c if effect else 1 << c
-            idle += not mask
-            yield (i, e), faults, mask
+                if effect:
+                    mask |= active(net, effect) >> c << c
+                else:
+                    mask |= 1 << c if active is None else active(net, 0) & 1 << c
+            if not mask:
+                counts["masked"] += 1
+                idle += 1
+                continue
+            group = (*faults[0][:2], mask) if len(faults) == 1 else i
+            if group == last:
+                lane[0].append((i, e))
+                shared += 1
+                continue
+            if lane[0]:
+                yield lane  # its last member is known now
+            lane, last = ([(i, e)], faults, mask), group
+        if lane[0]:
+            yield lane
 
-    counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     hijacks: List[Tuple[int, HijackWitness]] = []
-    for (idx, e), cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, experiments()):
-        counts[cls] += 1
+    for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, experiments()):
+        counts[cls] += len(members)
         if cls == "hijack":
             cyc, sym = info
-            faults = tuple(map(fault_site, e))
-            hijacks.append((idx, HijackWitness(faults, cyc, sym, golden_states[cyc])))
+            for idx, e in members:
+                hijacks.append((idx, HijackWitness(tuple(map(fault_site, e)), cyc, sym, golden_states[cyc])))
     if log is not None:
         log.info(
             "stuck-at screen: %d nets in %d evaluations (%d lanes), %.3f s; "
-            "%d experiments settled without a lane; %d of %d gate ops",
-            nets, screen_calls, screen_lanes, screen_s, idle, screen_ops, screen_calls * len(comp.ops),
+            "%d experiments settled without a lane, %d shared a lane; %d of %d gate ops",
+            nets, screen_calls, screen_lanes, screen_s, idle, shared, screen_ops, screen_calls * len(comp.ops),
         )
 
     total = sum(counts.values())

@@ -511,7 +511,7 @@ def _check_screen_of_every_net(netlist, words):
     spec = fe.CampaignSpec(scope="all", effects=("stuck0", "stuck1"))
     for lanes_per_call in (1, 7 * edges, fe._SCREEN_LANES):
         with mock.patch.object(fe, "_SCREEN_LANES", lanes_per_call):
-            active, screened, calls, lanes, gate_ops = fe._stuck_activity(
+            active, screened, calls, lanes, gate_ops = fe._activity(
                 comp, golden, words, spec, nets, 0, None
             )
         per_call = max(1, lanes_per_call // edges)
@@ -609,6 +609,108 @@ def test_screen_covers_the_drawn_stuck_nets_only(design_n2, caplog):
     assert stream.call_count == 1
     # only the golden net values, one pass
     assert _screen_log(caplog)[:2] == (0, 1)
+
+
+def _pool_entries(netlist, words, spec, codes, lanes=fe._POOL_LANES):
+    """The campaign report of ``spec``, the experiments that took a lane of
+    the pool, each a (members, faults, mask) triple, and the pool's
+    (members, class) outcomes."""
+    entered, outcomes = [], []
+    run_pool = fe._run_pool
+
+    def pool(*args):
+        def stream():
+            for exp in args[-1]:
+                entered.append(exp)
+                yield exp
+
+        for members, cls, info in run_pool(*args[:-1], stream()):
+            outcomes.append((members, cls))
+            yield members, cls, info
+
+    with mock.patch.object(fe, "_run_pool", pool), mock.patch.object(fe, "_POOL_LANES", lanes):
+        report = fe.run_campaign(netlist, words, spec, codes)
+    return report, entered, outcomes
+
+
+def _shown_by_flips(netlist, words):
+    """Per net index, the golden net values (bit c for cycle c) and the
+    cycles at which a whole-trace single flip of the net shows."""
+    ones = fe._eval_edges(netlist._compile(), _edge_keys(netlist, words))
+    return ones, _brute_force_screen(netlist, words)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 256])
+@pytest.mark.parametrize("case", ["alert_free_register", "design_n2"])
+def test_equal_stuck_at_experiments_share_a_lane(request, case, lanes, caplog):
+    # consecutive single stuck-at faults with one (net, effect, mask) differ
+    # only in an onset before the mask's first cycle: one lane runs them all
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    if case == "design_n2":
+        design = request.getfixturevalue(case)
+        netlist, words, codes = design.netlist, _autocover(design), design.state_codes
+        cycles = (2, 3, 4, 5)
+    else:
+        netlist, words, codes = _alert_free_register()
+        cycles = tuple(range(len(words)))
+    spec = fe.CampaignSpec(scope="all", effects=("stuck0", "stuck1"), cycles=cycles)
+    report, entered, outcomes = _pool_entries(netlist, words, spec, codes, lanes)
+    totals, witnesses = reference_campaign(netlist, words, spec, codes)
+    doc = report.to_json_dict()
+    assert doc["totals"] == totals
+    assert doc["witnesses"] == witnesses
+
+    # the lanes are the runs of consecutive non-empty (net, effect, mask) keys
+    ones, shown = _shown_by_flips(netlist, words)
+    every = (1 << len(words) + 1) - 1
+    comp = netlist._compile()
+    keys = []
+    for site in enumerate_fault_sites(netlist, spec.scope):
+        net = comp.index[site]
+        for effect, differs in (("stuck0", ones[net]), ("stuck1", every ^ ones[net])):
+            for c in cycles:
+                mask = shown[net] & differs >> c << c
+                if mask:
+                    keys.append((net, effect, mask))
+    runs = sum(1 for i, key in enumerate(keys) if not i or keys[i - 1] != key)
+    assert len(entered) == runs < len(keys)
+    found = re.search(r"(\d+) experiments settled without a lane, (\d+) shared a lane", caplog.text)
+    assert tuple(map(int, found.groups())) == (totals["total"] - len(keys), len(keys) - runs)
+
+    # a shared lane ends hijacked (design_n2) or silently corrupt (the register)
+    ends = {cls for members, cls in outcomes if len(members) > 1}
+    assert ("hijack" if case == "design_n2" else "masked_corrupt") in ends
+    if case == "design_n2":
+        # witnesses are in experiment order; each member of a hijacking group
+        # has its own, at its own onset and the group's hijack cycle
+        hijacked = sorted(i for members, cls in outcomes if cls == "hijack" for i, _ in members)
+        witness_of = dict(zip(hijacked, witnesses))
+        for members, cls in outcomes:
+            if cls == "hijack" and len(members) > 1:
+                own = [witness_of[i] for i, _ in members]
+                assert [w["faults"][0]["cycle"] for w in own] == [cycles[a % len(cycles)] for _, (a,) in members]
+                assert len({(w["cycle"], w["reached_state"]) for w in own}) == 1
+
+
+def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
+    # in a screened campaign, a flip enters the pool only at the cycles where
+    # a whole-trace single flip of its net shows
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
+    spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0"))
+    report, entered, _ = _pool_entries(netlist, words, spec, codes)
+    _, shown = _shown_by_flips(netlist, words)
+    comp = netlist._compile()
+    nets = [comp.index[site] for site in enumerate_fault_sites(netlist, spec.scope)]
+    flips = [faults[0] for _, faults, _ in entered if not faults[0][1]]
+    assert [(net, c) for net, _, c in flips] == [
+        (net, c) for net in nets for c in range(len(words)) if shown[net] >> c & 1
+    ]
+    assert 0 < len(flips) < len(nets) * len(words)
+    found = re.search(r"(\d+) experiments settled without a lane, (\d+) shared a lane", caplog.text)
+    idle, shared = map(int, found.groups())
+    assert idle + shared + len(entered) == report.total
+    assert idle >= len(nets) * len(words) - len(flips)
 
 
 # -- the memoized golden run against simulate_batch ---------------------------
@@ -776,7 +878,7 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     )
     assert re.search(
         r"stuck-at screen: 0 nets in 0 evaluations \(0 lanes\), 0\.000 s; "
-        r"0 experiments settled without a lane",
+        r"0 experiments settled without a lane, 0 shared a lane",
         caplog.text,
     )
     caplog.clear()
@@ -784,15 +886,16 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
     found = re.search(
         r"stuck-at screen: (\d+) nets in (\d+) evaluations \((\d+) lanes\), \d+\.\d{3} s; "
-        r"(\d+) experiments settled without a lane",
+        r"(\d+) experiments settled without a lane, (\d+) shared a lane",
         caplog.text,
     )
-    nets, calls, lanes, idle = map(int, found.groups())
+    nets, calls, lanes, idle, shared = map(int, found.groups())
     assert nets == rep.metadata["sites"]
     # one lane per distinct golden edge for the golden net values, and per
     # (net, edge) pair for the screen
     assert calls >= 2 and lanes == (nets + 1) * len(set(_edge_keys(design_n2.netlist, _autocover(design_n2))))
     assert 0 < idle <= rep.masked - rep.masked_corrupt
+    assert 0 < shared < rep.total - idle
 
 
 # -- inputs the campaign must refuse ----------------------------------------------
