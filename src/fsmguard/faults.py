@@ -8,7 +8,6 @@ import random
 import sys
 import time
 import warnings
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -28,9 +27,12 @@ from .netlist import (
 
 # exhaustive campaigns above this many experiments must be sampled instead
 EXHAUSTIVE_BOUND = 10_000_000
-# lanes of the fault-simulation pool; each lane holds one experiment at a time
-_POOL_LANES = 256
-# lanes of one stuck-at screen call, one per (net, golden edge) pair
+# lanes of the fault-simulation pool and of a golden-walk pass; each pool
+# lane holds one experiment at a time. Up to about this width the interpreter
+# loop, not the int width, sets the cost of a gate pass (on big32, best of 30
+# on a shared 2-vCPU host: 0.52 ms at 1,024 lanes, 0.37 ms at 1)
+_POOL_LANES = 1024
+# lanes of one screen call, one per (fanout stem, golden edge) pair
 _SCREEN_LANES = 4096
 
 
@@ -228,7 +230,9 @@ def _port_nets(netlist: Netlist, words: Sequence[int]) -> Tuple[List[int], ...]:
     return bits["x_e"], bits["state_e"], bits["fsm_alert"]
 
 
-def _golden(netlist: Netlist, words: Sequence[int]) -> Tuple[List[Tuple[int, int, int]], int, int]:
+def _golden(
+    netlist: Netlist, words: Sequence[int], state_words: Sequence[int]
+) -> Tuple[List[Tuple[int, int, int]], int, int]:
     """The fault-free run of ``words`` and a settle cycle: one ``(flop state,
     state_e word, fsm_alert)`` triple per cycle, bit ``j`` of the flop state
     being flop ``j``, and the ``_run_ops`` calls and lanes spent.
@@ -239,6 +243,16 @@ def _golden(netlist: Netlist, words: Sequence[int]) -> Tuple[List[Tuple[int, int
     discovered flop state under every distinct word of the walk; a miss is
     evaluated by one ``_eval_edges`` call, together with the next queued
     edges not yet evaluated, up to ``_POOL_LANES`` lanes.
+
+    ``state_words`` are the valid ``state_e`` words, the codewords of the
+    state code. When every ``state_e`` bit is a flop's q net, each of them
+    under each distinct word is a seed edge: its flop state holds the word
+    in those flops and the reset value in the others. Seed edges take only
+    the lanes of a pass that the miss and the queued edges leave free, and a
+    flop state first found on a seed lane queues behind the seeds, so the
+    seed never takes a lane from the walk's own queue. A golden run that
+    stays on valid codewords with the other flops at reset then takes one
+    pass when its seeds fit one.
     """
     x_nets, state_nets, alert_nets = _port_nets(netlist, words)
     comp = netlist._compile()
@@ -249,26 +263,39 @@ def _golden(netlist: Netlist, words: Sequence[int]) -> Tuple[List[Tuple[int, int
     memo: Dict[int, Tuple[int, int, int]] = {}  # key -> (next state, state_e word, alert)
     seen = {state}
     queue = deque(state << width | r for r in rows)
+    seeds: deque[int] = deque()
+    flop_of = {q: j for j, (_, q, _) in enumerate(comp.flops)}
+    if all(net in flop_of for net in state_nets):
+        others = state & ~sum(1 << flop_of[net] for net in state_nets)  # at reset
+        for w in state_words:
+            flops = others
+            for k, net in enumerate(state_nets):
+                flops |= (w >> k & 1) << flop_of[net]
+            seeds.extend(flops << width | r for r in rows)
     calls = lanes = 0
     record = []
     for x in walk:
         key = state << width | x
         if key not in memo:
-            batch = [key]
-            while queue and len(batch) < _POOL_LANES:
-                k = queue.popleft()
-                if k not in memo and k != key:
-                    batch.append(k)
-            values = _eval_edges(comp, batch)
-            nxt, state_words, alerts = (
+            batch = {key: None}  # an ordered set: the miss, queued edges, then seeds
+            for source in (queue, seeds):
+                while source and len(batch) < _POOL_LANES:
+                    k = source.popleft()
+                    if k not in memo:
+                        batch[k] = None
+                if source is queue:
+                    walked = len(batch)
+            values = _eval_edges(comp, list(batch))
+            nxt, state_e, alerts = (
                 _transpose([values[i] for i in nets], len(batch))
                 for nets in ([d for d, _, _ in comp.flops], state_nets, alert_nets)
             )
-            for k, s, w, a in zip(batch, nxt, state_words, alerts):
+            for i, (k, s, w, a) in enumerate(zip(batch, nxt, state_e, alerts)):
                 memo[k] = (s, w, a)
                 if s not in seen:
                     seen.add(s)
-                    queue.extend(s << width | r for r in rows)
+                    # a state found from a seed lane queues behind the seeds
+                    (queue if i < walked else seeds).extend(s << width | r for r in rows)
             calls += 1
             lanes += len(batch)
         state_next, word, alert = memo[key]
@@ -303,7 +330,7 @@ def _transpose(words: Sequence[int], width: int) -> List[int]:
 
 def golden_run(netlist: Netlist, words: Sequence[int], codes: CodeBook) -> Tuple[List[str], List[int]]:
     """Decoded fault-free trajectory (len(words)+1 states) and per-cycle alert."""
-    record, _, _ = _golden(netlist, words)
+    record, _, _ = _golden(netlist, words, [w for _, w in codes.entries])
     return [decode_exact(codes, w) for _, w, _ in record], [a for _, _, a in record]
 
 
@@ -362,66 +389,84 @@ def _screen(
 ) -> Tuple[List[int], int, int, int]:
     """For each of ``nets``, the golden edges (bit ``e`` for edge ``e``) on
     which flipping that net changes a flop input, ``state_e`` or
-    ``fsm_alert``; and the ``_run_ops`` calls, lanes and gate ops spent.
+    ``fsm_alert``; and the stems simulated, ``_run_ops`` calls and lanes
+    spent.
 
     ``golden_values`` holds every net's fault-free value with one lane per
-    distinct edge of the golden run, ``n_edges`` lanes in all. There is one
-    lane per (net, edge) pair: each net has a block of ``n_edges`` lanes that
-    start from the golden edges and flip it, and a call holds about
-    ``_SCREEN_LANES`` lanes. Nets are taken in the order of the ops that
-    drive them, so that the nets of a call share most of their fanout cones.
-    A call runs only the ops in the union of those cones (``comp.users``),
-    with each mask's stop re-indexed into that sub-list; every other net
-    holds its golden value in every block.
+    distinct edge of the golden run, ``n_edges`` lanes in all. Only fanout
+    stems are simulated; the flips of the other nets are traced to them
+    (critical path tracing). A net that is not observed and that one op
+    reads once lies in a fanout-free region: its flip shows where the flip
+    of that op's output shows and the op passes it, which depends only on
+    the golden values of the op's other inputs. XOR, NOT and BUF always pass
+    it; AND where the other input is 1; OR where it is 0; a MUX ``(s, a,
+    b)`` passes ``s`` where ``a != b``, ``a`` where ``s`` is 0 and ``b``
+    where ``s`` is 1. The chain of such ops ends at a stem: an observed net
+    shows on every edge, a net that no op reads shows on none, and a net
+    read twice or more, even by one op, is simulated.
+
+    Each simulated stem has a block of ``n_edges`` lanes that start from
+    the golden edges and flip it, and a call holds about ``_SCREEN_LANES``
+    lanes and runs every op. Only the flop q and ``x_e`` nets need golden
+    values replicated over the blocks: the ops compute every other net.
     """
     ops, stop, users = comp.ops, comp.op_stop, comp.users
-    outs = [op[1] for op in ops]
     observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
+    is_observed = set(observed)
     block = (1 << n_edges) - 1
+    v = golden_values
+
+    # fanout-free net -> (stem, edges on which its flip reaches the stem)
+    link: Dict[int, Tuple[int, int]] = {}
+    routes = []
+    for net in nets:
+        path = []  # (net, the op that reads it) down to a stem or a linked net
+        while net not in link:
+            readers = users[net]
+            if len(readers) != 1 or net in is_observed:
+                break
+            op = ops[readers[0]]
+            path.append((net, op))
+            net = op[1]
+        stem, mask = link.get(net, (net, block))
+        for net, (kind, _, i, j, k) in reversed(path):
+            if kind == 4:  # MUX (sel i, a j, b k)
+                mask &= v[j] ^ v[k] if net == i else block ^ v[i] if net == j else v[i]
+            elif kind == 1:  # AND
+                mask &= v[j] if net == i else v[i]
+            elif kind == 2:  # OR
+                mask &= block ^ (v[j] if net == i else v[i])
+            link[net] = (stem, mask)
+        routes.append((stem, mask))
+    stems = {stem for stem, _ in routes if users[stem] and stem not in is_observed}
+    order = sorted(stems, key=stop.__getitem__)
+
     per_call = max(1, _SCREEN_LANES // n_edges)
-    order = sorted(range(len(nets)), key=lambda i: stop[nets[i]])
-    shown = [0] * len(nets)
-    # golden_values replicated over the blocks of a call. Every call is as
-    # wide as the first: the last call's spare blocks keep these values and
-    # flip nothing. Many nets share a value, so each distinct one is
-    # multiplied once
-    full = (1 << min(len(nets), per_call) * n_edges) - 1
+    # every call is as wide as the first: the last call's spare blocks flip nothing
+    full = (1 << min(len(order), per_call) * n_edges) - 1
     repeat = full // block  # bit 0 of every block
-    copies = {v: v * repeat for v in set(golden_values)}
-    golden = [copies[v] for v in golden_values]
-    values = golden.copy()
-    calls = lanes = gate_ops = 0
-    for start in range(0, len(nets), per_call):
+    sources = [(net, v[net] * repeat) for net in comp.out_bits["x_e"] + [q for _, q, _ in comp.flops]]
+    golden = [(net, v[net] * repeat) for net in observed]
+    values = [0] * comp.n_nets
+    end = (len(ops), 0, 0, 0, 0)
+    stem_shown: Dict[int, int] = {}
+    calls = lanes = 0
+    for start in range(0, len(order), per_call):
         picked = order[start : start + per_call]
-        # the union of the picked nets' fanout cones, as positions in ops
-        mark = bytearray(len(ops))
-        reached = [nets[i] for i in picked]
-        cone: List[int] = []
-        for net in reached:
-            for pos in users[net]:
-                if not mark[pos]:
-                    mark[pos] = 1
-                    cone.append(pos)
-                    reached.append(outs[pos])
-        cone.sort()
-        # a mask applies after the cone ops that precede its net's users
-        masks = sorted(
-            (bisect_left(cone, stop[nets[i]]), nets[i], block << b * n_edges, 0, 0)
-            for b, i in enumerate(picked)
-        )
-        masks.append((len(cone), 0, 0, 0, 0))
-        _run_ops([ops[pos] for pos in cone], values, full, masks)
+        for net, value in sources:  # a flip mask changes a source in place
+            values[net] = value
+        masks = [(stop[net], net, block << b * n_edges, 0, 0) for b, net in enumerate(picked)]
+        masks.append(end)
+        _run_ops(ops, values, full, masks)
         changed = 0
-        for net in observed:
-            changed |= values[net] ^ golden[net]
-        for b, i in enumerate(picked):
-            shown[i] = changed >> b * n_edges & block
-        for net in reached:
-            values[net] = golden[net]
+        for net, value in golden:
+            changed |= values[net] ^ value
+        for b, net in enumerate(picked):
+            stem_shown[net] = changed >> b * n_edges & block
         calls += 1
         lanes += len(picked) * n_edges
-        gate_ops += len(cone)
-    return shown, calls, lanes, gate_ops
+    shown = [mask if stem in is_observed else mask & stem_shown.get(stem, 0) for stem, mask in routes]
+    return shown, len(order), calls, lanes
 
 
 def _activity(
@@ -435,9 +480,10 @@ def _activity(
 ) -> Tuple[Optional[Callable[[int, int], int]], int, int, int, int]:
     """The cycles (bit ``c`` for cycle ``c``) at which a fault can change a
     lane that sits on the golden trajectory, as a lookup from its net and
-    effect index; and the nets screened, ``_run_ops`` calls, lanes and gate
-    ops spent. A campaign without a stuck-at effect gets no lookup, spends
-    nothing, and its flips are active at their own cycles.
+    effect index; and the nets screened, the stems ``_screen`` simulated,
+    and the ``_run_ops`` calls and lanes spent. A campaign without a stuck-at
+    effect gets no lookup, spends nothing, and its flips are active at their
+    own cycles.
 
     Every net's golden value comes from one ``_eval_edges`` call with one
     lane per distinct edge of the ``_golden`` record ``golden`` of ``words``,
@@ -446,8 +492,10 @@ def _activity(
     changes nothing at a cycle where the golden net value is ``V``, and is the
     same as flipping the net at any other cycle. So a single stuck-at fault
     is active where its net differs from ``V`` and ``_screen`` finds that a
-    flip of the net shows, and a single flip where the flip shows. A
-    single-fault campaign screens the nets of its stuck-at atoms up front:
+    flip of the net shows, and a single flip where the flip shows; the
+    screen traces most nets' flips through the golden values and simulates
+    only fanout stems. A single-fault campaign screens the nets of its
+    stuck-at atoms up front:
     every site's net in exhaustive mode, the drawn ones in sampled mode,
     found by a second pass over the seeded stream; an unscreened net shows
     everywhere. Several faults are active wherever a stuck net differs from
@@ -466,18 +514,17 @@ def _activity(
     values = _eval_edges(comp, list(edges))
     every = (1 << len(edges)) - 1
     shown: Dict[int, int] = {}  # net -> edges on which its flip shows
-    calls, lanes, gate_ops = 1, len(edges), len(comp.ops)
+    stems, calls, lanes = 0, 1, len(edges)
     if spec.max_simultaneous_faults == 1:
         if spec.mode == "exhaustive":
             nets = list(dict.fromkeys(site_nets))
         else:
             drawn = (atom(i) for (i,) in _enumerate_experiments(n_atoms, spec))
             nets = list(dict.fromkeys(net for net, effect, _ in drawn if effect))
-        flags, screen_calls, screen_lanes, screen_ops = _screen(comp, values, len(edges), nets)
+        flags, stems, screen_calls, screen_lanes = _screen(comp, values, len(edges), nets)
         shown = dict(zip(nets, flags))
         calls += screen_calls
         lanes += screen_lanes
-        gate_ops += screen_ops
     # tables[g][s]: the cycles of the edges 4g..4g+3 whose bits are set in s
     cycles = list(edges.values())
     tables: List[List[int]] = []
@@ -496,7 +543,7 @@ def _activity(
             mask >>= 4
         return out
 
-    return active, len(shown), calls, lanes, gate_ops
+    return active, len(shown), stems, calls, lanes
 
 
 def _run_pool(
@@ -505,6 +552,7 @@ def _run_pool(
     golden: Sequence[Tuple[int, int, int]],
     golden_states: Sequence[str],
     codes: CodeBook,
+    spent: List[int],
     experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...], int]],
 ) -> Iterator[Tuple[object, str, Optional[Tuple[int, str]]]]:
     """Classify each experiment as ``_classify`` does on a whole-trace run;
@@ -521,7 +569,11 @@ def _run_pool(
     its mask, with the golden flop state of that cycle and every stuck-at
     fault whose onset has passed. Lanes advance one cycle per step; a lane's
     cycle is the step plus its offset, and lanes are grouped by offset so
-    that input bits and golden words are packed per group.
+    that input bits and golden words are packed per group. A step is one
+    ``_run_ops`` pass over all ``_POOL_LANES`` lanes, whose cost hardly
+    grows with the width up to about a thousand lanes, so a wide pool takes
+    fewer steps. ``spent`` counts the lanes entered, an experiment queued
+    again entering once more, and the steps taken.
 
     A lane retires once its outcome is fixed: detected or hijacked; at the
     end of the trace; or, once the run of consecutive mask cycles it entered
@@ -576,6 +628,7 @@ def _run_pool(
             c0 = (mask & -mask).bit_length() - 1
             run = mask >> c0
             lane = free.pop()
+            spent[0] += 1
             bit = 1 << lane
             g = gen[lane]
             off = c0 - step
@@ -635,6 +688,7 @@ def _run_pool(
                 for j in flop_ones[c + 1]:
                     golden_next[j] |= lanes
         _run_ops(ops, values, full, masks)
+        spent[1] += 1
         st = [values[d] & full for d, _, _ in flops]
 
         alert = 0
@@ -717,14 +771,14 @@ def run_campaign(
     all enter at the mask's first cycle with the fault active from there, so
     they run as one experiment in the lane pool of ``_run_pool``, at the
     cycles its mask needs, and each member counts its outcome; a hijack gives
-    each member its own witness. The cost of the golden run and of the
-    stuck-at screen is logged on the ``fsmguard`` logger. Experiments are
+    each member its own witness. The gate passes of the golden run, the
+    screen and the pool are logged on the ``fsmguard`` logger. Experiments are
     independent and witnesses are listed in enumeration order, so reports do
     not depend on the pool width.
     """
     theo = _theoretical_p(netlist)
     t0 = time.perf_counter()
-    golden, calls, lanes = _golden(netlist, golden_words)
+    golden, calls, lanes = _golden(netlist, golden_words, [w for _, w in codes.entries])
     golden_states = [decode_exact(codes, w) for _, w, _ in golden]
     # importing logging costs about 8 ms and 0.6 MB, so it is used only once
     # the application has loaded it: before that, no handler is configured
@@ -776,7 +830,7 @@ def run_campaign(
 
     stream = _enumerate_experiments(n_atoms, spec)  # checks the exhaustive bound before the screen
     t0 = time.perf_counter()
-    active, nets, screen_calls, screen_lanes, screen_ops = _activity(
+    active, nets, stems, screen_calls, screen_lanes = _activity(
         comp, golden, golden_words, spec, site_nets, n_atoms, atom
     )
     screen_s = time.perf_counter() - t0
@@ -811,7 +865,8 @@ def run_campaign(
             yield lane
 
     hijacks: List[Tuple[int, HijackWitness]] = []
-    for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, experiments()):
+    spent = [0, 0]  # lanes entered and steps taken by the pool
+    for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, spent, experiments()):
         counts[cls] += len(members)
         if cls == "hijack":
             cyc, sym = info
@@ -819,10 +874,11 @@ def run_campaign(
                 hijacks.append((idx, HijackWitness(tuple(map(fault_site, e)), cyc, sym, golden_states[cyc])))
     if log is not None:
         log.info(
-            "stuck-at screen: %d nets in %d evaluations (%d lanes), %.3f s; "
-            "%d experiments settled without a lane, %d shared a lane; %d of %d gate ops",
-            nets, screen_calls, screen_lanes, screen_s, idle, shared, screen_ops, screen_calls * len(comp.ops),
+            "screen: %d nets, %d stems in %d evaluations (%d lanes), %.3f s; "
+            "%d experiments settled without a lane, %d shared a lane",
+            nets, stems, screen_calls, screen_lanes, screen_s, idle, shared,
         )
+        log.info("pool: %d lanes in %d steps", *spent)
 
     total = sum(counts.values())
     hijack = counts["hijack"]

@@ -481,27 +481,71 @@ def _brute_force_screen(netlist, words):
     return shown
 
 
-@pytest.mark.parametrize("design", ["fig2_design", "design_n2"])
+def _fanout_free():
+    """A netlist in which no net has two readers, so the screen simulates no
+    stem: single-reader nets on a MUX's sel, a and b inputs and on an AND and
+    an OR, observed through the flop ``q0``, under a trace that drives each
+    input both ways."""
+    n = Netlist("fanout_free")
+    n.add_port("x_e", "in", [f"x{i}" for i in range(6)])
+    n.add_gate("NOT", ["x0"], "s")
+    n.add_gate("BUF", ["x1"], "a")
+    n.add_gate("AND", ["x2", "q0"], "b")
+    n.add_gate("MUX", ["s", "a", "b"], "m")
+    n.add_gate("OR", ["x3", "q1"], "c")
+    n.add_gate("AND", ["m", "c"], "and_out")
+    n.add_gate("OR", ["and_out", "x4"], "d0")
+    n.add_flop("d0", "q0", 1)
+    n.add_flop("x5", "q1", 0)
+    n.add_gate("CONST0", [], "alert_lo")
+    n.add_port("state_e", "out", ["q0", "q1"])
+    n.add_port("fsm_alert", "out", ["alert_lo"])
+    n.validate()
+    rng = random.Random(1)
+    return n, [rng.randrange(64) for _ in range(24)]
+
+
+@pytest.mark.parametrize("design", ["fig2_design", "design_n2", "fanout_free"])
 def test_screen_matches_single_flips(request, design):
-    design = request.getfixturevalue(design)
-    _check_screen_of_every_net(design.netlist, _autocover(design))
+    if design == "fanout_free":
+        netlist, words = _fanout_free()
+    else:
+        design = request.getfixturevalue(design)
+        netlist, words = design.netlist, _autocover(design)
+    _check_screen_of_every_net(netlist, words)
 
 
 def _edge_keys(netlist, words):
     """The (flop state, x_e word) key of every golden cycle, settle cycle included."""
-    golden, _, _ = fe._golden(netlist, words)
+    golden, _, _ = fe._golden(netlist, words, ())
     width = len(netlist._compile().out_bits["x_e"])
     return [q << width | x for (q, _, _), x in zip(golden, (*words, 0))]
+
+
+def _stems(comp, nets):
+    """The fanout stems that the screen of ``nets`` simulates: from each
+    net, follow the nets that one op input reads and that are not observed
+    to the first that is not such a net, and keep it if it is read twice or
+    more and not observed."""
+    observed = {d for d, _, _ in comp.flops} | set(comp.out_bits["state_e"]) | set(comp.out_bits["fsm_alert"])
+    ends = set()
+    for net in nets:
+        while len(comp.users[net]) == 1 and net not in observed:
+            net = comp.ops[comp.users[net][0]][1]
+        ends.add(net)
+    return {net for net in ends if len(comp.users[net]) >= 2 and net not in observed}
 
 
 def _check_screen_of_every_net(netlist, words):
     """The stuck-at lookup of an exhaustive single-fault campaign over every
     net against ``_brute_force_screen`` and each cycle's golden net values,
-    at one net per screen call, 7 nets per call and full calls: a stuck-at-0
-    fault is active where the net is 1 and a flip shows, a stuck-at-1 fault
-    where it is 0 and a flip shows."""
+    at one stem per screen call, 7 stems per call and full calls: a
+    stuck-at-0 fault is active where the net is 1 and a flip shows, a
+    stuck-at-1 fault where it is 0 and a flip shows. With every net
+    screened, the stems are the nets read twice or more that are not
+    observed."""
     comp = netlist._compile()
-    golden, _, _ = fe._golden(netlist, words)
+    golden, _, _ = fe._golden(netlist, words, ())
     keys = _edge_keys(netlist, words)
     ones = fe._eval_edges(comp, keys)  # per net, the cycles at which it is 1
     every = (1 << len(keys)) - 1
@@ -511,12 +555,12 @@ def _check_screen_of_every_net(netlist, words):
     spec = fe.CampaignSpec(scope="all", effects=("stuck0", "stuck1"))
     for lanes_per_call in (1, 7 * edges, fe._SCREEN_LANES):
         with mock.patch.object(fe, "_SCREEN_LANES", lanes_per_call):
-            active, screened, calls, lanes, gate_ops = fe._activity(
+            active, screened, stems, calls, lanes = fe._activity(
                 comp, golden, words, spec, nets, 0, None
             )
         per_call = max(1, lanes_per_call // edges)
-        assert (screened, calls, lanes) == (len(nets), 1 + -(-len(nets) // per_call), (1 + len(nets)) * edges)
-        assert gate_ops <= calls * len(comp.ops)
+        assert (screened, stems) == (len(nets), len(_stems(comp, nets)))
+        assert (calls, lanes) == (1 + -(-stems // per_call), (1 + stems) * edges)
         assert [active(n, 1) for n in nets] == [w & ones[n] for n, w in zip(nets, want)]
         assert [active(n, 2) for n in nets] == [w & (every ^ ones[n]) for n, w in zip(nets, want)]
 
@@ -530,7 +574,7 @@ def test_flip_only_campaign_skips_the_screen(design_n2, faults):
         scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=faults
     )
     want = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
-    _, golden_calls, _ = fe._golden(netlist, words)
+    _, golden_calls, _ = fe._golden(netlist, words, [w for _, w in codes.entries])
     for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1)):
         evals = mock.Mock(wraps=fe._eval_edges)
         screen = mock.Mock(wraps=fe._screen)
@@ -543,8 +587,9 @@ def test_flip_only_campaign_skips_the_screen(design_n2, faults):
 
 
 def _screen_log(caplog):
+    """(nets, stems, evaluations, lanes) of the screen's log line."""
     found = re.search(
-        r"stuck-at screen: (\d+) nets in (\d+) evaluations \((\d+) lanes\)", caplog.text
+        r"screen: (\d+) nets, (\d+) stems in (\d+) evaluations \((\d+) lanes\)", caplog.text
     )
     return tuple(map(int, found.groups()))
 
@@ -556,26 +601,40 @@ def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lan
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     edges = len(set(_edge_keys(netlist, words)))
-    nets = len(enumerate_fault_sites(netlist, "all"))
+    comp = netlist._compile()
+    nets = [comp.index[site] for site in enumerate_fault_sites(netlist, "all")]
+    stems = len(_stems(comp, nets))
     # two cycles keep the one-lane pool quick; the screen covers every edge
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), cycles=(0, 7))
     with mock.patch.object(fe, "_POOL_LANES", lanes):
         fe.run_campaign(netlist, words, spec, codes)
     per_call = max(1, fe._SCREEN_LANES // edges)
-    assert _screen_log(caplog) == (nets, 1 + math.ceil(nets / per_call), (1 + nets) * edges)
+    assert 0 < stems < len(nets)
+    assert _screen_log(caplog) == (len(nets), stems, 1 + math.ceil(stems / per_call), (1 + stems) * edges)
 
 
-def test_screen_runs_only_the_fanout_cones(design_n2, caplog):
-    # each screen call runs the ops that its nets can reach, not every op
-    caplog.set_level(logging.INFO, logger="fsmguard")
-    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
-    spec = fe.CampaignSpec(scope="all", effects=("stuck0",), cycles=(0,))
-    fe.run_campaign(netlist, words, spec, codes)
-    _, calls, _ = _screen_log(caplog)
-    found = re.search(r"; (\d+) of (\d+) gate ops$", caplog.text, re.M)
-    gate_ops, every = map(int, found.groups())
-    assert every == calls * len(netlist._compile().ops)
-    assert 0 < gate_ops < every
+def test_screen_flips_only_fanout_stems(design_n2):
+    # the screen's passes flip only the stems that the screened nets lead
+    # to, and run every op; the flips of all other nets are traced
+    netlist, words = design_n2.netlist, _autocover(design_n2)
+    comp = netlist._compile()
+    keys = list(dict.fromkeys(_edge_keys(netlist, words)))
+    values = fe._eval_edges(comp, keys)
+    nets = [comp.index[site] for site in enumerate_fault_sites(netlist, "all")]
+    runs = []
+    run_ops = fe._run_ops
+
+    def counted(ops, values, full, masks):
+        runs.append((len(ops), [net for _, net, _, _, _ in masks[:-1]]))
+        run_ops(ops, values, full, masks)
+
+    with mock.patch.object(fe, "_run_ops", counted):
+        _, stems, calls, lanes = fe._screen(comp, values, len(keys), nets)
+    flipped = [net for _, picked in runs for net in picked]
+    assert sorted(flipped) == sorted(_stems(comp, nets))
+    assert len(flipped) == stems < len(nets)
+    assert [n for n, _ in runs] == [len(comp.ops)] * calls
+    assert lanes == stems * len(keys)
 
 
 def test_screen_covers_the_drawn_stuck_nets_only(design_n2, caplog):
@@ -608,7 +667,7 @@ def test_screen_covers_the_drawn_stuck_nets_only(design_n2, caplog):
     screen.assert_not_called()
     assert stream.call_count == 1
     # only the golden net values, one pass
-    assert _screen_log(caplog)[:2] == (0, 1)
+    assert _screen_log(caplog)[:3] == (0, 0, 1)
 
 
 def _pool_entries(netlist, words, spec, codes, lanes=fe._POOL_LANES):
@@ -736,7 +795,7 @@ def test_golden_matches_simulate_batch_on_hardened_fsms(case, lanes):
     design, words, _, _ = case
     codes = design.state_codes
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        record, calls, used = fe._golden(design.netlist, words)
+        record, calls, used = fe._golden(design.netlist, words, [w for _, w in codes.entries])
         states, alerts = fe.golden_run(design.netlist, words, codes)
     want = _lane0_record(design.netlist, words)
     assert record == want
@@ -778,7 +837,7 @@ def golden_netlists(draw):
 def test_golden_sim_matches_simulate_batch_on_random_netlists(case, lanes):
     n, words = case
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        record, calls, used = fe._golden(n, words)
+        record, calls, used = fe._golden(n, words, ())
     assert record == _lane0_record(n, words)
     assert calls <= used <= calls * lanes
 
@@ -818,7 +877,7 @@ def test_golden_sim_counter_that_never_repeats(lanes):
     n = _counter(9, port="x_e")
     words = [1 | (c % 4) << 1 for c in range(300)]
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        record, calls, used = fe._golden(n, words)
+        record, calls, used = fe._golden(n, words, ())
     assert record == _lane0_record(n, words)
     assert calls == len(words) + 1
     assert used == calls * min(lanes, 5)
@@ -831,9 +890,27 @@ def test_golden_sim_fills_each_pass_from_the_queue(design_n2, lanes, calls, used
     # discovered flop state under each distinct word of the walk
     words = _autocover(design_n2)
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        record, got_calls, got_used = fe._golden(design_n2.netlist, words)
+        record, got_calls, got_used = fe._golden(design_n2.netlist, words, ())
     assert record == _lane0_record(design_n2.netlist, words)
     assert (got_calls, got_used) == (calls, used)
+
+
+@pytest.mark.parametrize("name", ["fig2_design", "design_n2"])
+def test_golden_walk_seeded_from_the_codebook(request, name):
+    # every state_e bit of a hardened netlist is a flop q net, so each
+    # codeword under each distinct word seeds the free lanes of a pass: the
+    # record stays the same, and design_n2's walk takes one pass of exactly
+    # those keys, the reset state's among them, where unseeded it takes 3
+    design = request.getfixturevalue(name)
+    netlist, words = design.netlist, _autocover(design)
+    codewords = [w for _, w in design.state_codes.entries]
+    seeded, calls, used = fe._golden(netlist, words, codewords)
+    unseeded, unseeded_calls, _ = fe._golden(netlist, words, ())
+    assert seeded == unseeded == _lane0_record(netlist, words)
+    assert calls <= unseeded_calls
+    if name == "design_n2":
+        assert (calls, unseeded_calls) == (1, 3)
+        assert used == len(set(codewords)) * len(set(words) | {0})
 
 
 def _ring_doc(m, seed):
@@ -871,31 +948,40 @@ def test_golden_run_evaluates_each_transition_once():
 def test_campaign_logs_golden_phase(design_n2, caplog):
     caplog.set_level(logging.INFO, logger="fsmguard")
     spec = fe.CampaignSpec(scope="inputs_only", cycles=(0,))
-    fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
     cycles = len(_autocover(design_n2)) + 1
     assert re.search(
         rf"golden run: {cycles} cycles in \d+ evaluations \(\d+ lanes\), \d+\.\d{{3}} s", caplog.text
     )
     assert re.search(
-        r"stuck-at screen: 0 nets in 0 evaluations \(0 lanes\), 0\.000 s; "
+        r"screen: 0 nets, 0 stems in 0 evaluations \(0 lanes\), 0\.000 s; "
         r"0 experiments settled without a lane, 0 shared a lane",
         caplog.text,
     )
+    # every single flip takes one lane
+    pool_lanes, steps = map(int, re.search(r"pool: (\d+) lanes in (\d+) steps", caplog.text).groups())
+    assert pool_lanes == rep.total and steps > 0
     caplog.clear()
     spec = fe.CampaignSpec(scope="inputs_only", effects=("stuck0", "stuck1"))
     rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
     found = re.search(
-        r"stuck-at screen: (\d+) nets in (\d+) evaluations \((\d+) lanes\), \d+\.\d{3} s; "
+        r"screen: (\d+) nets, (\d+) stems in (\d+) evaluations \((\d+) lanes\), \d+\.\d{3} s; "
         r"(\d+) experiments settled without a lane, (\d+) shared a lane",
         caplog.text,
     )
-    nets, calls, lanes, idle, shared = map(int, found.groups())
-    assert nets == rep.metadata["sites"]
+    nets, stems, calls, lanes, idle, shared = map(int, found.groups())
+    comp = design_n2.netlist._compile()
+    sites = [comp.index[site] for site in enumerate_fault_sites(design_n2.netlist, spec.scope)]
+    assert nets == rep.metadata["sites"] and stems == len(_stems(comp, sites))
     # one lane per distinct golden edge for the golden net values, and per
-    # (net, edge) pair for the screen
-    assert calls >= 2 and lanes == (nets + 1) * len(set(_edge_keys(design_n2.netlist, _autocover(design_n2))))
+    # (stem, edge) pair for the screen
+    assert calls >= 2 and lanes == (stems + 1) * len(set(_edge_keys(design_n2.netlist, _autocover(design_n2))))
     assert 0 < idle <= rep.masked - rep.masked_corrupt
     assert 0 < shared < rep.total - idle
+    # each experiment that was neither settled nor shared enters a lane at
+    # least once, and again at each later run of its mask
+    pool_lanes, steps = map(int, re.search(r"pool: (\d+) lanes in (\d+) steps", caplog.text).groups())
+    assert pool_lanes >= rep.total - idle - shared and steps > 0
 
 
 # -- inputs the campaign must refuse ----------------------------------------------
