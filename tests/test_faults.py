@@ -402,7 +402,7 @@ def _alert_free_register():
 
 
 @pytest.mark.parametrize("faults", [1, 2])
-@pytest.mark.parametrize("lanes", [2, fe._POOL_LANES])
+@pytest.mark.parametrize("lanes", [2, 256, fe._POOL_LANES])
 def test_pool_matches_reference_on_undetected_corruption(faults, lanes):
     netlist, words, codes = _alert_free_register()
     common = dict(effects=("flip", "stuck0", "stuck1"), cycles=(0, 2, 5), max_simultaneous_faults=faults)
@@ -443,7 +443,7 @@ def _register_with_and_of_zeros():
 
 
 @pytest.mark.parametrize("faults", [1, 2])
-@pytest.mark.parametrize("lanes", [2, fe._POOL_LANES])
+@pytest.mark.parametrize("lanes", [2, 256, fe._POOL_LANES])
 def test_pool_matches_reference_when_faults_show_only_together(faults, lanes):
     # the screen of one net says nothing about two: a multi-fault experiment
     # must stay active wherever any of its stuck nets leaves its golden value
