@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import sys
@@ -231,7 +230,10 @@ def _port_nets(netlist: Netlist, words: Sequence[int]) -> Tuple[List[int], ...]:
 
 
 def _golden(
-    netlist: Netlist, words: Sequence[int], state_words: Sequence[int]
+    netlist: Netlist,
+    words: Sequence[int],
+    state_words: Sequence[int],
+    memo: Optional[Dict[int, Tuple[int, int, int]]] = None,
 ) -> Tuple[List[Tuple[int, int, int]], int, int]:
     """The fault-free run of ``words`` and a settle cycle: one ``(flop state,
     state_e word, fsm_alert)`` triple per cycle, bit ``j`` of the flop state
@@ -253,14 +255,17 @@ def _golden(
     seed never takes a lane from the walk's own queue. A golden run that
     stays on valid codewords with the other flops at reset then takes one
     pass when its seeds fit one.
+
+    Every evaluated edge goes into ``memo``, key -> (next flop state,
+    ``state_e`` word, ``fsm_alert``), when one is given.
     """
-    x_nets, state_nets, alert_nets = _port_nets(netlist, words)
+    x_nets, state_nets, _ = _port_nets(netlist, words)
     comp = netlist._compile()
     width = len(x_nets)
     walk = [*words, 0]  # the settle cycle shows the final register state and alert
     rows = list(dict.fromkeys(walk))
     state = sum(1 << j for j, (_, _, rv) in enumerate(comp.flops) if rv)
-    memo: Dict[int, Tuple[int, int, int]] = {}  # key -> (next state, state_e word, alert)
+    memo = {} if memo is None else memo
     seen = {state}
     queue = deque(state << width | r for r in rows)
     seeds: deque[int] = deque()
@@ -285,12 +290,7 @@ def _golden(
                         batch[k] = None
                 if source is queue:
                     walked = len(batch)
-            values = _eval_edges(comp, list(batch))
-            nxt, state_e, alerts = (
-                _transpose([values[i] for i in nets], len(batch))
-                for nets in ([d for d, _, _ in comp.flops], state_nets, alert_nets)
-            )
-            for i, (k, s, w, a) in enumerate(zip(batch, nxt, state_e, alerts)):
+            for i, (k, (s, w, a)) in enumerate(zip(batch, _eval_triples(comp, list(batch)))):
                 memo[k] = (s, w, a)
                 if s not in seen:
                     seen.add(s)
@@ -314,6 +314,14 @@ def _eval_edges(comp: _Compiled, keys: Sequence[int]) -> List[int]:
         values[net] = v
     _run_ops(comp.ops, values, (1 << len(keys)) - 1, [(len(comp.ops), 0, 0, 0, 0)])
     return values
+
+
+def _eval_triples(comp: _Compiled, keys: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """The (next flop state, ``state_e`` word, ``fsm_alert``) of each edge
+    of ``keys``, from one ``_eval_edges`` call."""
+    values = _eval_edges(comp, keys)
+    ports = ([d for d, _, _ in comp.flops], comp.out_bits["state_e"], comp.out_bits["fsm_alert"])
+    return list(zip(*(_transpose([values[i] for i in nets], len(keys)) for nets in ports)))
 
 
 def _transpose(words: Sequence[int], width: int) -> List[int]:
@@ -363,6 +371,9 @@ def _enumerate_experiments(n_atoms: int, spec: CampaignSpec) -> Iterator[Tuple[i
 
     ``random.sample`` indexes a range exactly as it indexes a list of the same
     length, so sampled draws do not depend on the atoms being materialised.
+    A single-fault draw is ``randrange(n_atoms)``: ``sample(range(n), 1)``
+    makes the same one ``_randbelow(n)`` call, so the stream is the same, at
+    a fifth of the cost.
     """
     j = spec.max_simultaneous_faults
     if spec.mode == "exhaustive":
@@ -374,6 +385,8 @@ def _enumerate_experiments(n_atoms: int, spec: CampaignSpec) -> Iterator[Tuple[i
             )
         return combinations(range(n_atoms), j)
     rng = random.Random(spec.seed)
+    if j == 1:
+        return ((rng.randrange(n_atoms),) for _ in range(spec.sample_count))
     return (tuple(rng.sample(range(n_atoms), j)) for _ in range(spec.sample_count))
 
 
@@ -385,12 +398,12 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 def _screen(
-    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int]
-) -> Tuple[List[int], int, int, int]:
-    """For each of ``nets``, the golden edges (bit ``e`` for edge ``e``) on
-    which flipping that net changes a flop input, ``state_e`` or
-    ``fsm_alert``; and the stems simulated, ``_run_ops`` calls and lanes
-    spent.
+    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int], keep: bool = False
+) -> Tuple[List[Tuple[int, int]], Dict[int, List[Tuple[int, int, int]]], int, int, int]:
+    """For each of ``nets``, its stem and the golden edges (bit ``e`` for
+    edge ``e``) on which flipping the net changes a flop input, ``state_e``
+    or ``fsm_alert``; the faulty observed values of each stem when ``keep``
+    is set; and the stems simulated, ``_run_ops`` calls and lanes spent.
 
     ``golden_values`` holds every net's fault-free value with one lane per
     distinct edge of the golden run, ``n_edges`` lanes in all. Only fanout
@@ -403,12 +416,16 @@ def _screen(
     b)`` passes ``s`` where ``a != b``, ``a`` where ``s`` is 0 and ``b``
     where ``s`` is 1. The chain of such ops ends at a stem: an observed net
     shows on every edge, a net that no op reads shows on none, and a net
-    read twice or more, even by one op, is simulated.
+    read twice or more, even by one op, is simulated. Where a net's flip
+    shows, it gives exactly the observed values that its stem's flip gives.
 
     Each simulated stem has a block of ``n_edges`` lanes that start from
     the golden edges and flip it, and a call holds about ``_SCREEN_LANES``
     lanes and runs every op. Only the flop q and ``x_e`` nets need golden
     values replicated over the blocks: the ops compute every other net.
+
+    With ``keep``, each simulated stem maps to its faulty ``(flop d word,
+    state_e word, fsm_alert)`` on each golden edge.
     """
     ops, stop, users = comp.ops, comp.op_stop, comp.users
     observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
@@ -450,6 +467,8 @@ def _screen(
     values = [0] * comp.n_nets
     end = (len(ops), 0, 0, 0, 0)
     stem_shown: Dict[int, int] = {}
+    faulty: Dict[int, List[Tuple[int, int, int]]] = {}
+    nd, ns = len(comp.flops), len(comp.out_bits["state_e"])
     calls = lanes = 0
     for start in range(0, len(order), per_call):
         picked = order[start : start + per_call]
@@ -463,10 +482,70 @@ def _screen(
             changed |= values[net] ^ value
         for b, net in enumerate(picked):
             stem_shown[net] = changed >> b * n_edges & block
+        if keep:  # bit i of a lane's word is observed[i]
+            words = _transpose([values[o] for o in observed], full.bit_length())
+            for b, net in enumerate(picked):
+                faulty[net] = [
+                    (w & (1 << nd) - 1, w >> nd & (1 << ns) - 1, w >> nd + ns)
+                    for w in words[b * n_edges : (b + 1) * n_edges]
+                ]
         calls += 1
         lanes += len(picked) * n_edges
-    shown = [mask if stem in is_observed else mask & stem_shown.get(stem, 0) for stem, mask in routes]
-    return shown, len(order), calls, lanes
+    found = [(stem, mask if stem in is_observed else mask & stem_shown.get(stem, 0)) for stem, mask in routes]
+    return found, faulty, len(order), calls, lanes
+
+
+class _Activity(dict):
+    """The cycles (bit ``c`` for cycle ``c``) at which a fault can change a
+    lane that sits on the golden trajectory, by (net, effect index), found
+    on first lookup; ``_activity`` builds it, and calling it looks one up.
+
+    ``keys`` are the distinct golden edges, in the order of the lanes of
+    ``values``, every net's golden value on each edge; ``routes`` maps each
+    screened net to its stem and the edges on which its flip shows, and
+    ``faulty`` holds the faulty triples that ``_screen`` kept. A mask of
+    edges turns into cycles four edges at a time, from one table per group
+    of four edges that holds the cycles of each of its 16 subsets.
+    """
+
+    def __init__(
+        self,
+        edges: Dict[int, int],
+        values: List[int],
+        routes: Dict[int, Tuple[int, int]],
+        faulty: Dict[int, List[Tuple[int, int, int]]],
+    ):
+        super().__init__()
+        self.keys = list(edges)
+        self.edge_cycles = list(edges.values())
+        self.values = values
+        self.routes = routes
+        self.faulty = faulty
+        self.every = (1 << len(edges)) - 1
+        # tables[g][s]: the cycles of the edges 4g..4g+3 whose bits are set in s
+        self.tables: List[List[int]] = []
+        for lo in range(0, len(self.edge_cycles), 4):
+            table = [0]
+            for cycles in self.edge_cycles[lo : lo + 4]:
+                table += [t | cycles for t in table]
+            self.tables.append(table)
+
+    def cycles(self, edges: int) -> int:
+        out = 0
+        for table in self.tables:
+            out |= table[edges & 15]
+            edges >>= 4
+        return out
+
+    def __missing__(self, key: Tuple[int, int]) -> int:
+        net, effect = key
+        v, every = self.values[net], self.every
+        route = self.routes.get(net)
+        found = self[key] = self.cycles((every, v, every ^ v)[effect] & (route[1] if route else every))
+        return found
+
+    def __call__(self, net: int, effect: int) -> int:
+        return self[net, effect]
 
 
 def _activity(
@@ -477,13 +556,11 @@ def _activity(
     site_nets: Sequence[int],
     n_atoms: int,
     atom: Callable[[int], Tuple[int, int, int]],
-) -> Tuple[Optional[Callable[[int, int], int]], int, int, int, int]:
-    """The cycles (bit ``c`` for cycle ``c``) at which a fault can change a
-    lane that sits on the golden trajectory, as a lookup from its net and
-    effect index; and the nets screened, the stems ``_screen`` simulated,
-    and the ``_run_ops`` calls and lanes spent. A campaign without a stuck-at
-    effect gets no lookup, spends nothing, and its flips are active at their
-    own cycles.
+) -> Tuple[Optional[_Activity], int, int, int, int]:
+    """The activity lookup of a campaign (see ``_Activity``), and the nets
+    screened, the stems ``_screen`` simulated, and the ``_run_ops`` calls
+    and lanes spent. A campaign without a stuck-at effect gets no lookup,
+    spends nothing, and its flips are active at their own cycles.
 
     Every net's golden value comes from one ``_eval_edges`` call with one
     lane per distinct edge of the ``_golden`` record ``golden`` of ``words``,
@@ -495,14 +572,13 @@ def _activity(
     flip of the net shows, and a single flip where the flip shows; the
     screen traces most nets' flips through the golden values and simulates
     only fanout stems. A single-fault campaign screens the nets of its
-    stuck-at atoms up front:
-    every site's net in exhaustive mode, the drawn ones in sampled mode,
-    found by a second pass over the seeded stream; an unscreened net shows
-    everywhere. Several faults are active wherever a stuck net differs from
-    its value, and flips at every cycle, without the screen, because two
-    faults that each show nowhere can show together. The lookup turns a mask
-    of edges into cycles four edges at a time, from one table per group of
-    four edges that holds the cycles of each of its 16 subsets.
+    stuck-at atoms up front: every site's net in exhaustive mode, the drawn
+    ones in sampled mode, found by a second pass over the seeded stream; an
+    unscreened net shows everywhere. When such a campaign also flips, the
+    screen keeps its stems' faulty values for ``_settle_flips``. Several
+    faults are active wherever a stuck net differs from its value, and flips
+    at every cycle, without the screen, because two faults that each show
+    nowhere can show together.
     """
     if all(e == "flip" for e in spec.effects):
         return None, 0, 0, 0, 0
@@ -512,8 +588,8 @@ def _activity(
         key = q << width | x
         edges[key] = edges.get(key, 0) | 1 << c
     values = _eval_edges(comp, list(edges))
-    every = (1 << len(edges)) - 1
-    shown: Dict[int, int] = {}  # net -> edges on which its flip shows
+    routes: Dict[int, Tuple[int, int]] = {}
+    faulty: Dict[int, List[Tuple[int, int, int]]] = {}
     stems, calls, lanes = 0, 1, len(edges)
     if spec.max_simultaneous_faults == 1:
         if spec.mode == "exhaustive":
@@ -521,29 +597,130 @@ def _activity(
         else:
             drawn = (atom(i) for (i,) in _enumerate_experiments(n_atoms, spec))
             nets = list(dict.fromkeys(net for net, effect, _ in drawn if effect))
-        flags, stems, screen_calls, screen_lanes = _screen(comp, values, len(edges), nets)
-        shown = dict(zip(nets, flags))
+        found, faulty, stems, screen_calls, screen_lanes = _screen(
+            comp, values, len(edges), nets, keep="flip" in spec.effects
+        )
+        routes = dict(zip(nets, found))
         calls += screen_calls
         lanes += screen_lanes
-    # tables[g][s]: the cycles of the edges 4g..4g+3 whose bits are set in s
-    cycles = list(edges.values())
-    tables: List[List[int]] = []
-    for lo in range(0, len(cycles), 4):
-        table = [0]
-        for edge_cycles in cycles[lo : lo + 4]:
-            table += [t | edge_cycles for t in table]
-        tables.append(table)
+    return _Activity(edges, values, routes, faulty), len(routes), stems, calls, lanes
 
-    @functools.cache
-    def active(net: int, effect: int) -> int:
-        mask = (every, values[net], every ^ values[net])[effect] & shown.get(net, every)
-        out = 0
-        for table in tables:
-            out |= table[mask & 15]
-            mask >>= 4
-        return out
 
-    return active, len(shown), stems, calls, lanes
+def _settle_flips(
+    comp: _Compiled,
+    act: _Activity,
+    golden: Sequence[Tuple[int, int, int]],
+    golden_states: Sequence[str],
+    words: Sequence[int],
+    codes: CodeBook,
+    memo: Dict[int, Tuple[int, int, int]],
+    campaign: int,
+) -> Tuple[Dict[int, List], int, int]:
+    """The outcome of a single flip of each stem of ``act.routes`` at each
+    campaign cycle (bit ``c`` of ``campaign``), exactly as ``_classify``
+    finds it on a whole-trace run; and the ``_eval_edges`` calls and lanes
+    spent. Flips of a net whose route ends at a stem share its outcome at
+    each cycle at which they show.
+
+    The outcome is ``[detected, masked, masked_corrupt, pooled, hijacked,
+    hijacks]``: five masks of cycles and, per hijacked cycle, its
+    ``(cycle, state)``.
+
+    All machine state is in the flops, so a flip at cycle ``c`` acts only
+    through its faulty ``(flop d, state_e, fsm_alert)`` at ``c``, which
+    depends on ``c``'s golden edge alone. ``act.faulty`` holds it for the
+    stems the screen simulated. An observed stem that no op reads flips only
+    its own bits of the golden triple. One that ops read and that is an
+    ``x_e`` or flop q net flips the cycle's input, so its triple is that of
+    the golden edge with the net's key bits flipped; any other observed stem
+    that ops read pools every flip. The alert or the ERROR word
+    detects; else a valid word off the golden one is a hijack and an
+    invalid one marks the run corrupt; a ``d`` equal to the golden next flop
+    state rejoins the golden run. A run still off golden runs ``c + 1`` from
+    its faulty flop state under that cycle's word, is classified in the
+    same way, and ends there at the last cycle. Edges are looked up in
+    ``memo``, the golden run's (key -> next flop state, ``state_e``,
+    ``fsm_alert``), and the ones it lacks are evaluated in passes of
+    ``_POOL_LANES`` lanes. A flip still off golden after ``c + 1`` is
+    pooled, for ``_run_pool`` to run from ``c``.
+    """
+    x_nets = comp.out_bits["x_e"]
+    triple_nets = ([d for d, _, _ in comp.flops], comp.out_bits["state_e"], comp.out_bits["fsm_alert"])
+    key_nets = x_nets + [q for _, q, _ in comp.flops]
+    err, width, xs, last = codes.error_codeword, len(x_nets), (*words, 0), len(golden) - 1
+    spent = [0, 0]
+
+    def evaluate(keys: List[int]) -> None:
+        missing = list(dict.fromkeys(k for k in keys if k not in memo))
+        for lo in range(0, len(missing), _POOL_LANES):
+            batch = missing[lo : lo + _POOL_LANES]
+            memo.update(zip(batch, _eval_triples(comp, batch)))
+            spent[0] += 1
+            spent[1] += len(batch)
+
+    def classify(c: int, nxt: int, word: int, alert: int, dirty: int) -> Tuple[int, object]:
+        """The outcome index at cycle ``c`` of a run that was golden before
+        ``c`` or, with ``dirty`` set, corrupt: with the state reached for a
+        hijack (4), and otherwise the corrupt flag, 3 meaning still off
+        golden."""
+        if alert or word == err:
+            return 0, dirty
+        if word != golden[c][1]:
+            sym = decode_exact(codes, word)
+            if sym != golden_states[c]:
+                if sym is not None:
+                    return 4, sym
+                dirty = 1
+        if c == last or nxt == golden[c + 1][0]:
+            return 1 + dirty, dirty
+        return 3, dirty
+
+    def bits(net: int, nets: List[int]) -> int:
+        return sum(1 << i for i, n in enumerate(nets) if n == net)
+
+    faulty = dict(act.faulty)
+    flipped = {}  # observed x_e or flop q stem that ops read -> its edges' keys, flipped
+    for stem in dict.fromkeys(stem for stem, _ in act.routes.values()):
+        own = [bits(stem, nets) for nets in triple_nets]
+        if stem in faulty or not any(own):
+            continue
+        if not comp.users[stem]:
+            d, w, a = own
+            faulty[stem] = [(n ^ d, s ^ w, x ^ a) for n, s, x in (memo[k] for k in act.keys)]
+        elif stem in key_nets:
+            flipped[stem] = [k ^ bits(stem, key_nets) for k in act.keys]
+    evaluate([k for keys in flipped.values() for k in keys])
+    for stem, keys in flipped.items():
+        faulty[stem] = [memo[k] for k in keys]
+
+    outcomes: Dict[int, List] = {}
+    pending = []  # (outcome, cycle, corrupt flag, key of the cycle after)
+    for stem, _ in act.routes.values():
+        if stem in outcomes:
+            continue
+        out = outcomes[stem] = [0, 0, 0, 0, 0, {}]
+        if stem not in faulty:
+            out[3] = campaign
+            continue
+        for cycles, (nxt, word, alert) in zip(act.edge_cycles, faulty[stem]):
+            cycles &= campaign
+            if not cycles:
+                continue
+            k, x = classify((cycles & -cycles).bit_length() - 1, nxt, word, alert, 0)
+            if k == 3:
+                pending += [(out, c, x, nxt << width | xs[c + 1]) for c in _set_bits(cycles)]
+                continue
+            out[k] |= cycles
+            if k == 4:
+                out[5].update((c, (c, x)) for c in _set_bits(cycles))
+
+    evaluate([key for _, _, _, key in pending])
+    for out, c, dirty, key in pending:
+        k, x = classify(c + 1, *memo[key], dirty)
+        out[k] |= 1 << c
+        if k == 4:
+            out[5][c] = (c + 1, x)
+    return outcomes, spent[0], spent[1]
 
 
 def _run_pool(
@@ -562,12 +739,15 @@ def _run_pool(
     ``key``, a tuple of ``(net index, effect index, cycle)`` faults and its
     activity mask: the cycles at which its faults can change a lane that
     sits on the golden trajectory, as ``_activity`` finds; it is never
-    empty. All machine state is in the flops, so a lane in the golden flop
-    state at a cycle outside its mask repeats the golden run exactly, and a
-    lane is occupied only while its experiment is active or its flop state
-    is off golden. The experiment enters a free lane at the lowest cycle of
-    its mask, with the golden flop state of that cycle and every stuck-at
-    fault whose onset has passed. Lanes advance one cycle per step; a lane's
+    empty. In a single-fault campaign with a stuck-at effect, a flip comes
+    here only when ``_settle_flips`` leaves it off golden after the cycle
+    after its own, or when the screen did not cover its net. All machine
+    state is in the flops, so a lane in the golden flop state at a cycle
+    outside its mask repeats the golden run exactly, and a lane is occupied
+    only while its experiment is active or its flop state is off golden.
+    The experiment enters a free lane at the lowest cycle of its mask, with
+    the golden flop state of that cycle and every stuck-at fault whose onset
+    has passed. Lanes advance one cycle per step; a lane's
     cycle is the step plus its offset, and lanes are grouped by offset so
     that input bits and golden words are packed per group. A step is one
     ``_run_ops`` pass over all ``_POOL_LANES`` lanes, whose cost hardly
@@ -765,20 +945,27 @@ def run_campaign(
 
     The golden run is computed once by ``_golden``, which evaluates each
     distinct (flop state, ``x_e`` word) edge of the trace once. Each
-    experiment then gets its activity mask from the table that ``_activity``
+    experiment then gets its activity mask from the lookup that ``_activity``
     builds before the pool starts. An empty mask is masked without a lane.
-    Consecutive single-fault experiments with the same net, effect and mask
-    all enter at the mask's first cycle with the fault active from there, so
-    they run as one experiment in the lane pool of ``_run_pool``, at the
-    cycles its mask needs, and each member counts its outcome; a hijack gives
-    each member its own witness. The gate passes of the golden run, the
-    screen and the pool are logged on the ``fsmguard`` logger. Experiments are
-    independent and witnesses are listed in enumeration order, so reports do
-    not depend on the pool width.
+    In a single-fault campaign with a stuck-at effect, ``_settle_flips``
+    classifies each screened flip at its cycle and the next from the
+    screen's faulty values, so only flips still off golden after that take
+    a lane. Consecutive single-fault experiments with the same net, effect
+    and mask all enter at the mask's first cycle with the fault active from
+    there, so they run as one experiment in the lane pool of ``_run_pool``,
+    at the cycles its mask needs, and each member counts its outcome; a
+    hijack gives each member its own witness. An exhaustive single-fault
+    campaign is walked per (net, effect) rather than per experiment: cycles
+    with an empty mask and settled flips are counted from masks of cycles,
+    and a witness is built only for a hijack. The gate passes of the golden
+    run, the screen, the settling and the pool are logged on the
+    ``fsmguard`` logger. Experiments are independent and witnesses are
+    listed in enumeration order, so reports do not depend on the pool width.
     """
     theo = _theoretical_p(netlist)
     t0 = time.perf_counter()
-    golden, calls, lanes = _golden(netlist, golden_words, [w for _, w in codes.entries])
+    memo: Dict[int, Tuple[int, int, int]] = {}
+    golden, calls, lanes = _golden(netlist, golden_words, [w for _, w in codes.entries], memo)
     golden_states = [decode_exact(codes, w) for _, w, _ in golden]
     # importing logging costs about 8 ms and 0.6 MB, so it is used only once
     # the application has loaded it: before that, no handler is configured
@@ -815,8 +1002,9 @@ def run_campaign(
 
     comp = netlist._compile()
     site_nets = [comp.index[s] for s in sites]
+    effect_ids = [FAULT_EFFECTS.index(e) for e in spec.effects]
     # (effect index, cycle) of each atom of a site, in atom order
-    within = [(FAULT_EFFECTS.index(e), c) for e in spec.effects for c in cycles]
+    within = [(effect, c) for effect in effect_ids for c in cycles]
 
     def atom(i: int) -> Tuple[int, int, int]:
         site, rest = divmod(i, per_site)
@@ -829,16 +1017,85 @@ def run_campaign(
         return FaultSite(sites[site], FAULT_EFFECTS[effect], c)
 
     stream = _enumerate_experiments(n_atoms, spec)  # checks the exhaustive bound before the screen
+    single = spec.max_simultaneous_faults == 1
     t0 = time.perf_counter()
     active, nets, stems, screen_calls, screen_lanes = _activity(
         comp, golden, golden_words, spec, site_nets, n_atoms, atom
     )
     screen_s = time.perf_counter() - t0
+    campaign = sum(1 << c for c in cycles)
+    flips: Dict[int, List] = {}  # stem -> outcome of its single flips
+    settle_calls = settle_lanes = 0
+    if active is not None and single and "flip" in spec.effects:
+        flips, settle_calls, settle_lanes = _settle_flips(
+            comp, active, golden, golden_states, golden_words, codes, memo, campaign
+        )
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
-    idle = shared = 0
+    hijacks: List[Tuple[int, HijackWitness]] = []
+    idle = shared = settled = pooled = 0
 
-    def experiments() -> Iterator[Tuple[List[Tuple[int, Tuple[int, ...]]], Tuple[Tuple[int, int, int], ...], int]]:
-        nonlocal idle, shared
+    def settle(net: int, shown: int) -> Tuple[int, int, Dict[int, Tuple[int, str]]]:
+        """Counts the flips of the screened ``net`` at the cycles of
+        ``shown``, at each of which the flip shows; returns the hijacked and
+        the pooled ones, and each hijack's ``(cycle, state)``."""
+        nonlocal settled
+        detected, masked, corrupt, pool, hijacked, info = flips[active.routes[net][0]]
+        counts["detected"] += (shown & detected).bit_count()
+        counts["masked"] += (shown & masked).bit_count()
+        counts["masked_corrupt"] += (shown & corrupt).bit_count()
+        counts["hijack"] += (shown & hijacked).bit_count()
+        settled += (shown & (detected | masked | corrupt | hijacked)).bit_count()
+        return shown & hijacked, shown & pool, info
+
+    def witness(i: int, e: Tuple[int, ...], cyc: int, sym: str) -> None:
+        hijacks.append((i, HijackWitness(tuple(map(fault_site, e)), cyc, sym, golden_states[cyc])))
+
+    Lane = Tuple[List[Tuple[int, Tuple[int, ...]]], Tuple[Tuple[int, int, int], ...], int]
+
+    def walk() -> Iterator[Lane]:
+        """The pool's lanes of an exhaustive single-fault campaign, one
+        (net, effect) at a time."""
+        nonlocal idle, shared, pooled
+        n_cycles = len(cycles)
+        position = {c: k for k, c in enumerate(cycles)}
+        for site, net in enumerate(site_nets):
+            for first, effect in zip(range(site * per_site, (site + 1) * per_site, n_cycles), effect_ids):
+                if not effect:
+                    pool = campaign
+                    if active is not None:
+                        shown = active[net, 0] & campaign
+                        idle += n_cycles - shown.bit_count()
+                        hijacked, pool, info = settle(net, shown)
+                        for c in _set_bits(hijacked):
+                            witness(first + position[c], (first + position[c],), *info[c])
+                    for c in _set_bits(pool):
+                        a = first + position[c]
+                        pooled += 1
+                        yield [(a, (a,))], ((net, 0, c),), 1 << c
+                    continue
+                mask = active[net, effect]
+                if not mask:
+                    idle += n_cycles
+                    continue
+                lane: Optional[Lane] = None
+                for a, c in enumerate(cycles, first):
+                    m = mask >> c << c
+                    if not m:
+                        idle += 1
+                    elif lane is not None and m == lane[2]:
+                        lane[0].append((a, (a,)))
+                        shared += 1
+                    else:
+                        if lane is not None:
+                            yield lane  # its last member is known now
+                        lane = ([(a, (a,))], ((net, effect, c),), m)
+                if lane is not None:
+                    yield lane
+
+    def draws() -> Iterator[Lane]:
+        """The pool's lanes of a sampled or multi-fault campaign, one
+        experiment at a time."""
+        nonlocal idle, shared, pooled
         lane: tuple = ([], (), 0)  # members, faults and mask of the lane being filled
         last: object = None
         for i, e in enumerate(stream):
@@ -846,14 +1103,22 @@ def run_campaign(
             mask = 0
             for net, effect, c in faults:
                 if effect:
-                    mask |= active(net, effect) >> c << c
+                    mask |= active[net, effect] >> c << c
                 else:
-                    mask |= 1 << c if active is None else active(net, 0) & 1 << c
+                    mask |= 1 << c if active is None else active[net, 0] & 1 << c
+            if mask and single and not faults[0][1]:  # a single flip that shows
+                net, _, c = faults[0]
+                if active is not None and net in active.routes:
+                    hijacked, mask, info = settle(net, mask)
+                    if hijacked:
+                        witness(i, e, *info[c])
+                    if not mask:
+                        continue
+                pooled += 1
             if not mask:
-                counts["masked"] += 1
                 idle += 1
                 continue
-            group = (*faults[0][:2], mask) if len(faults) == 1 else i
+            group = (*faults[0][:2], mask) if single else i
             if group == last:
                 lane[0].append((i, e))
                 shared += 1
@@ -864,21 +1129,25 @@ def run_campaign(
         if lane[0]:
             yield lane
 
-    hijacks: List[Tuple[int, HijackWitness]] = []
+    experiments = walk() if single and spec.mode == "exhaustive" else draws()
     spent = [0, 0]  # lanes entered and steps taken by the pool
-    for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, spent, experiments()):
+    for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, spent, experiments):
         counts[cls] += len(members)
         if cls == "hijack":
-            cyc, sym = info
-            for idx, e in members:
-                hijacks.append((idx, HijackWitness(tuple(map(fault_site, e)), cyc, sym, golden_states[cyc])))
+            for i, e in members:
+                witness(i, e, *info)
+    counts["masked"] += idle
     if log is not None:
         log.info(
             "screen: %d nets, %d stems in %d evaluations (%d lanes), %.3f s; "
             "%d experiments settled without a lane, %d shared a lane",
             nets, stems, screen_calls, screen_lanes, screen_s, idle, shared,
         )
-        log.info("pool: %d lanes in %d steps", *spent)
+        log.info(
+            "pool: %d lanes in %d steps; %d flips settled per edge in %d evaluations "
+            "(%d lanes), %d flips entered the pool",
+            *spent, settled, settle_calls, settle_lanes, pooled,
+        )
 
     total = sum(counts.values())
     hijack = counts["hijack"]

@@ -9,7 +9,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fsmguard as fg
@@ -100,6 +100,17 @@ def test_cycle_restriction(design_n2):
     spec = fe.CampaignSpec(scope="inputs_only", cycles=(0, 1))
     rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
     assert rep.metadata["cycles"] == 2
+
+
+def test_single_fault_draws_match_random_sample():
+    # a single-fault draw is randrange(n): the stream that rng.sample(range(n), 1)
+    # gave, over one-, two- and many-word ranges
+    for n_atoms in [*range(1, 60), 1_000, 1_430_000, 10**9]:
+        for seed in range(5 if n_atoms < 60 else 20):
+            spec = fe.CampaignSpec(mode="sampled", sample_count=40, seed=seed)
+            rng = random.Random(seed)
+            want = [tuple(rng.sample(range(n_atoms), 1)) for _ in range(spec.sample_count)]
+            assert list(fe._enumerate_experiments(n_atoms, spec)) == want
 
 
 def test_exhaustive_bound_enforced(design_n2):
@@ -568,22 +579,41 @@ def _check_screen_of_every_net(netlist, words):
 @pytest.mark.parametrize("faults", [1, 2])
 def test_flip_only_campaign_skips_the_screen(design_n2, faults):
     # the golden net values of a stuck-at campaign take one _eval_edges call
-    # beyond the golden run's; a flip-only campaign makes none
+    # beyond the golden run's, and the settling of its single flips the calls
+    # that _settle_flips reports; a flip-only campaign makes none
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     spec = fe.CampaignSpec(
         scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=faults
     )
     want = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
     _, golden_calls, _ = fe._golden(netlist, words, [w for _, w in codes.entries])
+    settle_flips = fe._settle_flips
     for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1)):
         evals = mock.Mock(wraps=fe._eval_edges)
         screen = mock.Mock(wraps=fe._screen)
-        with mock.patch.object(fe, "_eval_edges", evals), mock.patch.object(fe, "_screen", screen):
+        settled = []
+
+        def settle(*args):
+            outcomes, calls, lanes = settle_flips(*args)
+            settled.append(calls)
+            return outcomes, calls, lanes
+
+        with mock.patch.object(fe, "_eval_edges", evals), mock.patch.object(fe, "_screen", screen), \
+                mock.patch.object(fe, "_settle_flips", settle):
             got = fe.run_campaign(netlist, words, dataclasses.replace(spec, effects=effects), codes)
-        assert evals.call_count == golden_calls + passes
+        assert len(settled) == (1 if passes and faults == 1 else 0)
+        assert evals.call_count == golden_calls + passes + sum(settled)
         assert screen.call_count == (1 if passes and faults == 1 else 0)
         if not passes:
             assert got.to_json_dict() == want
+
+
+def _settle_log(caplog):
+    """(flips settled per edge, flips that entered the pool) of the pool's log line."""
+    found = re.search(
+        r"(\d+) flips settled per edge in \d+ evaluations \(\d+ lanes\), (\d+) flips entered the pool", caplog.text
+    )
+    return tuple(map(int, found.groups()))
 
 
 def _screen_log(caplog):
@@ -629,7 +659,7 @@ def test_screen_flips_only_fanout_stems(design_n2):
         run_ops(ops, values, full, masks)
 
     with mock.patch.object(fe, "_run_ops", counted):
-        _, stems, calls, lanes = fe._screen(comp, values, len(keys), nets)
+        _, _, stems, calls, lanes = fe._screen(comp, values, len(keys), nets)
     flipped = [net for _, picked in runs for net in picked]
     assert sorted(flipped) == sorted(_stems(comp, nets))
     assert len(flipped) == stems < len(nets)
@@ -752,8 +782,9 @@ def test_equal_stuck_at_experiments_share_a_lane(request, case, lanes, caplog):
 
 
 def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
-    # in a screened campaign, a flip enters the pool only at the cycles where
-    # a whole-trace single flip of its net shows
+    # in a screened campaign, a flip is classified at the cycles where a
+    # whole-trace single flip of its net shows, on its edge or in the pool;
+    # on a hardened netlist every such flip settles on its edge
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0"))
@@ -761,15 +792,18 @@ def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
     _, shown = _shown_by_flips(netlist, words)
     comp = netlist._compile()
     nets = [comp.index[site] for site in enumerate_fault_sites(netlist, spec.scope)]
+    want = [(net, c) for net in nets for c in range(len(words)) if shown[net] >> c & 1]
     flips = [faults[0] for _, faults, _ in entered if not faults[0][1]]
-    assert [(net, c) for net, _, c in flips] == [
-        (net, c) for net in nets for c in range(len(words)) if shown[net] >> c & 1
-    ]
-    assert 0 < len(flips) < len(nets) * len(words)
+    settled, pooled = _settle_log(caplog)
+    assert settled + pooled == len(want) and pooled == len(flips) == 0
+    assert 0 < len(want) < len(nets) * len(words)
     found = re.search(r"(\d+) experiments settled without a lane, (\d+) shared a lane", caplog.text)
     idle, shared = map(int, found.groups())
-    assert idle + shared + len(entered) == report.total
-    assert idle >= len(nets) * len(words) - len(flips)
+    assert idle + shared + settled + len(entered) == report.total
+    assert idle >= len(nets) * len(words) - len(want)
+    totals, witnesses = reference_campaign(netlist, words, spec, codes)
+    assert report.to_json_dict()["totals"] == totals
+    assert report.to_json_dict()["witnesses"] == witnesses
 
 
 # -- the memoized golden run against simulate_batch ---------------------------
@@ -847,6 +881,76 @@ def test_golden_sim_matches_simulate_batch_on_random_netlists(case, lanes):
 def test_screen_matches_single_flips_on_random_netlists(case):
     # reconvergent fanout, and screened nets in each other's fanout cones
     _check_screen_of_every_net(*case)
+
+
+@st.composite
+def settled_flip_campaigns(draw):
+    """A ``golden_netlists`` netlist whose ``fsm_alert`` is rewired to nets
+    that stay low on its golden run (or to a constant 0), a random
+    ``CodeBook`` over its ``state_e`` width that holds every golden word and
+    an ERROR word off the golden run, and a single-fault campaign of flips
+    and one stuck-at effect, small enough for the whole-trace reference."""
+    n, words = draw(golden_netlists())
+    width = len(n.port("state_e").bits)
+    assume(words and width)
+    comp = n._compile()
+    keys = list(dict.fromkeys(_edge_keys(n, words)))
+    values = fe._eval_edges(comp, keys)
+    low = [net for net, i in comp.index.items() if not values[i]]
+    alert = draw(st.lists(st.sampled_from(low), max_size=2)) if low else []
+    rewired = Netlist("rewired")
+    rewired.add_port("x_e", "in", n.port("x_e").bits)
+    for g in n.gates:
+        rewired.add_gate(g.kind, g.inputs, g.output)
+    for f in n.flops:
+        rewired.add_flop(f.d, f.q, f.reset_value)
+    if not alert:
+        alert = [rewired.add_gate("CONST0", [], "alert_lo")]
+    rewired.add_port("state_e", "out", n.port("state_e").bits)
+    rewired.add_port("fsm_alert", "out", alert)
+    rewired.validate()
+    golden = sorted({w for _, w, _ in fe._golden(rewired, words, ())[0]})
+    others = [w for w in range(1 << width) if w not in golden]
+    assume(others)
+    extra = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+    entries = [("ERR", extra[0])] + [(f"S{w}", w) for w in golden] + [(f"X{w}", w) for w in extra[1:]]
+    codes = CodeBook(1, width, tuple(draw(st.permutations(entries))), "ERR")
+    effects = ("flip", draw(st.sampled_from(["stuck0", "stuck1"])))
+    scope = draw(st.sampled_from(["all", "inputs_only"]))
+    some = st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=3, unique=True).map(tuple)
+    cycles = draw(st.none() | some)
+    n_atoms = len(enumerate_fault_sites(rewired, scope)) * 2 * (len(words) if cycles is None else len(cycles))
+    if n_atoms <= 800 and draw(st.booleans()):
+        spec = fe.CampaignSpec(scope=scope, effects=effects, cycles=cycles)
+    else:
+        spec = fe.CampaignSpec(
+            scope=scope, effects=effects, cycles=cycles, mode="sampled",
+            sample_count=draw(st.integers(1, 150)), seed=draw(st.integers(0, 99)),
+        )
+    return rewired, words, codes, spec
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much]
+)
+@given(settled_flip_campaigns(), st.sampled_from([1, 3, fe._POOL_LANES]))
+def test_flips_settled_per_edge_match_reference_on_random_netlists(case, lanes):
+    # flips that settle on their edge and the next one, flips that fall
+    # through to the pool, reconvergent stems and observed nets that gates read
+    netlist, words, codes, spec = case
+    _assert_pool_matches_reference(netlist, words, spec, codes, lanes)
+
+
+@pytest.mark.parametrize("effect", ["stuck0", "stuck1"])
+def test_flips_corrupt_past_the_next_cycle_fall_through_to_the_pool(effect, caplog):
+    # a flipped register bit stays off golden, undetected, until the next
+    # load: settling its flip on two edges cannot end it, so it takes a lane
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    netlist, words, codes = _alert_free_register()
+    spec = fe.CampaignSpec(scope="all", effects=("flip", effect))
+    totals = _assert_pool_matches_reference(netlist, words, spec, codes, fe._POOL_LANES)
+    settled, pooled = _settle_log(caplog)
+    assert settled > 0 and pooled > 0 and totals["masked_corrupt"] > 0
 
 
 def _counter(bits, port="x"):
