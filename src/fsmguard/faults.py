@@ -495,14 +495,15 @@ def _screen(
     return found, faulty, len(order), calls, lanes
 
 
-class _Activity(dict):
+class _Activity:
     """The cycles (bit ``c`` for cycle ``c``) at which a fault can change a
-    lane that sits on the golden trajectory, by (net, effect index), found
-    on first lookup; ``_activity`` builds it, and calling it looks one up.
+    lane that sits on the golden trajectory, looked up by calling it with
+    the fault's net and effect index and found on first lookup; ``_activity``
+    builds it.
 
-    ``keys`` are the distinct golden edges, in the order of the lanes of
-    ``values``, every net's golden value on each edge; ``routes`` maps each
-    screened net to its stem and the edges on which its flip shows, and
+    ``edge_keys`` are the distinct golden edges, in the order of the lanes
+    of ``values``, every net's golden value on each edge; ``routes`` maps
+    each screened net to its stem and the edges on which its flip shows, and
     ``faulty`` holds the faulty triples that ``_screen`` kept. A mask of
     edges turns into cycles four edges at a time, from one table per group
     of four edges that holds the cycles of each of its 16 subsets.
@@ -515,13 +516,12 @@ class _Activity(dict):
         routes: Dict[int, Tuple[int, int]],
         faulty: Dict[int, List[Tuple[int, int, int]]],
     ):
-        super().__init__()
-        self.keys = list(edges)
+        self.edge_keys = list(edges)
         self.edge_cycles = list(edges.values())
         self.values = values
         self.routes = routes
         self.faulty = faulty
-        self.every = (1 << len(edges)) - 1
+        self.found: Dict[Tuple[int, int], int] = {}
         # tables[g][s]: the cycles of the edges 4g..4g+3 whose bits are set in s
         self.tables: List[List[int]] = []
         for lo in range(0, len(self.edge_cycles), 4):
@@ -530,22 +530,18 @@ class _Activity(dict):
                 table += [t | cycles for t in table]
             self.tables.append(table)
 
-    def cycles(self, edges: int) -> int:
-        out = 0
-        for table in self.tables:
-            out |= table[edges & 15]
-            edges >>= 4
-        return out
-
-    def __missing__(self, key: Tuple[int, int]) -> int:
-        net, effect = key
-        v, every = self.values[net], self.every
-        route = self.routes.get(net)
-        found = self[key] = self.cycles((every, v, every ^ v)[effect] & (route[1] if route else every))
-        return found
-
     def __call__(self, net: int, effect: int) -> int:
-        return self[net, effect]
+        found = self.found.get((net, effect))
+        if found is None:
+            every = (1 << len(self.edge_keys)) - 1
+            route = self.routes.get(net)
+            edges = (every, self.values[net], every ^ self.values[net])[effect] & (route[1] if route else every)
+            found = 0
+            for table in self.tables:
+                found |= table[edges & 15]
+                edges >>= 4
+            self.found[net, effect] = found
+        return found
 
 
 def _activity(
@@ -686,9 +682,9 @@ def _settle_flips(
             continue
         if not comp.users[stem]:
             d, w, a = own
-            faulty[stem] = [(n ^ d, s ^ w, x ^ a) for n, s, x in (memo[k] for k in act.keys)]
+            faulty[stem] = [(n ^ d, s ^ w, x ^ a) for n, s, x in (memo[k] for k in act.edge_keys)]
         elif stem in key_nets:
-            flipped[stem] = [k ^ bits(stem, key_nets) for k in act.keys]
+            flipped[stem] = [k ^ bits(stem, key_nets) for k in act.edge_keys]
     evaluate([k for keys in flipped.values() for k in keys])
     for stem, keys in flipped.items():
         faulty[stem] = [memo[k] for k in keys]
@@ -1063,7 +1059,7 @@ def run_campaign(
                 if not effect:
                     pool = campaign
                     if active is not None:
-                        shown = active[net, 0] & campaign
+                        shown = active(net, 0) & campaign
                         idle += n_cycles - shown.bit_count()
                         hijacked, pool, info = settle(net, shown)
                         for c in _set_bits(hijacked):
@@ -1073,7 +1069,7 @@ def run_campaign(
                         pooled += 1
                         yield [(a, (a,))], ((net, 0, c),), 1 << c
                     continue
-                mask = active[net, effect]
+                mask = active(net, effect)
                 if not mask:
                     idle += n_cycles
                     continue
@@ -1103,9 +1099,9 @@ def run_campaign(
             mask = 0
             for net, effect, c in faults:
                 if effect:
-                    mask |= active[net, effect] >> c << c
+                    mask |= active(net, effect) >> c << c
                 else:
-                    mask |= 1 << c if active is None else active[net, 0] & 1 << c
+                    mask |= 1 << c if active is None else active(net, 0) & 1 << c
             if mask and single and not faults[0][1]:  # a single flip that shows
                 net, _, c = faults[0]
                 if active is not None and net in active.routes:

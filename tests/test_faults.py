@@ -579,30 +579,22 @@ def _check_screen_of_every_net(netlist, words):
 @pytest.mark.parametrize("faults", [1, 2])
 def test_flip_only_campaign_skips_the_screen(design_n2, faults):
     # the golden net values of a stuck-at campaign take one _eval_edges call
-    # beyond the golden run's, and the settling of its single flips the calls
-    # that _settle_flips reports; a flip-only campaign makes none
+    # beyond the golden run's; a flip-only campaign makes none. A single-fault
+    # campaign that also flips settles its flips in exactly two more on this
+    # netlist: the golden edges with a state flop flipped, then the next
+    # cycle's edges of the flips still off golden
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     spec = fe.CampaignSpec(
         scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=faults
     )
     want = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
     _, golden_calls, _ = fe._golden(netlist, words, [w for _, w in codes.entries])
-    settle_flips = fe._settle_flips
-    for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1)):
+    for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1 if faults > 1 else 3)):
         evals = mock.Mock(wraps=fe._eval_edges)
         screen = mock.Mock(wraps=fe._screen)
-        settled = []
-
-        def settle(*args):
-            outcomes, calls, lanes = settle_flips(*args)
-            settled.append(calls)
-            return outcomes, calls, lanes
-
-        with mock.patch.object(fe, "_eval_edges", evals), mock.patch.object(fe, "_screen", screen), \
-                mock.patch.object(fe, "_settle_flips", settle):
+        with mock.patch.object(fe, "_eval_edges", evals), mock.patch.object(fe, "_screen", screen):
             got = fe.run_campaign(netlist, words, dataclasses.replace(spec, effects=effects), codes)
-        assert len(settled) == (1 if passes and faults == 1 else 0)
-        assert evals.call_count == golden_calls + passes + sum(settled)
+        assert evals.call_count == golden_calls + passes
         assert screen.call_count == (1 if passes and faults == 1 else 0)
         if not passes:
             assert got.to_json_dict() == want
@@ -788,18 +780,38 @@ def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0"))
-    report, entered, _ = _pool_entries(netlist, words, spec, codes)
+    kept = []
+    activity, settle_flips = fe._activity, fe._settle_flips
+
+    def screened(*args):
+        found = activity(*args)
+        kept.append(found[0])
+        return found
+
+    def settle(*args):
+        found = settle_flips(*args)
+        kept.append(found[0])
+        return found
+
+    with mock.patch.object(fe, "_activity", screened), mock.patch.object(fe, "_settle_flips", settle):
+        report, entered, _ = _pool_entries(netlist, words, spec, codes)
+    active, outcomes = kept
     _, shown = _shown_by_flips(netlist, words)
     comp = netlist._compile()
     nets = [comp.index[site] for site in enumerate_fault_sites(netlist, spec.scope)]
     want = [(net, c) for net in nets for c in range(len(words)) if shown[net] >> c & 1]
-    flips = [faults[0] for _, faults, _ in entered if not faults[0][1]]
-    settled, pooled = _settle_log(caplog)
-    assert settled + pooled == len(want) and pooled == len(flips) == 0
+    settled = []  # the (net, cycle) flips that the outcome of the net's stem classifies
+    for net in nets:
+        detected, masked, corrupt, _, hijacked, _ = outcomes[active.routes[net][0]]
+        ended = active(net, 0) & (detected | masked | corrupt | hijacked)
+        settled += [(net, c) for c in range(len(words)) if ended >> c & 1]
+    pooled = [(net, c) for _, ((net, effect, c),), _ in entered if not effect]
+    assert sorted(settled + pooled) == sorted(want) and not pooled
+    assert _settle_log(caplog) == (len(settled), 0)
     assert 0 < len(want) < len(nets) * len(words)
     found = re.search(r"(\d+) experiments settled without a lane, (\d+) shared a lane", caplog.text)
     idle, shared = map(int, found.groups())
-    assert idle + shared + settled + len(entered) == report.total
+    assert idle + shared + len(settled) + len(entered) == report.total
     assert idle >= len(nets) * len(words) - len(want)
     totals, witnesses = reference_campaign(netlist, words, spec, codes)
     assert report.to_json_dict()["totals"] == totals
