@@ -639,6 +639,11 @@ def _settle_flips(
     ``fsm_alert``), and the ones it lacks are evaluated in passes of
     ``_POOL_LANES`` lanes. A flip still off golden after ``c + 1`` is
     pooled, for ``_run_pool`` to run from ``c``.
+
+    A single stuck-at fault first acts at ``c`` as the flip there does, and
+    is held at ``c + 1``. When its net lies outside ``comp.out_cone``, it
+    cannot change ``state_e`` or ``fsm_alert`` at ``c + 1``, so a flip
+    outcome of detected or hijacked at ``c`` is its outcome too.
     """
     x_nets = comp.out_bits["x_e"]
     triple_nets = ([d for d, _, _ in comp.flops], comp.out_bits["state_e"], comp.out_bits["fsm_alert"])
@@ -737,7 +742,10 @@ def _run_pool(
     sits on the golden trajectory, as ``_activity`` finds; it is never
     empty. In a single-fault campaign with a stuck-at effect, a flip comes
     here only when ``_settle_flips`` leaves it off golden after the cycle
-    after its own, or when the screen did not cover its net. All machine
+    after its own, or when the screen did not cover its net; in an
+    exhaustive one that also flips, a stuck-at group comes here only when
+    its net lies in ``comp.out_cone`` or its flip at the group's first
+    active cycle is not detected or hijacked by the cycle after. All machine
     state is in the flops, so a lane in the golden flop state at a cycle
     outside its mask repeats the golden run exactly, and a lane is occupied
     only while its experiment is active or its flop state is off golden.
@@ -953,8 +961,12 @@ def run_campaign(
     hijack gives each member its own witness. An exhaustive single-fault
     campaign is walked per (net, effect) rather than per experiment: cycles
     with an empty mask and settled flips are counted from masks of cycles,
-    and a witness is built only for a hijack. The gate passes of the golden
-    run, the screen, the settling and the pool are logged on the
+    stuck-at onsets are grouped per active cycle, and a witness is built
+    only for a hijack. When it also flips, a stuck-at group whose net lies
+    outside the fan-in cone of ``state_e`` and ``fsm_alert`` takes the
+    outcome of its flip at its first active cycle, if that is detected or
+    hijacked, without a lane (see ``_settle_flips``). The gate passes of
+    the golden run, the screen, the settling and the pool are logged on the
     ``fsmguard`` logger. Experiments are independent and witnesses are
     listed in enumeration order, so reports do not depend on the pool width.
     """
@@ -1028,7 +1040,7 @@ def run_campaign(
         )
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     hijacks: List[Tuple[int, HijackWitness]] = []
-    idle = shared = settled = pooled = 0
+    idle = shared = settled = pooled = stuck_settled = 0
 
     def settle(net: int, shown: int) -> Tuple[int, int, Dict[int, Tuple[int, str]]]:
         """Counts the flips of the screened ``net`` at the cycles of
@@ -1051,9 +1063,10 @@ def run_campaign(
     def walk() -> Iterator[Lane]:
         """The pool's lanes of an exhaustive single-fault campaign, one
         (net, effect) at a time."""
-        nonlocal idle, shared, pooled
+        nonlocal idle, shared, pooled, stuck_settled
         n_cycles = len(cycles)
         position = {c: k for k, c in enumerate(cycles)}
+        cone = comp.out_cone if flips else ()
         for site, net in enumerate(site_nets):
             for first, effect in zip(range(site * per_site, (site + 1) * per_site, n_cycles), effect_ids):
                 if not effect:
@@ -1069,24 +1082,33 @@ def run_campaign(
                         pooled += 1
                         yield [(a, (a,))], ((net, 0, c),), 1 << c
                     continue
+                # the onsets up to an active cycle c1 first act at c1, as its flip
+                # does; outside the cone the held fault cannot change that outcome
+                out = flips and net not in cone and flips[active.routes[net][0]]
                 mask = active(net, effect)
-                if not mask:
-                    idle += n_cycles
-                    continue
-                lane: Optional[Lane] = None
-                for a, c in enumerate(cycles, first):
-                    m = mask >> c << c
+                rest = campaign  # onsets not yet grouped
+                while rest:
+                    m = mask & -(rest & -rest)  # active from the first onset left on
                     if not m:
-                        idle += 1
-                    elif lane is not None and m == lane[2]:
-                        lane[0].append((a, (a,)))
-                        shared += 1
-                    else:
-                        if lane is not None:
-                            yield lane  # its last member is known now
-                        lane = ([(a, (a,))], ((net, effect, c),), m)
-                if lane is not None:
-                    yield lane
+                        break
+                    c1 = (m & -m).bit_length() - 1
+                    onsets = rest & (2 << c1) - 1
+                    rest ^= onsets
+                    n = onsets.bit_count()
+                    if out and out[0] >> c1 & 1:
+                        counts["detected"] += n
+                        stuck_settled += n
+                        continue
+                    members = [(a, (a,)) for a in (first + position[c] for c in _set_bits(onsets))]
+                    if out and out[4] >> c1 & 1:
+                        counts["hijack"] += n
+                        stuck_settled += n
+                        for a, e in members:
+                            witness(a, e, *out[5][c1])
+                        continue
+                    shared += n - 1
+                    yield members, ((net, effect, c1),), m
+                idle += rest.bit_count()
 
     def draws() -> Iterator[Lane]:
         """The pool's lanes of a sampled or multi-fault campaign, one
@@ -1141,8 +1163,8 @@ def run_campaign(
         )
         log.info(
             "pool: %d lanes in %d steps; %d flips settled per edge in %d evaluations "
-            "(%d lanes), %d flips entered the pool",
-            *spent, settled, settle_calls, settle_lanes, pooled,
+            "(%d lanes), %d flips entered the pool; %d stuck-at experiments settled per edge",
+            *spent, settled, settle_calls, settle_lanes, pooled, stuck_settled,
         )
 
     total = sum(counts.values())

@@ -249,6 +249,23 @@ class _Compiled:
                 users[net].append(pos)
         return users
 
+    @cached_property
+    def out_cone(self) -> Set[int]:
+        """The nets whose value can change an output-port bit in the same
+        cycle: the bits and their fan-in, which stops at flop q and input
+        nets. Built only once a campaign settles stuck-at faults per edge."""
+        arity, inputs = list(_ARITY.values()), dict(self.in_ports)
+        todo = [b for name, bits in self.out_bits.items() if name not in inputs for b in bits]
+        cone: Set[int] = set()
+        while todo:
+            net = todo.pop()
+            if net not in cone:
+                cone.add(net)
+                if self.op_stop[net]:
+                    kind, _, *ins = self.ops[self.op_stop[net] - 1]
+                    todo += ins[: arity[kind]]
+        return cone
+
 
 @dataclass
 class SimResult:

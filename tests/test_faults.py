@@ -811,8 +811,43 @@ def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
     assert 0 < len(want) < len(nets) * len(words)
     found = re.search(r"(\d+) experiments settled without a lane, (\d+) shared a lane", caplog.text)
     idle, shared = map(int, found.groups())
-    assert idle + shared + len(settled) + len(entered) == report.total
+    stuck = int(re.search(r"(\d+) stuck-at experiments settled per edge", caplog.text).group(1))
+    assert idle + shared + len(settled) + stuck + len(entered) == report.total
+    assert stuck > 0
     assert idle >= len(nets) * len(words) - len(want)
+    totals, witnesses = reference_campaign(netlist, words, spec, codes)
+    assert report.to_json_dict()["totals"] == totals
+    assert report.to_json_dict()["witnesses"] == witnesses
+
+
+def test_stuck_at_in_the_alert_cone_takes_a_lane(design_n2):
+    # a stuck-at-1 on a state match line first acts as its flip does, and
+    # that flip is detected at the next cycle because state_valid falls;
+    # held, the fault keeps state_valid high there, so the flip's outcome
+    # cannot settle it and it runs in the pool
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
+    comp = netlist._compile()
+    trace = fe._word_trace(words)
+    candidates = [(net, c) for net in comp.index if net.startswith("m0_st_") for c in range(len(words))]
+    faults = [[]] + [[FaultSite(net, effect, c)] for net, c in candidates for effect in ("flip", "stuck1")]
+    res = simulate_batch(netlist, [trace] * len(faults), faults)
+
+    def run(lane, c):
+        """Alerts at c and c + 1, and the flop state at c + 1, of a lane."""
+        flops = tuple(q >> lane & 1 for q in res.flop_q[c + 1])
+        return res.port_value("fsm_alert", c, lane), res.port_value("fsm_alert", c + 1, lane), flops
+
+    found = []
+    for i, (net, c) in enumerate(candidates):
+        golden, flip, stuck = run(0, c), run(2 * i + 1, c), run(2 * i + 2, c)
+        if flip[:2] == (0, 1) and stuck[:2] == (0, 0) and golden[2] != flip[2] == stuck[2]:
+            found.append((net, c))
+    assert found
+    net, c = found[0]
+    assert comp.index[net] in comp.out_cone
+    spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck1"), cycles=(c,))
+    report, entered, _ = _pool_entries(netlist, words, spec, codes)
+    assert (comp.index[net], 2) in {faults[0][:2] for _, faults, _ in entered}
     totals, witnesses = reference_campaign(netlist, words, spec, codes)
     assert report.to_json_dict()["totals"] == totals
     assert report.to_json_dict()["witnesses"] == witnesses
@@ -898,10 +933,12 @@ def test_screen_matches_single_flips_on_random_netlists(case):
 @st.composite
 def settled_flip_campaigns(draw):
     """A ``golden_netlists`` netlist whose ``fsm_alert`` is rewired to nets
-    that stay low on its golden run (or to a constant 0), a random
-    ``CodeBook`` over its ``state_e`` width that holds every golden word and
-    an ERROR word off the golden run, and a single-fault campaign of flips
-    and one stuck-at effect, small enough for the whole-trace reference."""
+    that stay low on its golden run (or to a constant 0), the first of them
+    maybe ANDed with a flop's d net, so that the alert's cone shares nets
+    with the next-state logic; a random ``CodeBook`` over its ``state_e``
+    width that holds every golden word and an ERROR word off the golden run;
+    and a single-fault campaign of flips and one stuck-at effect, small
+    enough for the whole-trace reference."""
     n, words = draw(golden_netlists())
     width = len(n.port("state_e").bits)
     assume(words and width)
@@ -918,6 +955,10 @@ def settled_flip_campaigns(draw):
         rewired.add_flop(f.d, f.q, f.reset_value)
     if not alert:
         alert = [rewired.add_gate("CONST0", [], "alert_lo")]
+    if n.flops and draw(st.booleans()):
+        # ANDed with a flop's d net, the alert stays low on the golden run
+        # and its cone takes in next-state logic
+        alert[0] = rewired.add_gate("AND", [alert[0], draw(st.sampled_from(n.flops)).d], "alert_and")
     rewired.add_port("state_e", "out", n.port("state_e").bits)
     rewired.add_port("fsm_alert", "out", alert)
     rewired.validate()
