@@ -847,7 +847,7 @@ def test_stuck_at_in_the_alert_cone_takes_a_lane(design_n2):
     assert comp.index[net] in comp.out_cone
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck1"), cycles=(c,))
     report, entered, _ = _pool_entries(netlist, words, spec, codes)
-    assert (comp.index[net], 2) in {faults[0][:2] for _, faults, _ in entered}
+    assert (comp.index[net], 2) in {pooled[0][:2] for _, pooled, _ in entered}
     totals, witnesses = reference_campaign(netlist, words, spec, codes)
     assert report.to_json_dict()["totals"] == totals
     assert report.to_json_dict()["witnesses"] == witnesses
