@@ -416,8 +416,9 @@ def _screen(
     b)`` passes ``s`` where ``a != b``, ``a`` where ``s`` is 0 and ``b``
     where ``s`` is 1. The chain of such ops ends at a stem: an observed net
     shows on every edge, a net that no op reads shows on none, and a net
-    read twice or more, even by one op, is simulated. Where a net's flip
-    shows, it gives exactly the observed values that its stem's flip gives.
+    read twice or more, even by one op, is simulated, as is an observed
+    stem when ``keep`` is set. Where a net's flip shows, it gives exactly
+    the observed values that its stem's flip gives.
 
     Each simulated stem has a block of ``n_edges`` lanes that start from
     the golden edges and flip it, and a call holds about ``_SCREEN_LANES``
@@ -425,7 +426,8 @@ def _screen(
     values replicated over the blocks: the ops compute every other net.
 
     With ``keep``, each simulated stem maps to its faulty ``(flop d word,
-    state_e word, fsm_alert)`` on each golden edge.
+    state_e word, fsm_alert)`` on each golden edge, so every stem whose flip
+    shows anywhere has them.
     """
     ops, stop, users = comp.ops, comp.op_stop, comp.users
     observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
@@ -455,7 +457,7 @@ def _screen(
                 mask &= block ^ (v[j] if net == i else v[i])
             link[net] = (stem, mask)
         routes.append((stem, mask))
-    stems = {stem for stem, _ in routes if users[stem] and stem not in is_observed}
+    stems = {stem for stem, _ in routes if (keep if stem in is_observed else users[stem])}
     order = sorted(stems, key=stop.__getitem__)
 
     per_call = max(1, _SCREEN_LANES // n_edges)
@@ -501,12 +503,13 @@ class _Activity:
     the fault's net and effect index and found on first lookup; ``_activity``
     builds it.
 
-    ``edge_keys`` are the distinct golden edges, in the order of the lanes
-    of ``values``, every net's golden value on each edge; ``routes`` maps
-    each screened net to its stem and the edges on which its flip shows, and
-    ``faulty`` holds the faulty triples that ``_screen`` kept. A mask of
-    edges turns into cycles four edges at a time, from one table per group
-    of four edges that holds the cycles of each of its 16 subsets.
+    ``edges`` maps the distinct golden edges, in the order of the lanes of
+    ``values``, every net's golden value on each edge, to their cycles;
+    ``routes`` maps each screened net to its stem and the edges on which its
+    flip shows, and ``faulty`` holds the faulty triples that ``_screen``
+    kept. A mask of edges turns into cycles four edges at a time, from one
+    table per group of four edges that holds the cycles of each of its 16
+    subsets.
     """
 
     def __init__(
@@ -516,7 +519,6 @@ class _Activity:
         routes: Dict[int, Tuple[int, int]],
         faulty: Dict[int, List[Tuple[int, int, int]]],
     ):
-        self.edge_keys = list(edges)
         self.edge_cycles = list(edges.values())
         self.values = values
         self.routes = routes
@@ -533,7 +535,7 @@ class _Activity:
     def __call__(self, net: int, effect: int) -> int:
         found = self.found.get((net, effect))
         if found is None:
-            every = (1 << len(self.edge_keys)) - 1
+            every = (1 << len(self.edge_cycles)) - 1
             route = self.routes.get(net)
             edges = (every, self.values[net], every ^ self.values[net])[effect] & (route[1] if route else every)
             found = 0
@@ -567,14 +569,13 @@ def _activity(
     is active where its net differs from ``V`` and ``_screen`` finds that a
     flip of the net shows, and a single flip where the flip shows; the
     screen traces most nets' flips through the golden values and simulates
-    only fanout stems. A single-fault campaign screens the nets of its
-    stuck-at atoms up front: every site's net in exhaustive mode, the drawn
-    ones in sampled mode, found by a second pass over the seeded stream; an
-    unscreened net shows everywhere. When such a campaign also flips, the
-    screen keeps its stems' faulty values for ``_settle_flips``. Several
-    faults are active wherever a stuck net differs from its value, and flips
-    at every cycle, without the screen, because two faults that each show
-    nowhere can show together.
+    only fanout stems. A single-fault campaign screens the nets of all its
+    atoms up front: every site's net in exhaustive mode, the drawn ones in
+    sampled mode, found by a second pass over the seeded stream. When such a
+    campaign also flips, the screen keeps its stems' faulty values for
+    ``_settle_flips``. Several faults are active wherever a stuck net
+    differs from its value, and flips at every cycle, without the screen,
+    because two faults that each show nowhere can show together.
     """
     if all(e == "flip" for e in spec.effects):
         return None, 0, 0, 0, 0
@@ -591,8 +592,7 @@ def _activity(
         if spec.mode == "exhaustive":
             nets = list(dict.fromkeys(site_nets))
         else:
-            drawn = (atom(i) for (i,) in _enumerate_experiments(n_atoms, spec))
-            nets = list(dict.fromkeys(net for net, effect, _ in drawn if effect))
+            nets = list(dict.fromkeys(atom(i)[0] for (i,) in _enumerate_experiments(n_atoms, spec)))
         found, faulty, stems, screen_calls, screen_lanes = _screen(
             comp, values, len(edges), nets, keep="flip" in spec.effects
         )
@@ -624,40 +624,25 @@ def _settle_flips(
 
     All machine state is in the flops, so a flip at cycle ``c`` acts only
     through its faulty ``(flop d, state_e, fsm_alert)`` at ``c``, which
-    depends on ``c``'s golden edge alone. ``act.faulty`` holds it for the
-    stems the screen simulated. An observed stem that no op reads flips only
-    its own bits of the golden triple. One that ops read and that is an
-    ``x_e`` or flop q net flips the cycle's input, so its triple is that of
-    the golden edge with the net's key bits flipped; any other observed stem
-    that ops read pools every flip. The alert or the ERROR word
-    detects; else a valid word off the golden one is a hijack and an
-    invalid one marks the run corrupt; a ``d`` equal to the golden next flop
-    state rejoins the golden run. A run still off golden runs ``c + 1`` from
-    its faulty flop state under that cycle's word, is classified in the
-    same way, and ends there at the last cycle. Edges are looked up in
-    ``memo``, the golden run's (key -> next flop state, ``state_e``,
-    ``fsm_alert``), and the ones it lacks are evaluated in passes of
-    ``_POOL_LANES`` lanes. A flip still off golden after ``c + 1`` is
-    pooled, for ``_run_pool`` to run from ``c``.
+    depends on ``c``'s golden edge alone. ``act.faulty`` holds it for every
+    stem whose flip shows: the screen simulated each of them, observed
+    stems included. A stem it lacks shows nowhere, and its outcome is
+    empty. The alert or the ERROR word detects; else a valid word off the
+    golden one is a hijack and an invalid one marks the run corrupt; a
+    ``d`` equal to the golden next flop state rejoins the golden run. A run
+    still off golden runs ``c + 1`` from its faulty flop state under that
+    cycle's word, is classified in the same way, and ends there at the last
+    cycle. Those edges are looked up in ``memo``, the golden run's (key ->
+    next flop state, ``state_e``, ``fsm_alert``), and the ones it lacks are
+    evaluated in passes of ``_POOL_LANES`` lanes. A flip still off golden
+    after ``c + 1`` is pooled, for ``_run_pool`` to run from ``c``.
 
     A single stuck-at fault first acts at ``c`` as the flip there does, and
     is held at ``c + 1``. When its net lies outside ``comp.out_cone``, it
     cannot change ``state_e`` or ``fsm_alert`` at ``c + 1``, so a flip
     outcome of detected or hijacked at ``c`` is its outcome too.
     """
-    x_nets = comp.out_bits["x_e"]
-    triple_nets = ([d for d, _, _ in comp.flops], comp.out_bits["state_e"], comp.out_bits["fsm_alert"])
-    key_nets = x_nets + [q for _, q, _ in comp.flops]
-    err, width, xs, last = codes.error_codeword, len(x_nets), (*words, 0), len(golden) - 1
-    spent = [0, 0]
-
-    def evaluate(keys: List[int]) -> None:
-        missing = list(dict.fromkeys(k for k in keys if k not in memo))
-        for lo in range(0, len(missing), _POOL_LANES):
-            batch = missing[lo : lo + _POOL_LANES]
-            memo.update(zip(batch, _eval_triples(comp, batch)))
-            spent[0] += 1
-            spent[1] += len(batch)
+    err, width, xs, last = codes.error_codeword, len(comp.out_bits["x_e"]), (*words, 0), len(golden) - 1
 
     def classify(c: int, nxt: int, word: int, alert: int, dirty: int) -> Tuple[int, object]:
         """The outcome index at cycle ``c`` of a run that was golden before
@@ -676,34 +661,13 @@ def _settle_flips(
             return 1 + dirty, dirty
         return 3, dirty
 
-    def bits(net: int, nets: List[int]) -> int:
-        return sum(1 << i for i, n in enumerate(nets) if n == net)
-
-    faulty = dict(act.faulty)
-    flipped = {}  # observed x_e or flop q stem that ops read -> its edges' keys, flipped
-    for stem in dict.fromkeys(stem for stem, _ in act.routes.values()):
-        own = [bits(stem, nets) for nets in triple_nets]
-        if stem in faulty or not any(own):
-            continue
-        if not comp.users[stem]:
-            d, w, a = own
-            faulty[stem] = [(n ^ d, s ^ w, x ^ a) for n, s, x in (memo[k] for k in act.edge_keys)]
-        elif stem in key_nets:
-            flipped[stem] = [k ^ bits(stem, key_nets) for k in act.edge_keys]
-    evaluate([k for keys in flipped.values() for k in keys])
-    for stem, keys in flipped.items():
-        faulty[stem] = [memo[k] for k in keys]
-
     outcomes: Dict[int, List] = {}
     pending = []  # (outcome, cycle, corrupt flag, key of the cycle after)
     for stem, _ in act.routes.values():
         if stem in outcomes:
             continue
         out = outcomes[stem] = [0, 0, 0, 0, 0, {}]
-        if stem not in faulty:
-            out[3] = campaign
-            continue
-        for cycles, (nxt, word, alert) in zip(act.edge_cycles, faulty[stem]):
+        for cycles, (nxt, word, alert) in zip(act.edge_cycles, act.faulty.get(stem, ())):
             cycles &= campaign
             if not cycles:
                 continue
@@ -715,13 +679,18 @@ def _settle_flips(
             if k == 4:
                 out[5].update((c, (c, x)) for c in _set_bits(cycles))
 
-    evaluate([key for _, _, _, key in pending])
+    missing = list(dict.fromkeys(key for _, _, _, key in pending if key not in memo))
+    calls = 0
+    for lo in range(0, len(missing), _POOL_LANES):
+        batch = missing[lo : lo + _POOL_LANES]
+        memo.update(zip(batch, _eval_triples(comp, batch)))
+        calls += 1
     for out, c, dirty, key in pending:
         k, x = classify(c + 1, *memo[key], dirty)
         out[k] |= 1 << c
         if k == 4:
             out[5][c] = (c + 1, x)
-    return outcomes, spent[0], spent[1]
+    return outcomes, calls, len(missing)
 
 
 def _run_pool(
@@ -742,10 +711,11 @@ def _run_pool(
     sits on the golden trajectory, as ``_activity`` finds; it is never
     empty. In a single-fault campaign with a stuck-at effect, a flip comes
     here only when ``_settle_flips`` leaves it off golden after the cycle
-    after its own, or when the screen did not cover its net; in an
-    exhaustive one that also flips, a stuck-at group comes here only when
-    its net lies in ``comp.out_cone`` or its flip at the group's first
-    active cycle is not detected or hijacked by the cycle after. All machine
+    after its own; when the campaign also flips, a stuck-at group comes here
+    only when its net lies in ``comp.out_cone`` or its flip at the group's
+    first active cycle is not detected or hijacked by the cycle after. A
+    flip-only or multi-fault campaign sends every experiment with a
+    non-empty mask. All machine
     state is in the flops, so a lane in the golden flop state at a cycle
     outside its mask repeats the golden run exactly, and a lane is occupied
     only while its experiment is active or its flop state is off golden.
@@ -951,24 +921,29 @@ def run_campaign(
     distinct (flop state, ``x_e`` word) edge of the trace once. Each
     experiment then gets its activity mask from the lookup that ``_activity``
     builds before the pool starts. An empty mask is masked without a lane.
-    In a single-fault campaign with a stuck-at effect, ``_settle_flips``
-    classifies each screened flip at its cycle and the next from the
-    screen's faulty values, so only flips still off golden after that take
-    a lane. Consecutive single-fault experiments with the same net, effect
-    and mask all enter at the mask's first cycle with the fault active from
-    there, so they run as one experiment in the lane pool of ``_run_pool``,
-    at the cycles its mask needs, and each member counts its outcome; a
-    hijack gives each member its own witness. An exhaustive single-fault
-    campaign is walked per (net, effect) rather than per experiment: cycles
-    with an empty mask and settled flips are counted from masks of cycles,
-    stuck-at onsets are grouped per active cycle, and a witness is built
-    only for a hijack. When it also flips, a stuck-at group whose net lies
-    outside the fan-in cone of ``state_e`` and ``fsm_alert`` takes the
-    outcome of its flip at its first active cycle, if that is detected or
-    hijacked, without a lane (see ``_settle_flips``). The gate passes of
-    the golden run, the screen, the settling and the pool are logged on the
-    ``fsmguard`` logger. Experiments are independent and witnesses are
-    listed in enumeration order, so reports do not depend on the pool width.
+
+    Single faults all take one path: items of a net, an effect and its
+    onset cycles, one per (net, effect) with every campaign cycle in
+    exhaustive mode and one per draw in sampled mode, so an exhaustive
+    campaign is counted per (net, effect) rather than per experiment. In a
+    campaign that both flips and sticks, ``_settle_flips`` classifies each
+    flip at its cycle and the next from the screen's faulty values, and the
+    flips of a net are counted from its stem's outcome masks over the cycles
+    where they show; only flips still off golden after that take a lane.
+    Stuck-at onsets of a net are grouped by the first active cycle they
+    reach: they all enter the lane pool of ``_run_pool`` there with the
+    fault active, as one experiment whose members each count its outcome.
+    When the campaign also flips, a group whose net lies outside the fan-in
+    cone of ``state_e`` and ``fsm_alert`` takes the outcome of its flip at
+    that cycle, if that is detected or hijacked, without a lane (see
+    ``_settle_flips``). A flip-only campaign has no screen and pools every
+    flip; a multi-fault experiment takes a lane of its own. A witness is
+    built only for a hijack, one per member.
+
+    The gate passes of the golden run, the screen, the settling and the
+    pool are logged on the ``fsmguard`` logger. Experiments are independent
+    and witnesses are listed in enumeration order, so reports do not depend
+    on the pool width.
     """
     theo = _theoretical_p(netlist)
     t0 = time.perf_counter()
@@ -1042,112 +1017,96 @@ def run_campaign(
     hijacks: List[Tuple[int, HijackWitness]] = []
     idle = shared = settled = pooled = stuck_settled = 0
 
-    def settle(net: int, shown: int) -> Tuple[int, int, Dict[int, Tuple[int, str]]]:
-        """Counts the flips of the screened ``net`` at the cycles of
-        ``shown``, at each of which the flip shows; returns the hijacked and
-        the pooled ones, and each hijack's ``(cycle, state)``."""
-        nonlocal settled
-        detected, masked, corrupt, pool, hijacked, info = flips[active.routes[net][0]]
-        counts["detected"] += (shown & detected).bit_count()
-        counts["masked"] += (shown & masked).bit_count()
-        counts["masked_corrupt"] += (shown & corrupt).bit_count()
-        counts["hijack"] += (shown & hijacked).bit_count()
-        settled += (shown & (detected | masked | corrupt | hijacked)).bit_count()
-        return shown & hijacked, shown & pool, info
-
     def witness(i: int, e: Tuple[int, ...], cyc: int, sym: str) -> None:
         hijacks.append((i, HijackWitness(tuple(map(fault_site, e)), cyc, sym, golden_states[cyc])))
 
     Lane = Tuple[List[Tuple[int, Tuple[int, ...]]], Tuple[Tuple[int, int, int], ...], int]
+    position = {c: k for k, c in enumerate(cycles)}
 
-    def walk() -> Iterator[Lane]:
-        """The pool's lanes of an exhaustive single-fault campaign, one
-        (net, effect) at a time."""
-        nonlocal idle, shared, pooled, stuck_settled
-        n_cycles = len(cycles)
-        position = {c: k for k, c in enumerate(cycles)}
+    def single_faults(items: Iterator[Tuple[int, int, int, int, int]]) -> Iterator[Lane]:
+        """The pool's lanes of a single-fault campaign, from ``(net, effect,
+        onsets, first, offset)`` items: the fault of ``net`` with ``effect``
+        at each cycle ``c`` of the mask ``onsets`` is atom ``first +
+        position[c]``, and its experiment index is ``offset`` more."""
+        nonlocal idle, shared, settled, pooled, stuck_settled
         cone = comp.out_cone if flips else ()
-        for site, net in enumerate(site_nets):
-            for first, effect in zip(range(site * per_site, (site + 1) * per_site, n_cycles), effect_ids):
-                if not effect:
-                    pool = campaign
-                    if active is not None:
-                        shown = active(net, 0) & campaign
-                        idle += n_cycles - shown.bit_count()
-                        hijacked, pool, info = settle(net, shown)
-                        for c in _set_bits(hijacked):
-                            witness(first + position[c], (first + position[c],), *info[c])
-                    for c in _set_bits(pool):
+        for net, effect, onsets, first, offset in items:
+            if not effect:
+                pool = onsets
+                if flips:  # counted per cycle where the flip shows, from its stem's outcome
+                    shown = active(net, 0) & onsets
+                    detected, masked, corrupt, pool, hijacked, info = flips[active.routes[net][0]]
+                    idle += (onsets ^ shown).bit_count()
+                    counts["detected"] += (shown & detected).bit_count()
+                    counts["masked"] += (shown & masked).bit_count()
+                    counts["masked_corrupt"] += (shown & corrupt).bit_count()
+                    counts["hijack"] += (shown & hijacked).bit_count()
+                    settled += (shown & (detected | masked | corrupt | hijacked)).bit_count()
+                    for c in _set_bits(shown & hijacked):
                         a = first + position[c]
-                        pooled += 1
-                        yield [(a, (a,))], ((net, 0, c),), 1 << c
+                        witness(a + offset, (a,), *info[c])
+                    pool &= shown
+                for c in _set_bits(pool):
+                    a = first + position[c]
+                    pooled += 1
+                    yield [(a + offset, (a,))], ((net, 0, c),), 1 << c
+                continue
+            # the onsets up to an active cycle c1 first act at c1, as its flip
+            # does; outside the cone the held fault cannot change that outcome
+            out = flips and net not in cone and flips[active.routes[net][0]]
+            mask = active(net, effect)
+            rest = onsets  # onsets not yet grouped
+            while rest:
+                m = mask & -(rest & -rest)  # active from the first onset left on
+                if not m:
+                    break
+                c1 = (m & -m).bit_length() - 1
+                group = rest & (2 << c1) - 1
+                rest ^= group
+                n = group.bit_count()
+                if out and out[0] >> c1 & 1:
+                    counts["detected"] += n
+                    stuck_settled += n
                     continue
-                # the onsets up to an active cycle c1 first act at c1, as its flip
-                # does; outside the cone the held fault cannot change that outcome
-                out = flips and net not in cone and flips[active.routes[net][0]]
-                mask = active(net, effect)
-                rest = campaign  # onsets not yet grouped
-                while rest:
-                    m = mask & -(rest & -rest)  # active from the first onset left on
-                    if not m:
-                        break
-                    c1 = (m & -m).bit_length() - 1
-                    onsets = rest & (2 << c1) - 1
-                    rest ^= onsets
-                    n = onsets.bit_count()
-                    if out and out[0] >> c1 & 1:
-                        counts["detected"] += n
-                        stuck_settled += n
-                        continue
-                    members = [(a, (a,)) for a in (first + position[c] for c in _set_bits(onsets))]
-                    if out and out[4] >> c1 & 1:
-                        counts["hijack"] += n
-                        stuck_settled += n
-                        for a, e in members:
-                            witness(a, e, *out[5][c1])
-                        continue
-                    shared += n - 1
-                    yield members, ((net, effect, c1),), m
-                idle += rest.bit_count()
+                members = [(a + offset, (a,)) for a in (first + position[c] for c in _set_bits(group))]
+                if out and out[4] >> c1 & 1:
+                    counts["hijack"] += n
+                    stuck_settled += n
+                    for i, e in members:
+                        witness(i, e, *out[5][c1])
+                    continue
+                shared += n - 1
+                yield members, ((net, effect, c1),), m
+            idle += rest.bit_count()
 
     def draws() -> Iterator[Lane]:
-        """The pool's lanes of a sampled or multi-fault campaign, one
-        experiment at a time."""
-        nonlocal idle, shared, pooled
-        lane: tuple = ([], (), 0)  # members, faults and mask of the lane being filled
-        last: object = None
+        """The pool's lanes of a multi-fault campaign, one experiment each."""
+        nonlocal idle
         for i, e in enumerate(stream):
             faults = tuple(map(atom, e))
             mask = 0
             for net, effect, c in faults:
-                if effect:
-                    mask |= active(net, effect) >> c << c
-                else:
-                    mask |= 1 << c if active is None else active(net, 0) & 1 << c
-            if mask and single and not faults[0][1]:  # a single flip that shows
-                net, _, c = faults[0]
-                if active is not None and net in active.routes:
-                    hijacked, mask, info = settle(net, mask)
-                    if hijacked:
-                        witness(i, e, *info[c])
-                    if not mask:
-                        continue
-                pooled += 1
-            if not mask:
+                mask |= active(net, effect) >> c << c if effect else 1 << c
+            if mask:
+                yield [(i, e)], faults, mask
+            else:
                 idle += 1
-                continue
-            group = (*faults[0][:2], mask) if single else i
-            if group == last:
-                lane[0].append((i, e))
-                shared += 1
-                continue
-            if lane[0]:
-                yield lane  # its last member is known now
-            lane, last = ([(i, e)], faults, mask), group
-        if lane[0]:
-            yield lane
 
-    experiments = walk() if single and spec.mode == "exhaustive" else draws()
+    if not single:
+        experiments = draws()
+    elif spec.mode == "exhaustive":  # one item per (net, effect); experiment i is atom i
+        n_cycles = len(cycles)
+        experiments = single_faults(
+            (net, effect, campaign, site * per_site + k * n_cycles, 0)
+            for site, net in enumerate(site_nets)
+            for k, effect in enumerate(effect_ids)
+        )
+    else:  # one item per draw
+        experiments = single_faults(
+            (net, effect, 1 << c, a - position[c], i - a)
+            for i, (a,) in enumerate(stream)
+            for net, effect, c in [atom(a)]
+        )
     spent = [0, 0]  # lanes entered and steps taken by the pool
     for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, spent, experiments):
         counts[cls] += len(members)

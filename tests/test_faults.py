@@ -533,18 +533,19 @@ def _edge_keys(netlist, words):
     return [q << width | x for (q, _, _), x in zip(golden, (*words, 0))]
 
 
-def _stems(comp, nets):
+def _stems(comp, nets, keep=False):
     """The fanout stems that the screen of ``nets`` simulates: from each
     net, follow the nets that one op input reads and that are not observed
     to the first that is not such a net, and keep it if it is read twice or
-    more and not observed."""
+    more and not observed, or, when the screen keeps faulty triples, if it
+    is observed."""
     observed = {d for d, _, _ in comp.flops} | set(comp.out_bits["state_e"]) | set(comp.out_bits["fsm_alert"])
     ends = set()
     for net in nets:
         while len(comp.users[net]) == 1 and net not in observed:
             net = comp.ops[comp.users[net][0]][1]
         ends.add(net)
-    return {net for net in ends if len(comp.users[net]) >= 2 and net not in observed}
+    return {net for net in ends if (keep if net in observed else len(comp.users[net]) >= 2)}
 
 
 def _check_screen_of_every_net(netlist, words):
@@ -580,16 +581,16 @@ def _check_screen_of_every_net(netlist, words):
 def test_flip_only_campaign_skips_the_screen(design_n2, faults):
     # the golden net values of a stuck-at campaign take one _eval_edges call
     # beyond the golden run's; a flip-only campaign makes none. A single-fault
-    # campaign that also flips settles its flips in exactly two more on this
-    # netlist: the golden edges with a state flop flipped, then the next
-    # cycle's edges of the flips still off golden
+    # campaign that also flips settles its flips in exactly one more on this
+    # netlist: the next cycle's edges of the flips still off golden (the
+    # screen gives every stem's faulty values on the golden edges)
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     spec = fe.CampaignSpec(
         scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=faults
     )
     want = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
     _, golden_calls, _ = fe._golden(netlist, words, [w for _, w in codes.entries])
-    for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1 if faults > 1 else 3)):
+    for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1 if faults > 1 else 2)):
         evals = mock.Mock(wraps=fe._eval_edges)
         screen = mock.Mock(wraps=fe._screen)
         with mock.patch.object(fe, "_eval_edges", evals), mock.patch.object(fe, "_screen", screen):
@@ -619,13 +620,14 @@ def _screen_log(caplog):
 @pytest.mark.parametrize("lanes", [1, 3, 256])
 def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lanes):
     # every scope net is screened up front in full passes of _SCREEN_LANES
-    # lanes, whatever the pool width and the order of the experiment stream
+    # lanes, whatever the pool width and the order of the experiment stream;
+    # a campaign that flips and sticks also simulates the observed stems
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     edges = len(set(_edge_keys(netlist, words)))
     comp = netlist._compile()
     nets = [comp.index[site] for site in enumerate_fault_sites(netlist, "all")]
-    stems = len(_stems(comp, nets))
+    stems = len(_stems(comp, nets, keep=True))
     # two cycles keep the one-lane pool quick; the screen covers every edge
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), cycles=(0, 7))
     with mock.patch.object(fe, "_POOL_LANES", lanes):
@@ -659,7 +661,7 @@ def test_screen_flips_only_fanout_stems(design_n2):
     assert lanes == stems * len(keys)
 
 
-def test_screen_covers_the_drawn_stuck_nets_only(design_n2, caplog):
+def test_screen_covers_the_drawn_nets_only(design_n2, caplog):
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     common = dict(scope="all", effects=("flip", "stuck1"), cycles=(1, 4), mode="sampled", seed=3)
@@ -670,7 +672,7 @@ def test_screen_covers_the_drawn_stuck_nets_only(design_n2, caplog):
         for effect in spec.effects
         for _ in spec.cycles
     ]
-    drawn = {atoms[i][0] for (i,) in fe._enumerate_experiments(len(atoms), spec) if atoms[i][1] != "flip"}
+    drawn = {atoms[i][0] for (i,) in fe._enumerate_experiments(len(atoms), spec)}
     screen = mock.Mock(wraps=fe._screen)
     with mock.patch.object(fe, "_screen", screen):
         fe.run_campaign(netlist, words, spec, codes)
@@ -818,6 +820,22 @@ def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
     totals, witnesses = reference_campaign(netlist, words, spec, codes)
     assert report.to_json_dict()["totals"] == totals
     assert report.to_json_dict()["witnesses"] == witnesses
+
+
+def test_sampled_single_faults_settle_per_edge(design_n2, caplog):
+    # sampled draws take the single-fault path of exhaustive campaigns: every
+    # drawn net is screened, so no drawn flip takes a lane, and stuck-at draws
+    # outside the state_e/fsm_alert cone settle from their flip's outcome
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
+    spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), mode="sampled", sample_count=1024)
+    doc = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
+    totals, witnesses = reference_campaign(netlist, words, spec, codes)
+    assert doc["totals"] == totals
+    assert doc["witnesses"] == witnesses and witnesses
+    settled, pooled = _settle_log(caplog)
+    assert settled > 0 and pooled == 0
+    assert int(re.search(r"(\d+) stuck-at experiments settled per edge", caplog.text).group(1)) > 0
 
 
 def test_stuck_at_in_the_alert_cone_takes_a_lane(design_n2):
