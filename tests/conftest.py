@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -53,6 +54,26 @@ TOGGLE_DOC = {
 }
 
 
+def bigm_doc(m, seed):
+    """The synthetic FSM "bigM" of the benchmark: states S0..S(M-1) and
+    one-bit inputs i0, i1, i2. From Si, ``i0=1`` steps to S(i+1 mod M) and
+    ``{i0=0, i1=1}`` jumps to a state drawn from ``seed``."""
+    rng = random.Random(seed)
+    transitions = []
+    for i in range(m):
+        transitions.append({"from": f"S{i}", "guard": {"i0": 1}, "to": f"S{(i + 1) % m}"})
+        transitions.append(
+            {"from": f"S{i}", "guard": {"i0": 0, "i1": 1}, "to": f"S{rng.randrange(m)}"}
+        )
+    return {
+        "name": f"big{m}",
+        "states": [f"S{i}" for i in range(m)],
+        "reset": "S0",
+        "inputs": [{"name": "i0"}, {"name": "i1"}, {"name": "i2"}],
+        "outputs": [],
+        "transitions": transitions,
+    }
+
 @pytest.fixture(scope="session")
 def fig2_fsm():
     return fg.parse_fsm(json.dumps(FIG2_DOC))
@@ -86,3 +107,13 @@ def design_n4(ref14_fsm):
 @pytest.fixture(scope="session")
 def fig2_design(fig2_fsm):
     return fg.harden(fig2_fsm, fg.HardeningConfig(protection_level=2, seed=3))
+
+
+@pytest.fixture(scope="session")
+def big32_fsm():
+    return fg.parse_fsm(json.dumps(bigm_doc(32, 0)))
+
+
+@pytest.fixture(scope="session")
+def big100_fsm():
+    return fg.parse_fsm(json.dumps(bigm_doc(100, 0)))

@@ -16,6 +16,7 @@ import fsmguard as fg
 from fsmguard import faults as fe
 from fsmguard.coding import CodeBook, decode_exact
 from fsmguard.netlist import FaultSite, Netlist, enumerate_fault_sites, simulate_batch
+from tests.conftest import bigm_doc
 from tests.strategies import random_fsms
 
 
@@ -1088,28 +1089,8 @@ def test_golden_walk_seeded_from_the_codebook(request, name):
         assert used == len(set(codewords)) * len(set(words) | {0})
 
 
-def _ring_doc(m, seed):
-    """The synthetic ring FSM of the benchmark: from Si, ``i0=1`` steps to
-    S(i+1 mod m) and ``{i0=0, i1=1}`` jumps to a state drawn from ``seed``."""
-    rng = random.Random(seed)
-    transitions = []
-    for i in range(m):
-        transitions.append({"from": f"S{i}", "guard": {"i0": 1}, "to": f"S{(i + 1) % m}"})
-        transitions.append(
-            {"from": f"S{i}", "guard": {"i0": 0, "i1": 1}, "to": f"S{rng.randrange(m)}"}
-        )
-    return {
-        "name": f"ring{m}",
-        "states": [f"S{i}" for i in range(m)],
-        "reset": "S0",
-        "inputs": [{"name": "i0"}, {"name": "i1"}, {"name": "i2"}],
-        "outputs": [],
-        "transitions": transitions,
-    }
-
-
 def test_golden_run_evaluates_each_transition_once():
-    design = fg.harden(fg.parse_fsm(json.dumps(_ring_doc(32, 0))), fg.HardeningConfig(protection_level=2, seed=0))
+    design = fg.harden(fg.parse_fsm(json.dumps(bigm_doc(32, 0))), fg.HardeningConfig(protection_level=2, seed=0))
     words = _autocover(design)
     counted = mock.Mock(wraps=fg.netlist._run_ops)
     # patched in both modules, so a golden run through simulate_batch counts too

@@ -242,6 +242,16 @@ PINNED_OUTPUTS = [
      "e82dbe7fb8a58203d64910be3e909ea4ccd78e9e215e442ee9600a7efe2649d3",
      "56e0dd3258a577045692fd33e041838f5e1458cfb94b6a7883fba1b5323c143f",
      "7d46e2a518ff0262b72595d3ed28ceb9065a355ae5d95ce51f93e6a75e0af77f"),
+    # the benchmark's synthetic FSMs (4,582 and 13,871 gates), where the
+    # topological sort and the modifier elimination have work to do
+    ("big32_fsm", 3,
+     "78af930938b52e5ce093ccb83bea8b9723d9f258a96e25608dabe68174e14393",
+     "241f2a8ef9f2eb579ea54ac1c73df4385796f5f9116c437e165b6a1097b7e0d0",
+     "325f86d7d715a8a7eb9b5913a3606069f55ad26910f7c11686fa7d15d03e7d90"),
+    ("big100_fsm", 3,
+     "6fa901e20f2a2e5047dbc0c4a0ac6b6f38d16ca9f8b95253aabc0380979fd93e",
+     "a5a60a3673864fe0451a0df0feb0574cfce2f45f8468f4dc18c062d17b34e535",
+     "b3b7dd8d1fbea61b3ccd19772d892a432719091d140a40bf065f197270022931"),
 ]
 
 
