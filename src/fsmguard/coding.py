@@ -136,14 +136,19 @@ def generate_code(
     """Randomized-greedy lexicode with pairwise Hamming distance >= protection_level.
 
     The first codeword is all-zeros and is designated the error entry. Width
-    starts at the information-theoretic minimum and grows until the greedy
-    search fits all ``count`` words. Deterministic for a fixed seed.
+    starts at the smallest that the sphere-packing bound allows and grows
+    until the greedy search fits all ``count`` words. Deterministic for a
+    fixed seed.
     """
     if count < 1:
         raise CodingError("count must be >= 1")
     if protection_level < 1:
         raise CodingError("protection level must be >= 1")
     width = max(1, (count - 1).bit_length())
+    # the words' disjoint balls of radius (N-1)//2 must fit (sphere packing);
+    # where they cannot, every attempt, each seeded on its own, would fail
+    while count * len(_ball((protection_level + 1) // 2, width)) > 1 << width:
+        width += 1
     words = None
     while words is None:
         for attempt in range(8):

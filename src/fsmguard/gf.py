@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 RING_MODULUS = 0x105  # a^8 + a^2 + 1
 BLOCK_BITS = 32
 BLOCK_BYTES = 4
 
 
+# the byte-level check of every modifier multiplies by the few matrix entries
+@functools.lru_cache(maxsize=4096)
 def ring_mul(a: int, b: int) -> int:
     """Multiply two 8-bit polynomials modulo a^8 + a^2 + 1."""
     if not 0 <= a <= 0xFF or not 0 <= b <= 0xFF:
@@ -42,15 +44,6 @@ def ring_mul(a: int, b: int) -> int:
 class XorCircuit:
     nodes: Tuple[Tuple[int, int], ...]
     outputs: Tuple[int, ...]
-
-    def eval(self, v: int) -> int:
-        vals: List[int] = [(v >> i) & 1 for i in range(BLOCK_BITS)]
-        for a, b in self.nodes:
-            vals.append(vals[a] ^ vals[b])
-        out = 0
-        for i, ref in enumerate(self.outputs):
-            out |= vals[ref] << i
-        return out
 
 
 def _build_xor_circuit(rows: Sequence[int]) -> XorCircuit:
@@ -130,13 +123,6 @@ def mds_apply(m: MdsSpec, v: int) -> int:
     return _apply_bytes(m.entries, v)
 
 
-def mds_apply_binary(m: MdsSpec, v: int) -> int:
-    out = 0
-    for r, row in enumerate(m.binary_rows):
-        out |= ((row & v).bit_count() & 1) << r
-    return out
-
-
 def branch_number(m: MdsSpec) -> int:
     """Minimum active input+output bytes over nonzero inputs, computed exactly.
 
@@ -208,6 +194,31 @@ def _eliminate(rows: List[int], ncols: int) -> List[Tuple[int, int]]:
     return pivots
 
 
+class Gf2Reduction(NamedTuple):
+    """Rows eliminated once (``gf2_reduce``) to solve ``A x = b`` for many ``b``.
+
+    Bit i of ``b`` is row i's right-hand bit. A reduced row's right-hand bit
+    is the parity of ``b`` over the set (bit i = row i) of rows it sums.
+    """
+
+    pivots: Tuple[Tuple[int, int], ...]  # (column, rows summed)
+    checks: Tuple[int, ...]  # rows summed by each zero row
+
+    def solve(self, b: int) -> Optional[int]:
+        """One solution (free variables 0), or None."""
+        if any((rows & b).bit_count() & 1 for rows in self.checks):
+            return None
+        return sum(((rows & b).bit_count() & 1) << col for col, rows in self.pivots)
+
+
+def gf2_reduce(rows: Sequence[int], ncols: int) -> Gf2Reduction:
+    """Eliminate ``rows`` on columns 0..ncols-1, row i carrying bit ncols + i."""
+    aug = [(r & ((1 << ncols) - 1)) | (1 << (ncols + i)) for i, r in enumerate(rows)]
+    pivots = _eliminate(aug, ncols)
+    summed = [r >> ncols for r in aug]
+    return Gf2Reduction(tuple((col, summed[r]) for col, r in pivots), tuple(summed[len(pivots):]))
+
+
 def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[int]:
     """Solve A x = b over GF(2); returns one solution (free variables 0) or None.
 
@@ -216,16 +227,7 @@ def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[i
     """
     if len(rows) != len(rhs):
         raise ValueError("rows and rhs length mismatch")
-    aug = [(rows[i] & ((1 << ncols) - 1)) | ((rhs[i] & 1) << ncols) for i in range(len(rows))]
-    pivots = _eliminate(aug, ncols)
-    for r in range(len(pivots), len(aug)):
-        if aug[r] >> ncols:
-            return None
-    x = 0
-    for col, r in pivots:
-        if (aug[r] >> ncols) & 1:
-            x |= 1 << col
-    return x
+    return gf2_reduce(rows, ncols).solve(sum((b & 1) << i for i, b in enumerate(rhs)))
 
 
 def gf2_rank(rows: Sequence[int], ncols: int) -> int:

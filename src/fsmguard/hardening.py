@@ -17,7 +17,8 @@ from typing import Dict, List, Sequence, Tuple
 from . import fsm as fsm_mod
 from .coding import CodeBook, control_codebook, encode_edge_trace, state_codebook
 from .fsm import FsmSpec, Transition, extract_cfg
-from .gf import BLOCK_BITS, MdsSpec, default_mds, gf2_rank, mds_apply, solve_gf2
+# bench/layers.py times solve_gf2 under this module's name
+from .gf import BLOCK_BITS, MdsSpec, default_mds, gf2_reduce, mds_apply, solve_gf2
 from .netlist import VERILOG_KEYWORDS, Netlist, verilog_name
 
 
@@ -153,20 +154,16 @@ def solve_modifiers(
     """Per-edge modifiers such that each diffusion block emits the target
     next-state bits and all-ones error bits."""
     mod_w = layout.mod_width
-    # rows over modifier unknowns depend only on the layout, not the edge
-    constrained: List[Tuple[int, int, bool, int]] = []  # (block, pos, is_error, state_bit_idx)
-    for j, (b, p) in enumerate(layout.state_out):
-        constrained.append((b, p, False, j))
-    for b, p in layout.error_out:
-        constrained.append((b, p, True, -1))
-    rows = []
-    for b, p, _, _ in constrained:
-        row = 0
-        matrix_row = m.binary_rows[p]
-        for g, (mb, mp) in enumerate(layout.mod_in):
-            if mb == b and (matrix_row >> mp) & 1:
-                row |= 1 << g
-        rows.append(row)
+    # the rows over modifier unknowns depend only on the layout, not the
+    # edge, so they are eliminated once; each constrained bit carries the
+    # index of its next-state bit, or -1 for an error bit (target always 1)
+    constrained = [(b, p, j) for j, (b, p) in enumerate(layout.state_out)]
+    constrained += [(b, p, -1) for b, p in layout.error_out]
+    rows = [
+        sum(1 << g for g, (mb, mp) in enumerate(layout.mod_in) if mb == b and (m.binary_rows[p] >> mp) & 1)
+        for b, p, _ in constrained
+    ]
+    reduced = gf2_reduce(rows, mod_w)
 
     plans = []
     for edge in edges:
@@ -174,16 +171,14 @@ def solve_modifiers(
         sn = state_codes.codeword(edge.dst)
         xe = ctrl_codes.codeword(edge.guard_label())
         known = layout.pack_block_inputs(sc, xe, 0)
-        rhs = []
-        for (b, p, is_err, j) in constrained:
-            target = 1 if is_err else (sn >> j) & 1
-            parity = (m.binary_rows[p] & known[b]).bit_count() & 1
-            rhs.append(target ^ parity)
-        x = solve_gf2(rows, rhs, mod_w)
+        rhs = 0
+        for i, (b, p, j) in enumerate(constrained):
+            target = 1 if j < 0 else (sn >> j) & 1
+            rhs |= (target ^ ((m.binary_rows[p] & known[b]).bit_count() & 1)) << i
+        x = reduced.solve(rhs)
         if x is None:
-            rank = gf2_rank(rows, mod_w)
             raise ModifierSolveError(
-                edge, f"rank {rank} of {len(rows)} constraints over {mod_w} modifier bits"
+                edge, f"rank {len(reduced.pivots)} of {len(rows)} constraints over {mod_w} modifier bits"
             )
         # defensive re-check through the byte-level path
         outs = [mds_apply(m, v) for v in layout.pack_block_inputs(sc, xe, x)]
@@ -204,17 +199,11 @@ class _Builder:
         self.const0 = nl.add_gate("CONST0", [], "const0")
         self.const1 = nl.add_gate("CONST1", [], "const1")
 
-    def fresh(self, prefix: str) -> str:
+    def gate(self, kind: str, inputs: Sequence[str], tag: str, prefix: str) -> str:
+        """A gate whose output is the next fresh net ``{prefix}_{n}``."""
         n = self.counters.get(prefix, 0)
         self.counters[prefix] = n + 1
-        return f"{prefix}_{n}"
-
-    def const(self, bit: int) -> str:
-        return self.const1 if bit else self.const0
-
-    def gate(self, kind: str, inputs: Sequence[str], tag: str, prefix: str) -> str:
-        out = self.fresh(prefix)
-        return self.nl.add_gate(kind, inputs, out, tag)
+        return self.nl.add_gate(kind, inputs, f"{prefix}_{n}", tag)
 
     def tree(self, kind: str, nets: Sequence[str], tag: str, prefix: str) -> str:
         """Balanced reduction tree; returns the input net unchanged for length 1."""
@@ -232,12 +221,10 @@ class _Builder:
 
     def match_const(self, nets: Sequence[str], word: int, tag: str, prefix: str) -> str:
         """AND-tree comparator of a net vector against a constant word."""
-        bits = []
-        for i, net in enumerate(nets):
-            if (word >> i) & 1:
-                bits.append(net)
-            else:
-                bits.append(self.gate("NOT", [net], tag, prefix + "_n"))
+        bits = [
+            net if (word >> i) & 1 else self.gate("NOT", [net], tag, prefix + "_n")
+            for i, net in enumerate(nets)
+        ]
         return self.tree("AND", bits, tag, prefix)
 
     def mux_chain(
@@ -248,7 +235,7 @@ class _Builder:
         out = [self.const0] * width
         for sel, word in zip(selects, words):
             out = [
-                self.gate("MUX", [sel, out[j], self.const((word >> j) & 1)], tag, prefix)
+                self.gate("MUX", [sel, out[j], (self.const0, self.const1)[(word >> j) & 1]], tag, prefix)
                 for j in range(width)
             ]
         return out
@@ -447,12 +434,18 @@ def build_hardened_netlist(
 
     nl.add_port("state_e", "out", st_q)
     nl.add_port("fsm_alert", "out", ["alert_out"])
-    nl.validate()
     return nl
 
 
 def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
-    """Full hardening pipeline: codebooks, layout, modifiers, netlist."""
+    """Full hardening pipeline: codebooks, layout, modifiers, netlist.
+
+    The stage timings and counts go to one INFO line on the ``fsmguard``
+    logger, not into the report, whose bytes depend on the inputs alone.
+    """
+    import sys
+    import time
+
     with warnings.catch_warnings():
         # only the errors matter here; parse_fsm already warns about unreachable states
         warnings.simplefilter("ignore")
@@ -465,25 +458,35 @@ def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
         if sig.name in VERILOG_KEYWORDS:
             raise HardeningError(f"FSM output {sig.name!r} is a Verilog keyword")
         if sig.name in ports:
-            raise HardeningError(
-                f"FSM output {sig.name!r} clashes with a port of the hardened module"
-            )
+            raise HardeningError(f"FSM output {sig.name!r} clashes with a port of the hardened module")
         ports.add(sig.name)
+    t = [time.perf_counter()]
     state_codes = state_codebook(fsm, cfg.protection_level, seed=cfg.seed)
     ctrl_codes = control_codebook(fsm, cfg.protection_level, seed=cfg.seed)
+    t.append(time.perf_counter())
     m = default_mds()
     layout = plan_layout(state_codes.width, ctrl_codes.width, cfg)
     edges = extract_cfg(fsm)
     plans = tuple(solve_modifiers(layout, edges, state_codes, ctrl_codes, m))
+    t.append(time.perf_counter())
     nl = build_hardened_netlist(fsm, plans, state_codes, ctrl_codes, layout, m)
+    t.append(time.perf_counter())
+    nl.validate()
+    t.append(time.perf_counter())
+    # logging is looked up, not imported: see run_campaign
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("fsmguard").info(
+            "harden: %d edges, 1 elimination, %d gates; codebooks %.3f s, modifiers %.3f s, "
+            "netlist build %.3f s, validate %.3f s",
+            len(plans), len(nl.gates), *(b - a for a, b in zip(t, t[1:])),
+        )
     if fsm.outputs:
         # netlist.v declares ports, nets and each flop's q_r register in one namespace
         taken = set(nl.nets()).union(f"{f.q}_r" for f in nl.flops)
         for sig in fsm.outputs:
             if sig.name in taken:
-                raise HardeningError(
-                    f"FSM output {sig.name!r} clashes with a net of the hardened netlist"
-                )
+                raise HardeningError(f"FSM output {sig.name!r} clashes with a net of the hardened netlist")
     design = HardenedDesign(fsm, cfg, state_codes, ctrl_codes, layout, plans, nl, m)
     nl.meta = {
         "protection_level": cfg.protection_level,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 # kind -> (arity, Verilog right-hand side over the inputs). A kind's position
 # is its op code in ``_Compiled.ops``; a MUX reads (sel, a, b) as sel ? b : a.
@@ -34,8 +34,7 @@ class NetlistError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: str
     inputs: Tuple[str, ...]
     output: str
@@ -140,17 +139,8 @@ class Netlist:
         if self._compiled is not None:
             # the compiled index was built from this same walk, in this order
             return list(self._compiled.index)
-        seen: List[str] = []
-        have = set()
-
-        def add(n: str) -> None:
-            if n not in have:
-                have.add(n)
-                seen.append(n)
-
-        for p in self.ports:
-            for b in p.bits:
-                add(b)
+        seen = dict.fromkeys(b for p in self.ports for b in p.bits)
+        add = seen.setdefault
         for f in self.flops:
             add(f.q)
             add(f.d)
@@ -158,7 +148,7 @@ class Netlist:
             add(g.output)
             for i in g.inputs:
                 add(i)
-        return seen
+        return list(seen)
 
     # -- validation / compilation -------------------------------------------
 
@@ -185,7 +175,8 @@ class Netlist:
 
 
 class _Compiled:
-    """Topologically ordered evaluation program over net indices.
+    """Topologically ordered evaluation program over net indices; a gate
+    list that is already in topological order keeps its order.
 
     ``ops`` holds one flat ``(kind, out, in0, in1, in2)`` tuple per gate:
     ``kind`` is the gate's position in ``GATE_KINDS``, ``out`` and the inputs
@@ -194,39 +185,36 @@ class _Compiled:
     """
 
     def __init__(self, nl: Netlist):
-        nets = nl.nets()
-        self.index: Dict[str, int] = {n: i for i, n in enumerate(nets)}
-        self.n_nets = len(nets)
-        by_out = {g.output: g for g in nl.gates}
-        # Kahn topological sort over combinational gates
-        indeg: Dict[str, int] = {}
-        users: Dict[str, List[str]] = {}
-        for g in nl.gates:
-            deps = [n for n in g.inputs if n in by_out]
-            indeg[g.output] = len(deps)
-            for n in deps:
-                users.setdefault(n, []).append(g.output)
-        ready = [g.output for g in nl.gates if indeg[g.output] == 0]
-        order: List[Gate] = []
-        while ready:
-            out = ready.pop()
-            order.append(by_out[out])
-            for u in users.get(out, []):
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    ready.append(u)
-        if len(order) != len(nl.gates):
-            raise NetlistError("combinational cycle detected")
-        kind_code = {k: i for i, k in enumerate(GATE_KINDS)}
+        index = self.index = {n: i for i, n in enumerate(nl.nets())}
+        self.n_nets = len(index)
+        code = {kind: (i, (0,) * (3 - arity)) for i, (kind, (arity, _)) in enumerate(_GATES.items())}
+        # depth-first topological sort: each gate, in list order, is placed
+        # after the unplaced gates that drive its inputs, so a sorted list
+        # takes one pass
+        pending = {g.output: g for g in nl.gates}  # not placed; None while on the path
+        at = index.__getitem__
         self.ops: List[Tuple[int, int, int, int, int]] = []
-        for g in order:
-            ins = [self.index[n] for n in g.inputs] + [0, 0, 0]
-            self.ops.append((kind_code[g.kind], self.index[g.output], *ins[:3]))
-        self.flops = [(self.index[f.d], self.index[f.q], f.reset_value) for f in nl.flops]
-        self.in_ports = [
-            (p.name, [self.index[b] for b in p.bits]) for p in nl.ports if p.direction == "in"
-        ]
-        self.out_bits = {p.name: [self.index[b] for b in p.bits] for p in nl.ports}
+        for g in nl.gates:
+            if g.output not in pending:
+                continue
+            pending[g.output] = None
+            path = [g]
+            while path:
+                for n in path[-1].inputs:
+                    if n in pending:
+                        if pending[n] is None:
+                            raise NetlistError("combinational cycle detected")
+                        path.append(pending[n])
+                        pending[n] = None
+                        break
+                else:
+                    kind, ins, out, _ = path.pop()
+                    del pending[out]
+                    op, pad = code[kind]
+                    self.ops.append((op, at(out), *map(at, ins), *pad))
+        self.flops = [(index[f.d], index[f.q], f.reset_value) for f in nl.flops]
+        self.in_ports = [(p.name, [index[b] for b in p.bits]) for p in nl.ports if p.direction == "in"]
+        self.out_bits = {p.name: [index[b] for b in p.bits] for p in nl.ports}
 
     @cached_property
     def op_stop(self) -> List[int]:

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,26 @@ def test_greedy_lexicode_matches_pairwise_reference(count, n, width, seed):
     got = coding._greedy_lexicode(count, n, width, random.Random(seed))
     assert got == _reference_lexicode(count, n, width, random.Random(seed))
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(1, 40), n=st.integers(1, 5), seed=st.integers(0, 3))
+def test_sphere_packing_skips_only_widths_that_must_fail(count, n, seed):
+    # the search from the smallest width that holds ``count`` words at all
+    width = max(1, (count - 1).bit_length())
+    while True:
+        rngs = [random.Random(f"{seed}:{width}:{attempt}") for attempt in range(8)]
+        found = [w for w in (coding._greedy_lexicode(count, n, width, r) for r in rngs) if w]
+        if found:
+            break
+        width += 1
+    with mock.patch.object(coding, "_greedy_lexicode", wraps=coding._greedy_lexicode) as tried:
+        code = fg.generate_code(count, n, seed=seed)
+    assert (code.width, [w for _, w in code.entries]) == (width, found[0])
+    # and no attempt at a width that the balls of radius (n-1)//2 overflow
+    for call in tried.call_args_list:
+        w = call.args[2]
+        assert count * sum(math.comb(w, r) for r in range((n - 1) // 2 + 1)) <= 2**w
 
 @pytest.mark.parametrize(
     "count,n,width,digest",

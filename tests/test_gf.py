@@ -65,14 +65,27 @@ def test_mds_linearity():
         assert fg.mds_apply(m, v ^ w) == fg.mds_apply(m, v) ^ fg.mds_apply(m, w)
 
 
+def _apply_binary(m, v):
+    """The map through its GF(2) rows: output bit r is row r's parity over v."""
+    return sum(((row & v).bit_count() & 1) << r for r, row in enumerate(m.binary_rows))
+
+
+def _apply_circuit(m, v):
+    """The map through the XOR circuit that hardening builds as gates."""
+    vals = [(v >> i) & 1 for i in range(gf.BLOCK_BITS)]
+    for a, b in m.xor_circuit.nodes:
+        vals.append(vals[a] ^ vals[b])
+    return sum(vals[ref] << i for i, ref in enumerate(m.xor_circuit.outputs))
+
+
 def test_three_representations_agree():
     m = fg.default_mds()
     rng = random.Random(3)
     vectors = [1 << i for i in range(32)] + [rng.getrandbits(32) for _ in range(10_000)]
     for v in vectors:
         a = gf.mds_apply(m, v)
-        assert gf.mds_apply_binary(m, v) == a
-        assert m.xor_circuit.eval(v) == a
+        assert _apply_binary(m, v) == a
+        assert _apply_circuit(m, v) == a
 
 
 def test_branch_number_identity_is_two():
@@ -163,3 +176,27 @@ def test_solve_leaves_inputs_unmodified():
     fg.solve_gf2(rows, b, 2)
     assert rows == [0b11, 0b10] and b == [1, 1]
 
+
+
+def _solve_augmented(rows, rhs, ncols):
+    """One right-hand side carried as column ``ncols`` through the eliminator."""
+    aug = [(r & ((1 << ncols) - 1)) | ((b & 1) << ncols) for r, b in zip(rows, rhs)]
+    pivots = gf._eliminate(aug, ncols)
+    if any(r >> ncols for r in aug[len(pivots):]):
+        return None
+    return sum(((aug[r] >> ncols) & 1) << col for col, r in pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_one_reduction_solves_every_rhs_like_solve_gf2(ncols, data):
+    rows = data.draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=1, max_size=8))
+    reduced = gf.gf2_reduce(rows, ncols)
+    assert len(reduced.pivots) == gf.gf2_rank(rows, ncols)
+    # every rhs, so the inconsistent ones (None) come up whenever the rank is short
+    for b in range(1 << len(rows)):
+        bits = [(b >> i) & 1 for i in range(len(rows))]
+        x = reduced.solve(b)
+        assert x == fg.solve_gf2(rows, bits, ncols) == _solve_augmented(rows, bits, ncols)
+        if x is not None:
+            assert [(r & x).bit_count() & 1 for r in rows] == bits

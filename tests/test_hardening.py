@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import random
+import re
 
 import pytest
 
@@ -28,6 +30,18 @@ def test_harden_validates_fsm_built_in_code(ref14_fsm):
     with pytest.raises(fg.FsmValidationError, match="duplicate state 'S0'"):
         hd.harden(duplicate, hd.HardeningConfig(protection_level=2))
 
+
+
+def test_harden_logs_stage_timings_and_counts(ref14_fsm, caplog):
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    design = hd.harden(ref14_fsm, hd.HardeningConfig(protection_level=2, seed=0))
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("harden:")]
+    stage = r"\d+\.\d{3} s"
+    assert re.fullmatch(
+        rf"harden: 14 edges, 1 elimination, {len(design.netlist.gates)} gates; codebooks {stage}, "
+        rf"modifiers {stage}, netlist build {stage}, validate {stage}",
+        line,
+    )
 
 def test_layout_slots_disjoint():
     cfg = hd.HardeningConfig(protection_level=2)
@@ -88,6 +102,29 @@ def test_modifiers_satisfy_block_equations(design_n2):
         outs = [gf.mds_apply(m, v) for v in layout.pack_block_inputs(p.sc_word, p.xe_word, p.modifier)]
         assert layout.unpack_state(outs) == p.sn_word
         assert all(layout.error_values(outs))
+
+
+
+def test_too_few_modifier_bits_fail_with_their_rank(design_n2, ref14_fsm):
+    d = design_n2
+    # two modifier bits cannot steer the six constrained output bits of every edge
+    layout = dataclasses.replace(d.layout, mod_in=d.layout.mod_in[:2])
+    targets = layout.state_out + layout.error_out
+    # a constrained bit's row: the modifier bits whose flip flips it
+    rows = [
+        sum(
+            1 << g
+            for g, (mb, mp) in enumerate(layout.mod_in)
+            if mb == b and (gf.mds_apply(d.matrix, 1 << mp) >> p) & 1
+        )
+        for b, p in targets
+    ]
+    rank = gf.gf2_rank(rows, 2)
+    assert 0 < rank < len(targets)
+    with pytest.raises(
+        hd.ModifierSolveError, match=rf": rank {rank} of {len(targets)} constraints over 2 modifier bits$"
+    ):
+        hd.solve_modifiers(layout, fg.extract_cfg(ref14_fsm), d.state_codes, d.ctrl_codes, d.matrix)
 
 
 def test_one_plan_per_cfg_edge(design_n2, ref14_fsm):

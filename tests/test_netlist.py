@@ -6,7 +6,7 @@ import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fsmguard import netlist as nl
@@ -410,27 +410,43 @@ def reference_simulate(netlist, trace, faults):
 
 
 @st.composite
-def faulted_netlists(draw):
-    """A random acyclic netlist over every gate kind, with flops, plus
-    per-lane traces and fault lists on gate outputs, flop q and input bits."""
+def gate_lists(draw):
+    """Random input port widths, flop q nets and acyclic gates over every
+    kind, the gates as ``(kind, inputs, output)`` in topological order."""
     widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    in_bits = [[f"i{p}_{b}" for b in range(w)] for p, w in enumerate(widths)]
     qs = [f"q{i}" for i in range(draw(st.integers(0, 4)))]
-    nets = [b for bits in in_bits for b in bits] + qs
+    nets = [f"i{p}_{b}" for p, w in enumerate(widths) for b in range(w)] + qs
     gates = []
     for i in range(draw(st.integers(1, 25))):
         kind = draw(st.sampled_from(nl.GATE_KINDS))
         ins = [draw(st.sampled_from(nets)) for _ in range(nl._ARITY[kind])]
         gates.append((kind, ins, f"g{i}"))
         nets.append(f"g{i}")
+    return widths, qs, gates
+
+
+def _gate_netlist(widths, gates, flops=()):
+    """A netlist of ``gates`` in the given order and ``(d, q, reset)`` flops."""
     n = Netlist("rand")
-    for p, bits in enumerate(in_bits):
-        n.add_port(f"in{p}", "in", bits)
-    # listed out of topological order, so the compiled sort has work to do
-    for kind, ins, out in draw(st.permutations(gates)):
+    for p, w in enumerate(widths):
+        n.add_port(f"in{p}", "in", [f"i{p}_{b}" for b in range(w)])
+    for kind, ins, out in gates:
         n.add_gate(kind, ins, out)
-    for q in qs:
-        n.add_flop(draw(st.sampled_from(nets)), q, draw(st.integers(0, 1)))
+    for d, q, reset in flops:
+        n.add_flop(d, q, reset)
+    return n
+
+
+@st.composite
+def faulted_netlists(draw):
+    """A random acyclic netlist over every gate kind, with flops, plus
+    per-lane traces and fault lists on gate outputs, flop q and input bits."""
+    widths, qs, gates = draw(gate_lists())
+    in_bits = [[f"i{p}_{b}" for b in range(w)] for p, w in enumerate(widths)]
+    nets = [b for bits in in_bits for b in bits] + qs + [g[2] for g in gates]
+    # listed out of topological order, so the compiled sort has work to do
+    flops = [(draw(st.sampled_from(nets)), q, draw(st.integers(0, 1))) for q in qs]
+    n = _gate_netlist(widths, draw(st.permutations(gates)), flops)
     n.add_port("out", "out", draw(st.lists(st.sampled_from(nets), min_size=1, max_size=6)))
     n.validate()
     cycles = draw(st.integers(1, 6))
@@ -492,3 +508,56 @@ def test_verilog_round_trip_keeps_structure(case):
     assert again.gates == n.gates
     assert again.flops == n.flops
     assert again.ports == n.ports
+
+
+def _reads(op):
+    kind, _, *ins = op
+    return ins[: nl._ARITY[nl.GATE_KINDS[kind]]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulted_netlists())
+def test_compiled_ops_read_only_earlier_ops_flops_or_inputs(case):
+    # the gates are listed in a random order
+    n = case[0]
+    comp = n._compile()
+    ready = {comp.index[f.q] for f in n.flops} | {i for _, bits in comp.in_ports for i in bits}
+    for op in comp.ops:
+        assert set(_reads(op)) <= ready, op
+        ready.add(op[1])
+    assert sorted(op[1] for op in comp.ops) == sorted(comp.index[g.output] for g in n.gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_lists())
+def test_compiled_ops_keep_a_topological_gate_order(case):
+    widths, qs, gates = case
+    n = _gate_netlist(widths, gates, [("i0_0", q, 0) for q in qs])
+    n.validate()
+    comp = n._compile()
+    assert [op[1] for op in comp.ops] == [comp.index[g[2]] for g in gates]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_lists(), st.data())
+def test_a_back_edge_is_a_combinational_cycle(case, data):
+    widths, qs, gates = case
+    by_out = {out: (kind, ins) for kind, ins, out in gates}
+    reading = [j for j, (kind, _, _) in enumerate(gates) if nl._ARITY[kind]]
+    assume(reading)
+    j = data.draw(st.sampled_from(reading))
+    # gate i in j's fan-in cone (j included) rewired to read j: a cycle
+    cone, todo = set(), [gates[j][2]]
+    while todo:
+        net = todo.pop()
+        if net in by_out and net not in cone:
+            cone.add(net)
+            todo += by_out[net][1]
+    i = data.draw(st.sampled_from([k for k, g in enumerate(gates) if g[2] in cone and g[1]]))
+    kind, ins, out = gates[i]
+    pin = data.draw(st.integers(0, len(ins) - 1))
+    gates = list(gates)
+    gates[i] = (kind, [*ins[:pin], gates[j][2], *ins[pin + 1:]], out)
+    n = _gate_netlist(widths, data.draw(st.permutations(gates)), [("i0_0", q, 0) for q in qs])
+    with pytest.raises(nl.NetlistError, match="combinational cycle detected"):
+        n.validate()
