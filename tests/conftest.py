@@ -74,6 +74,7 @@ def bigm_doc(m, seed):
         "transitions": transitions,
     }
 
+
 @pytest.fixture(scope="session")
 def fig2_fsm():
     return fg.parse_fsm(json.dumps(FIG2_DOC))

@@ -138,7 +138,6 @@ def test_greedy_lexicode_matches_pairwise_reference(count, n, width, seed):
     assert got == _reference_lexicode(count, n, width, random.Random(seed))
 
 
-
 @settings(max_examples=100, deadline=None)
 @given(count=st.integers(1, 40), n=st.integers(1, 5), seed=st.integers(0, 3))
 def test_sphere_packing_skips_only_widths_that_must_fail(count, n, seed):
@@ -157,6 +156,7 @@ def test_sphere_packing_skips_only_widths_that_must_fail(count, n, seed):
     for call in tried.call_args_list:
         w = call.args[2]
         assert count * sum(math.comb(w, r) for r in range((n - 1) // 2 + 1)) <= 2**w
+
 
 @pytest.mark.parametrize(
     "count,n,width,digest",

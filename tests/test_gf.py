@@ -177,7 +177,6 @@ def test_solve_leaves_inputs_unmodified():
     assert rows == [0b11, 0b10] and b == [1, 1]
 
 
-
 def _solve_augmented(rows, rhs, ncols):
     """One right-hand side carried as column ``ncols`` through the eliminator."""
     aug = [(r & ((1 << ncols) - 1)) | ((b & 1) << ncols) for r, b in zip(rows, rhs)]

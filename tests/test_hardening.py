@@ -31,7 +31,6 @@ def test_harden_validates_fsm_built_in_code(ref14_fsm):
         hd.harden(duplicate, hd.HardeningConfig(protection_level=2))
 
 
-
 def test_harden_logs_stage_timings_and_counts(ref14_fsm, caplog):
     caplog.set_level(logging.INFO, logger="fsmguard")
     design = hd.harden(ref14_fsm, hd.HardeningConfig(protection_level=2, seed=0))
@@ -42,6 +41,7 @@ def test_harden_logs_stage_timings_and_counts(ref14_fsm, caplog):
         rf"modifiers {stage}, netlist build {stage}, validate {stage}",
         line,
     )
+
 
 def test_layout_slots_disjoint():
     cfg = hd.HardeningConfig(protection_level=2)
@@ -102,7 +102,6 @@ def test_modifiers_satisfy_block_equations(design_n2):
         outs = [gf.mds_apply(m, v) for v in layout.pack_block_inputs(p.sc_word, p.xe_word, p.modifier)]
         assert layout.unpack_state(outs) == p.sn_word
         assert all(layout.error_values(outs))
-
 
 
 def test_too_few_modifier_bits_fail_with_their_rank(design_n2, ref14_fsm):
