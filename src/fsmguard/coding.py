@@ -130,13 +130,37 @@ def _greedy_lexicode(count: int, n: int, width: int, rng: random.Random) -> Opti
     return None
 
 
+def _johnson_bound(n: int, d: int) -> int:
+    """An upper bound on the number of ``n``-bit words at pairwise distance
+    ``d`` or more, the Johnson bound. For ``d = 2e + 1`` it divides ``2^n``
+    by the ball of radius ``e`` plus ``C(n, e) / (n // (e + 1))`` times the
+    fractional part of ``(n - e) / (e + 1)``, so it is never above the
+    sphere-packing bound. Deleting one bit of a code of even distance ``d``
+    leaves distinct words at distance ``d - 1`` or more, so an even ``d``
+    takes the bound of ``n - 1`` bits at ``d - 1``."""
+    if d % 2 == 0:
+        n, d = n - 1, d - 1
+    e = (d - 1) // 2
+    # ball: the words within distance e of one word, C(n, 0) + ... + C(n, e)
+    ball = binom = 1
+    for i in range(e):
+        binom = binom * (n - i) // (i + 1)
+        ball += binom
+    # the binom / q * r / (e + 1) more words that the ball misses, in a
+    # common denominator q * (e + 1); none if q is 0, where n <= e
+    q, r = n // (e + 1), (n - e) % (e + 1)
+    if not q:
+        return (1 << n) // ball
+    return (q * (e + 1) << n) // (ball * q * (e + 1) + binom * r)
+
+
 def generate_code(
     count: int, protection_level: int, seed: int = 0, symbols: Optional[Sequence[str]] = None
 ) -> CodeBook:
     """Randomized-greedy lexicode with pairwise Hamming distance >= protection_level.
 
     The first codeword is all-zeros and is designated the error entry. Width
-    starts at the smallest that the sphere-packing bound allows and grows
+    starts at the smallest that the Johnson bound allows and grows
     until the greedy search fits all ``count`` words. Deterministic for a
     fixed seed.
     """
@@ -145,9 +169,9 @@ def generate_code(
     if protection_level < 1:
         raise CodingError("protection level must be >= 1")
     width = max(1, (count - 1).bit_length())
-    # the words' disjoint balls of radius (N-1)//2 must fit (sphere packing);
-    # where they cannot, every attempt, each seeded on its own, would fail
-    while count * len(_ball((protection_level + 1) // 2, width)) > 1 << width:
+    # no code of that width holds count words at distance N above the
+    # Johnson bound, so every attempt there, each seeded on its own, would fail
+    while count > _johnson_bound(width, protection_level):
         width += 1
     words = None
     while words is None:

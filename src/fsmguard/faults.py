@@ -397,6 +397,14 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _lanes(mask: int) -> List[int]:
+    """The set bits of a wide lane mask, lowest first, in one pass over its
+    binary digits. Where many bits are set, as in the pool's detected,
+    settled and retired lanes, that beats ``_set_bits``, whose every step
+    makes new ints as wide as the mask; where few are, it is slower."""
+    return [lane for lane, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
 def _screen(
     comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int], keep: bool = False
 ) -> Tuple[List[Tuple[int, int]], Dict[int, List[Tuple[int, int, int]]], int, int, int]:
@@ -715,19 +723,18 @@ def _run_pool(
     only when its net lies in ``comp.out_cone`` or its flip at the group's
     first active cycle is not detected or hijacked by the cycle after. A
     flip-only or multi-fault campaign sends every experiment with a
-    non-empty mask. All machine
-    state is in the flops, so a lane in the golden flop state at a cycle
-    outside its mask repeats the golden run exactly, and a lane is occupied
-    only while its experiment is active or its flop state is off golden.
-    The experiment enters a free lane at the lowest cycle of its mask, with
-    the golden flop state of that cycle and every stuck-at fault whose onset
-    has passed. Lanes advance one cycle per step; a lane's
-    cycle is the step plus its offset, and lanes are grouped by offset so
-    that input bits and golden words are packed per group. A step is one
-    ``_run_ops`` pass over all ``_POOL_LANES`` lanes, whose cost hardly
-    grows with the width up to about a thousand lanes, so a wide pool takes
-    fewer steps. ``spent`` counts the lanes entered, an experiment queued
-    again entering once more, and the steps taken.
+    non-empty mask. All machine state is in the flops, so a lane in the
+    golden flop state at a cycle outside its mask repeats the golden run
+    exactly, and a lane is occupied only while its experiment is active or
+    its flop state is off golden. The experiment enters a free lane at the
+    lowest cycle of its mask, with the golden flop state of that cycle and
+    every stuck-at fault whose onset has passed. Lanes advance one cycle per
+    step; a lane's cycle is the step plus its offset, and lanes are grouped
+    by offset so that input bits and golden words are packed per group. A
+    step is one ``_run_ops`` pass over all ``_POOL_LANES`` lanes, whose cost
+    hardly grows with the width up to about a thousand lanes, so a wide pool
+    takes fewer steps. ``spent`` counts the lanes entered, an experiment
+    queued again entering once more, and the steps taken.
 
     A lane retires once its outcome is fixed: detected or hijacked; at the
     end of the trace; or, once the run of consecutive mask cycles it entered
@@ -735,9 +742,18 @@ def _run_pool(
     rejoins golden with no mask cycle left is masked; otherwise its
     experiment is queued again at its next mask cycle, carrying its corrupt
     flag. Queued experiments take free lanes before new ones, so the queue
-    never outgrows the pool. Flips and stuck-at onsets share one schedule of
-    events; events and releases carry the lane's generation, which every
-    retirement bumps, so they never reach a later occupant of the lane.
+    never outgrows the pool.
+
+    The bookkeeping works on lane masks once per step: the lanes entering
+    at a step are cleared and loaded in one sweep, and the lanes retiring
+    leave the groups, the stuck-at masks and the active set in another. A
+    fault that acts at the entry cycle (every single fault: a flip there, a
+    stuck-at fault whose onset has passed) is applied as its lane enters,
+    and a lane whose run is one cycle long is released at once. Only
+    deferred items wait for their step: in ``events`` the later faults of a
+    multi-fault experiment, in ``releases`` the end of a longer run. They
+    alone carry the lane's generation, which every retirement bumps, so
+    they never reach a later occupant of the lane.
     """
     width = _POOL_LANES
     full = (1 << width) - 1
@@ -748,11 +764,15 @@ def _run_pool(
     alert_idx = comp.out_bits["fsm_alert"]
     err_word = codes.error_codeword
     # per cycle: x_e nets at 1 (the settle cycle drives 0), golden state_e
-    # bits at 1, golden flops at 1
+    # bits at 1, golden flops at 1; each distinct value is split into bits once
     in_nets = comp.out_bits["x_e"]
-    in_ones = [[in_nets[i] for i in _set_bits(w)] for w in (*words, 0)]
-    state_ones = [list(_set_bits(w)) for _, w, _ in golden]
-    flop_ones = [list(_set_bits(q)) for q, _, _ in golden]
+    xs = (*words, 0)
+    distinct = {*xs, *(q for q, _, _ in golden), *(w for _, w, _ in golden)}
+    ones = {v: list(_set_bits(v)) for v in distinct}
+    x_nets = {x: [in_nets[i] for i in ones[x]] for x in set(xs)}
+    in_ones = [x_nets[x] for x in xs]
+    state_ones = [ones[w] for _, w, _ in golden]
+    flop_ones = [ones[q] for q, _, _ in golden]
 
     values = [0] * comp.n_nets
     st = [0] * len(flops)  # lane-packed flop state
@@ -769,7 +789,8 @@ def _run_pool(
     step = 0
     while True:
         entering: Dict[int, int] = {}  # entry cycle -> lanes
-        carried = 0  # entering lanes whose experiment was already corrupt
+        carried = held = 0  # entering lanes already corrupt; with a release to come
+        flipped: Dict[int, int] = {}  # net -> lanes flipped this step
         while free:
             if queue:
                 exp, dirty = queue.pop()
@@ -779,38 +800,45 @@ def _run_pool(
                     break
                 dirty = 0
             _, faults, mask = exp
-            c0 = (mask & -mask).bit_length() - 1
-            run = mask >> c0
+            low = mask & -mask
+            c0 = low.bit_length() - 1
             lane = free.pop()
-            spent[0] += 1
             bit = 1 << lane
-            g = gen[lane]
-            off = c0 - step
             lane_exp[lane] = exp
-            lane_off[lane] = off
-            groups[off] = groups.get(off, 0) | bit
+            lane_off[lane] = c0 - step
             entering[c0] = entering.get(c0, 0) | bit
             if dirty:
                 carried |= bit
             for net, effect, c in faults:
-                # a flip before c0 is spent; a stuck-at fault whose onset has passed starts at c0
-                if effect or c >= c0:
-                    events.setdefault(max(c, c0) - off, []).append((net, effect, lane, g))
-            # the lane may rejoin golden from the last cycle of this run of mask bits
-            releases.setdefault(step + (run ^ run + 1).bit_length() - 2, []).append((lane, g))
+                # a later fault waits for its step; a flip before c0 is spent;
+                # a stuck-at fault whose onset has passed starts at c0
+                if c > c0:
+                    events.setdefault(step + c - c0, []).append((net, effect, lane, gen[lane]))
+                elif effect:
+                    stuck.setdefault(net, [0, 0])[effect - 1] |= bit
+                elif c == c0:
+                    flipped[net] = flipped.get(net, 0) ^ bit
+            if mask & low << 1:
+                # the lane may rejoin golden from the last cycle of this run of mask bits
+                run = mask >> c0
+                releases.setdefault(step + (run ^ run + 1).bit_length() - 2, []).append((lane, gen[lane]))
+                held |= bit
         if not active and not entering:
             return
-        for c0, lanes in entering.items():
-            active |= lanes
-            quiet &= ~lanes
-            corrupt &= ~lanes
-            for j in range(len(st)):
-                st[j] &= ~lanes
-            for j in flop_ones[c0]:
-                st[j] |= lanes
-        corrupt |= carried
+        if entering:
+            incoming = sum(entering.values())  # the entry cycles' lanes are disjoint
+            spent[0] += incoming.bit_count()
+            keep = full ^ incoming
+            st = [v & keep for v in st]
+            for c0, lanes in entering.items():
+                for j in flop_ones[c0]:
+                    st[j] |= lanes
+                off = c0 - step
+                groups[off] = groups.get(off, 0) | lanes
+            active |= incoming
+            quiet = quiet & keep | incoming ^ held
+            corrupt = corrupt & keep | carried
 
-        flipped: Dict[int, int] = {}
         for net, effect, lane, g in events.pop(step, ()):
             if gen[lane] != g:
                 continue
@@ -853,10 +881,11 @@ def _run_pool(
         state_bits = [values[i] for i in state_idx]
         for k, (v, g) in enumerate(zip(state_bits, golden_state)):
             diverged |= v ^ g
-            is_err &= v if err_word >> k & 1 else ~v
+            is_err &= v if err_word >> k & 1 else full ^ v
         detected = (alert | is_err) & active
+        live = active ^ detected  # neither detected nor, below, hijacked
         hijacked = 0
-        for lane in _set_bits(diverged & active & ~detected):
+        for lane in _set_bits(diverged & live):
             c = step + lane_off[lane]
             sym = decode_exact(codes, sum((v >> lane & 1) << k for k, v in enumerate(state_bits)))
             if sym == golden_states[c]:
@@ -866,46 +895,42 @@ def _run_pool(
             else:
                 hijacked |= 1 << lane
                 yield lane_exp[lane][0], "hijack", (c, sym)
-        for lane in _set_bits(detected):
+        for lane in _lanes(detected):
             yield lane_exp[lane][0], "detected", None
+        live ^= hijacked
 
         for lane, g in releases.pop(step, ()):
             if gen[lane] == g:
                 quiet |= 1 << lane
-        rejoined = 0
-        candidates = quiet & active & ~detected & ~hijacked
+        settled = ending & live
+        candidates = quiet & live
         if candidates:
             off_golden = 0
             for v, g in zip(st, golden_next):
                 off_golden |= v ^ g
-            rejoined = candidates & ~off_golden
-        settled = (rejoined | ending) & active & ~detected & ~hijacked
-        for lane in _set_bits(settled):
-            after = step + lane_off[lane] + 1
+            settled |= candidates ^ (candidates & off_golden)
+        for lane in _lanes(settled):
             key, faults, mask = lane_exp[lane]
-            rest = mask >> after << after
-            if rest:
-                queue.append(((key, faults, rest), corrupt >> lane & 1))
+            after = step + lane_off[lane] + 1
+            if mask >> after:
+                queue.append(((key, faults, mask >> after << after), corrupt >> lane & 1))
             else:
                 yield key, ("masked_corrupt" if corrupt >> lane & 1 else "masked"), None
 
         retired = detected | hijacked | settled
-        for lane in _set_bits(retired):
-            bit = 1 << lane
-            gen[lane] += 1
-            off = lane_off[lane]
-            groups[off] &= ~bit
-            if not groups[off]:
-                del groups[off]
-            for net, effect, _ in lane_exp[lane][1]:
-                m = effect and stuck.get(net)
-                if m:
-                    m[0] &= ~bit
-                    m[1] &= ~bit
-                    if not m[0] | m[1]:
-                        del stuck[net]
-            free.append(lane)
-        active &= ~retired
+        if retired:
+            keep = full ^ retired
+            active &= keep
+            groups = {off: rest for off, lanes in groups.items() if (rest := lanes & keep)}
+            for net, m in list(stuck.items()):
+                m[0] &= keep
+                m[1] &= keep
+                if not m[0] | m[1]:
+                    del stuck[net]
+            lanes = _lanes(retired)
+            for lane in lanes:
+                gen[lane] += 1
+            free += lanes
         step += 1
 
 
@@ -1046,10 +1071,13 @@ def run_campaign(
                         a = first + position[c]
                         witness(a + offset, (a,), *info[c])
                     pool &= shown
-                for c in _set_bits(pool):
+                while pool:
+                    low = pool & -pool
+                    pool ^= low
+                    c = low.bit_length() - 1
                     a = first + position[c]
                     pooled += 1
-                    yield [(a + offset, (a,))], ((net, 0, c),), 1 << c
+                    yield [(a + offset, (a,))], ((net, 0, c),), low
                 continue
             # the onsets up to an active cycle c1 first act at c1, as its flip
             # does; outside the cone the held fault cannot change that outcome
@@ -1102,11 +1130,16 @@ def run_campaign(
             for k, effect in enumerate(effect_ids)
         )
     else:  # one item per draw
-        experiments = single_faults(
-            (net, effect, 1 << c, a - position[c], i - a)
-            for i, (a,) in enumerate(stream)
-            for net, effect, c in [atom(a)]
-        )
+
+        def drawn() -> Iterator[Tuple[int, int, int, int, int]]:
+            # per atom of a site: its effect, onset mask and cycle position
+            onset = [(effect, 1 << c, position[c]) for effect, c in within]
+            for i, (a,) in enumerate(stream):
+                site, rest = divmod(a, per_site)
+                effect, mask, k = onset[rest]
+                yield site_nets[site], effect, mask, a - k, i - a
+
+        experiments = single_faults(drawn())
     spent = [0, 0]  # lanes entered and steps taken by the pool
     for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, spent, experiments):
         counts[cls] += len(members)

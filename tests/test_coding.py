@@ -158,6 +158,31 @@ def test_sphere_packing_skips_only_widths_that_must_fail(count, n, seed):
         assert count * sum(math.comb(w, r) for r in range((n - 1) // 2 + 1)) <= 2**w
 
 
+def test_johnson_bound_meets_known_optima():
+    # the Hamming code of length 7, its extension by a parity bit, and the
+    # Hamming code of length 15 are perfect codes: the bound is exact there
+    assert [coding._johnson_bound(n, d) for n, d in ((7, 3), (8, 4), (15, 3))] == [16, 16, 2048]
+
+
+def test_johnson_bound_rules_out_only_widths_where_every_attempt_fails():
+    # from the smallest width that holds count words at all, each width the
+    # bound rules out fails in every attempt that generate_code would make;
+    # many of them the sphere-packing bound allows
+    beyond_sphere_packing = 0
+    for count in range(2, 41):
+        for n in range(2, 5):
+            width = max(1, (count - 1).bit_length())
+            while count > coding._johnson_bound(width, n):
+                for seed in range(2):
+                    for attempt in range(8):
+                        rng = random.Random(f"{seed}:{width}:{attempt}")
+                        assert coding._greedy_lexicode(count, n, width, rng) is None
+                ball = sum(math.comb(width, r) for r in range((n + 1) // 2))
+                beyond_sphere_packing += count * ball <= 2**width
+                width += 1
+    assert beyond_sphere_packing > 50
+
+
 @pytest.mark.parametrize(
     "count,n,width,digest",
     [

@@ -1140,6 +1140,35 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     assert pool_lanes >= rep.total - idle - shared and steps > 0
 
 
+@pytest.mark.parametrize(
+    "scope, effects, faults, lanes, pool",
+    [
+        ("diffusion_only", ("flip",), 1, 2, (300, 177)),
+        ("diffusion_only", ("flip",), 1, fe._POOL_LANES, (300, 2)),
+        ("all", ("stuck0", "stuck1"), 1, 2, (145, 142)),
+        ("all", ("stuck0", "stuck1"), 1, fe._POOL_LANES, (145, 3)),
+        ("all", ("stuck0", "stuck1"), 2, 2, (468, 678)),
+        ("all", ("stuck0", "stuck1"), 2, fe._POOL_LANES, (468, 19)),
+    ],
+    ids=["flips-2", "flips-wide", "stuck-2", "stuck-wide", "stuck-pairs-2", "stuck-pairs-wide"],
+)
+def test_pool_lanes_and_steps_are_pinned(design_n2, caplog, scope, effects, faults, lanes, pool):
+    # the exact lanes entered and steps taken by the pool: every flip of a
+    # flip-only campaign takes a lane, single stuck-at draws share or skip
+    # one, and a two-lane pool reuses its lanes for hundreds of steps. Pairs
+    # of stuck-at faults have runs of several mask cycles and faults whose
+    # onset comes after the entry cycle: a lane released before its run is
+    # over rejoins golden early and enters again, which only these counts show
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
+    spec = fe.CampaignSpec(
+        scope=scope, effects=effects, max_simultaneous_faults=faults, mode="sampled", sample_count=300, seed=5
+    )
+    _assert_pool_matches_reference(netlist, words, spec, codes, lanes)
+    found = re.search(r"pool: (\d+) lanes in (\d+) steps", caplog.text)
+    assert tuple(map(int, found.groups())) == pool
+
+
 # -- inputs the campaign must refuse ----------------------------------------------
 
 
