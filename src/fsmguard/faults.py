@@ -7,7 +7,6 @@ import random
 import sys
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -241,20 +240,18 @@ def _golden(
 
     All machine state is in the flops and ``x_e`` is the only driven input,
     so a cycle depends only on its (flop state, ``x_e`` word) edge, and each
-    distinct edge is evaluated once. A breadth-first queue holds every
-    discovered flop state under every distinct word of the walk; a miss is
-    evaluated by one ``_eval_edges`` call, together with the next queued
-    edges not yet evaluated, up to ``_POOL_LANES`` lanes.
+    distinct edge is evaluated once. The walk evaluates every flop state it
+    expects or finds under every distinct word of the walk: a missed edge
+    is evaluated in one pass together with its flop state under the other
+    words, then the expected edges, skipping the edges already evaluated,
+    up to ``_POOL_LANES`` lanes.
 
     ``state_words`` are the valid ``state_e`` words, the codewords of the
-    state code. When every ``state_e`` bit is a flop's q net, each of them
-    under each distinct word is a seed edge: its flop state holds the word
-    in those flops and the reset value in the others. Seed edges take only
-    the lanes of a pass that the miss and the queued edges leave free, and a
-    flop state first found on a seed lane queues behind the seeds, so the
-    seed never takes a lane from the walk's own queue. A golden run that
-    stays on valid codewords with the other flops at reset then takes one
-    pass when its seeds fit one.
+    state code. When every ``state_e`` bit is a flop's q net, the walk
+    expects each of them under each distinct word: its flop state holds the
+    word in those flops and the reset value in the others. A golden run
+    that stays on valid codewords with the other flops at reset then takes
+    one pass when those edges fit one.
 
     Every evaluated edge goes into ``memo``, key -> (next flop state,
     ``state_e`` word, ``fsm_alert``), when one is given.
@@ -266,9 +263,7 @@ def _golden(
     rows = list(dict.fromkeys(walk))
     state = sum(1 << j for j, (_, _, rv) in enumerate(comp.flops) if rv)
     memo = {} if memo is None else memo
-    seen = {state}
-    queue = deque(state << width | r for r in rows)
-    seeds: deque[int] = deque()
+    expected: List[int] = []
     flop_of = {q: j for j, (_, q, _) in enumerate(comp.flops)}
     if all(net in flop_of for net in state_nets):
         others = state & ~sum(1 << flop_of[net] for net in state_nets)  # at reset
@@ -276,32 +271,35 @@ def _golden(
             flops = others
             for k, net in enumerate(state_nets):
                 flops |= (w >> k & 1) << flop_of[net]
-            seeds.extend(flops << width | r for r in rows)
+            expected += [flops << width | r for r in rows]
     calls = lanes = 0
     record = []
     for x in walk:
         key = state << width | x
         if key not in memo:
-            batch = {key: None}  # an ordered set: the miss, queued edges, then seeds
-            for source in (queue, seeds):
-                while source and len(batch) < _POOL_LANES:
-                    k = source.popleft()
-                    if k not in memo:
-                        batch[k] = None
-                if source is queue:
-                    walked = len(batch)
-            for i, (k, (s, w, a)) in enumerate(zip(batch, _eval_triples(comp, list(batch)))):
-                memo[k] = (s, w, a)
-                if s not in seen:
-                    seen.add(s)
-                    # a state found from a seed lane queues behind the seeds
-                    (queue if i < walked else seeds).extend(s << width | r for r in rows)
+            lanes += _fill(comp, memo, [key, *(state << width | r for r in rows), *expected], _POOL_LANES)
             calls += 1
-            lanes += len(batch)
         state_next, word, alert = memo[key]
         record.append((state, word, alert))
         state = state_next
     return record, calls, lanes
+
+
+def _fill(
+    comp: _Compiled,
+    memo: Dict[int, Tuple[int, int, int]],
+    keys: Sequence[int],
+    limit: Optional[int] = None,
+) -> int:
+    """Evaluate each distinct key of ``keys`` that ``memo`` lacks, the first
+    ``limit`` of them when one is given, in passes of ``_POOL_LANES`` lanes,
+    into ``memo``: key -> (next flop state, ``state_e`` word, ``fsm_alert``).
+    Returns the lanes spent."""
+    missing = [k for k in dict.fromkeys(keys) if k not in memo][:limit]
+    for lo in range(0, len(missing), _POOL_LANES):
+        batch = missing[lo : lo + _POOL_LANES]
+        memo.update(zip(batch, _triples(comp, _eval_edges(comp, batch), len(batch))))
+    return len(missing)
 
 
 def _eval_edges(comp: _Compiled, keys: Sequence[int]) -> List[int]:
@@ -316,12 +314,12 @@ def _eval_edges(comp: _Compiled, keys: Sequence[int]) -> List[int]:
     return values
 
 
-def _eval_triples(comp: _Compiled, keys: Sequence[int]) -> List[Tuple[int, int, int]]:
-    """The (next flop state, ``state_e`` word, ``fsm_alert``) of each edge
-    of ``keys``, from one ``_eval_edges`` call."""
-    values = _eval_edges(comp, keys)
+def _triples(comp: _Compiled, values: Sequence[int], lanes: int) -> List[Tuple[int, int, int]]:
+    """The (flop d word, ``state_e`` word, ``fsm_alert``) of each of the
+    ``lanes`` lanes of every net's ``values``; no net may hold a bit at or
+    above lane ``lanes``."""
     ports = ([d for d, _, _ in comp.flops], comp.out_bits["state_e"], comp.out_bits["fsm_alert"])
-    return list(zip(*(_transpose([values[i] for i in nets], len(keys)) for nets in ports)))
+    return list(zip(*(_transpose([values[i] for i in nets], lanes) for nets in ports)))
 
 
 def _transpose(words: Sequence[int], width: int) -> List[int]:
@@ -478,7 +476,6 @@ def _screen(
     end = (len(ops), 0, 0, 0, 0)
     stem_shown: Dict[int, int] = {}
     faulty: Dict[int, List[Tuple[int, int, int]]] = {}
-    nd, ns = len(comp.flops), len(comp.out_bits["state_e"])
     calls = lanes = 0
     for start in range(0, len(order), per_call):
         picked = order[start : start + per_call]
@@ -492,13 +489,10 @@ def _screen(
             changed |= values[net] ^ value
         for b, net in enumerate(picked):
             stem_shown[net] = changed >> b * n_edges & block
-        if keep:  # bit i of a lane's word is observed[i]
-            words = _transpose([values[o] for o in observed], full.bit_length())
+        if keep:  # the last pass's spare blocks hold bits too, so read every lane
+            triples = _triples(comp, values, full.bit_length())
             for b, net in enumerate(picked):
-                faulty[net] = [
-                    (w & (1 << nd) - 1, w >> nd & (1 << ns) - 1, w >> nd + ns)
-                    for w in words[b * n_edges : (b + 1) * n_edges]
-                ]
+                faulty[net] = triples[b * n_edges : (b + 1) * n_edges]
         calls += 1
         lanes += len(picked) * n_edges
     found = [(stem, mask if stem in is_observed else mask & stem_shown.get(stem, 0)) for stem, mask in routes]
@@ -687,18 +681,13 @@ def _settle_flips(
             if k == 4:
                 out[5].update((c, (c, x)) for c in _set_bits(cycles))
 
-    missing = list(dict.fromkeys(key for _, _, _, key in pending if key not in memo))
-    calls = 0
-    for lo in range(0, len(missing), _POOL_LANES):
-        batch = missing[lo : lo + _POOL_LANES]
-        memo.update(zip(batch, _eval_triples(comp, batch)))
-        calls += 1
+    lanes = _fill(comp, memo, [key for _, _, _, key in pending])
     for out, c, dirty, key in pending:
         k, x = classify(c + 1, *memo[key], dirty)
         out[k] |= 1 << c
         if k == 4:
             out[5][c] = (c + 1, x)
-    return outcomes, calls, len(missing)
+    return outcomes, -(-lanes // _POOL_LANES), lanes
 
 
 def _run_pool(
@@ -750,10 +739,11 @@ def _run_pool(
     fault that acts at the entry cycle (every single fault: a flip there, a
     stuck-at fault whose onset has passed) is applied as its lane enters,
     and a lane whose run is one cycle long is released at once. Only
-    deferred items wait for their step: in ``events`` the later faults of a
-    multi-fault experiment, in ``releases`` the end of a longer run. They
-    alone carry the lane's generation, which every retirement bumps, so
-    they never reach a later occupant of the lane.
+    deferred items wait for their step, in one schedule ``due`` of ``(lane,
+    generation, net, effect)`` entries: the later faults of a multi-fault
+    experiment, and the end of a longer run with net ``-1``. They alone
+    carry the lane's generation, which every retirement bumps, so they never
+    reach a later occupant of the lane.
     """
     width = _POOL_LANES
     full = (1 << width) - 1
@@ -782,8 +772,7 @@ def _run_pool(
     lane_off = [0] * width
     queue: List[Tuple[Tuple[object, Tuple[Tuple[int, int, int], ...], int], int]] = []  # + corrupt flag
     groups: Dict[int, int] = {}  # offset -> lanes
-    events: Dict[int, List[Tuple[int, int, int, int]]] = {}  # step -> (net, effect, lane, gen)
-    releases: Dict[int, List[Tuple[int, int]]] = {}  # step -> (lane, gen)
+    due: Dict[int, List[Tuple[int, int, int, int]]] = {}  # step -> (lane, gen, net or -1 to release, effect)
     stuck: Dict[int, List[int]] = {}  # net -> [clear, set] lanes
     active = quiet = corrupt = 0
     step = 0
@@ -813,7 +802,7 @@ def _run_pool(
                 # a later fault waits for its step; a flip before c0 is spent;
                 # a stuck-at fault whose onset has passed starts at c0
                 if c > c0:
-                    events.setdefault(step + c - c0, []).append((net, effect, lane, gen[lane]))
+                    due.setdefault(step + c - c0, []).append((lane, gen[lane], net, effect))
                 elif effect:
                     stuck.setdefault(net, [0, 0])[effect - 1] |= bit
                 elif c == c0:
@@ -821,7 +810,7 @@ def _run_pool(
             if mask & low << 1:
                 # the lane may rejoin golden from the last cycle of this run of mask bits
                 run = mask >> c0
-                releases.setdefault(step + (run ^ run + 1).bit_length() - 2, []).append((lane, gen[lane]))
+                due.setdefault(step + (run ^ run + 1).bit_length() - 2, []).append((lane, gen[lane], -1, 0))
                 held |= bit
         if not active and not entering:
             return
@@ -839,10 +828,12 @@ def _run_pool(
             quiet = quiet & keep | incoming ^ held
             corrupt = corrupt & keep | carried
 
-        for net, effect, lane, g in events.pop(step, ()):
+        for lane, g, net, effect in due.pop(step, ()):
             if gen[lane] != g:
                 continue
-            if effect:
+            if net < 0:  # quiet is read only after the gate pass
+                quiet |= 1 << lane
+            elif effect:
                 stuck.setdefault(net, [0, 0])[effect - 1] |= 1 << lane
             else:
                 flipped[net] = flipped.get(net, 0) ^ (1 << lane)
@@ -899,9 +890,6 @@ def _run_pool(
             yield lane_exp[lane][0], "detected", None
         live ^= hijacked
 
-        for lane, g in releases.pop(step, ()):
-            if gen[lane] == g:
-                quiet |= 1 << lane
         settled = ending & live
         candidates = quiet & live
         if candidates:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -167,15 +167,11 @@ def validate(fsm: FsmSpec) -> FsmSpec:
     # reachability: warn only
     reached = {fsm.reset_state}
     frontier = [fsm.reset_state]
-    succ: Dict[str, List[str]] = {}
-    for t in fsm.transitions:
-        succ.setdefault(t.src, []).append(t.dst)
     while frontier:
-        cur = frontier.pop()
-        for nxt in succ.get(cur, []):
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
+        for t in fsm.transitions_from(frontier.pop()):
+            if t.dst not in reached:
+                reached.add(t.dst)
+                frontier.append(t.dst)
     unreachable = [s for s in fsm.states if s not in reached]
     if unreachable:
         warnings.warn(f"unreachable states: {', '.join(unreachable)}", stacklevel=2)
@@ -188,15 +184,7 @@ def complete(fsm: FsmSpec) -> FsmSpec:
     for state in fsm.states:
         if not any(t.is_default for t in fsm.transitions_from(state)):
             transitions.append(Transition(state, (), state))
-    return FsmSpec(
-        fsm.name,
-        fsm.states,
-        fsm.reset_state,
-        fsm.control_signals,
-        fsm.outputs,
-        tuple(transitions),
-        fsm.state_outputs,
-    )
+    return replace(fsm, transitions=tuple(transitions))
 
 
 # ---------------------------------------------------------------------------

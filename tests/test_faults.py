@@ -622,7 +622,9 @@ def _screen_log(caplog):
 def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lanes):
     # every scope net is screened up front in full passes of _SCREEN_LANES
     # lanes, whatever the pool width and the order of the experiment stream;
-    # a campaign that flips and sticks also simulates the observed stems
+    # a campaign that flips and sticks also simulates the observed stems and
+    # keeps their faulty values, read over every lane of a pass: at 7 stems
+    # a pass the last pass is partial, and its spare blocks still hold bits
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     edges = len(set(_edge_keys(netlist, words)))
@@ -631,11 +633,15 @@ def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lan
     stems = len(_stems(comp, nets, keep=True))
     # two cycles keep the one-lane pool quick; the screen covers every edge
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), cycles=(0, 7))
-    with mock.patch.object(fe, "_POOL_LANES", lanes):
-        fe.run_campaign(netlist, words, spec, codes)
-    per_call = max(1, fe._SCREEN_LANES // edges)
-    assert 0 < stems < len(nets)
-    assert _screen_log(caplog) == (len(nets), stems, 1 + math.ceil(stems / per_call), (1 + stems) * edges)
+    totals, witnesses = reference_campaign(netlist, words, spec, codes)
+    assert 0 < stems < len(nets) and stems % 7
+    for screen_lanes in (1, 7 * edges, fe._SCREEN_LANES):
+        caplog.clear()
+        with mock.patch.object(fe, "_POOL_LANES", lanes), mock.patch.object(fe, "_SCREEN_LANES", screen_lanes):
+            doc = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
+        assert (doc["totals"], doc["witnesses"]) == (totals, witnesses)
+        per_call = max(1, screen_lanes // edges)
+        assert _screen_log(caplog) == (len(nets), stems, 1 + math.ceil(stems / per_call), (1 + stems) * edges)
 
 
 def test_screen_flips_only_fanout_stems(design_n2):
@@ -1046,10 +1052,9 @@ def _counter(bits, port="x"):
 
 @pytest.mark.parametrize("lanes", [1, 3, 256])
 def test_golden_sim_counter_that_never_repeats(lanes):
-    # every cycle reaches a new flop state, so every cycle misses and no
-    # lookahead helps; each miss fills its pass from the queue, which holds
-    # each new state under all 5 distinct words (the trace's 4 and the
-    # settle cycle's 0), cut to the lane cap
+    # every cycle reaches a new flop state, so every cycle misses; each miss
+    # evaluates its new state under all 5 distinct words (the trace's 4 and
+    # the settle cycle's 0), cut to the lane cap
     n = _counter(9, port="x_e")
     words = [1 | (c % 4) << 1 for c in range(300)]
     with mock.patch.object(fe, "_POOL_LANES", lanes):
@@ -1059,11 +1064,11 @@ def test_golden_sim_counter_that_never_repeats(lanes):
     assert used == calls * min(lanes, 5)
 
 
-@pytest.mark.parametrize("lanes, calls, used", [(3, 12, 36), (8, 7, 56), (256, 3, 70)])
+@pytest.mark.parametrize("lanes, calls, used", [(3, 15, 43), (8, 10, 50), (256, 5, 50)])
 def test_golden_sim_fills_each_pass_from_the_queue(design_n2, lanes, calls, used):
-    # a miss takes the next queued edges, whatever their flop state, so every
-    # pass is full while the queue lasts; here it holds 70 keys, each
-    # discovered flop state under each distinct word of the walk
+    # unseeded, a miss evaluates its flop state under the walk's other words
+    # that are not yet evaluated, cut to the lane cap: at 256 lanes one pass
+    # for each of the 5 flop states the walk finds, under all 10 words
     words = _autocover(design_n2)
     with mock.patch.object(fe, "_POOL_LANES", lanes):
         record, got_calls, got_used = fe._golden(design_n2.netlist, words, ())
@@ -1073,10 +1078,10 @@ def test_golden_sim_fills_each_pass_from_the_queue(design_n2, lanes, calls, used
 
 @pytest.mark.parametrize("name", ["fig2_design", "design_n2"])
 def test_golden_walk_seeded_from_the_codebook(request, name):
-    # every state_e bit of a hardened netlist is a flop q net, so each
-    # codeword under each distinct word seeds the free lanes of a pass: the
-    # record stays the same, and design_n2's walk takes one pass of exactly
-    # those keys, the reset state's among them, where unseeded it takes 3
+    # every state_e bit of a hardened netlist is a flop q net, so the walk
+    # expects each codeword under each distinct word: the record stays the
+    # same, and design_n2's walk takes one pass of exactly those keys, the
+    # reset state's among them, where unseeded it takes 5
     design = request.getfixturevalue(name)
     netlist, words = design.netlist, _autocover(design)
     codewords = [w for _, w in design.state_codes.entries]
@@ -1085,8 +1090,22 @@ def test_golden_walk_seeded_from_the_codebook(request, name):
     assert seeded == unseeded == _lane0_record(netlist, words)
     assert calls <= unseeded_calls
     if name == "design_n2":
-        assert (calls, unseeded_calls) == (1, 3)
+        assert (calls, unseeded_calls) == (1, 5)
         assert used == len(set(codewords)) * len(set(words) | {0})
+
+
+def test_golden_walk_that_leaves_the_codebook(design_n2):
+    # the all-zeros control word is invalid: the run reaches ERROR and the
+    # alert latches, so the walk misses past the expected codeword edges and
+    # evaluates the flop state it finds under all 10 words in a second pass
+    words = _autocover(design_n2)
+    words = words[:5] + [0] + words[5:]
+    codewords = [w for _, w in design_n2.state_codes.entries]
+    record, calls, used = fe._golden(design_n2.netlist, words, codewords)
+    assert record == _lane0_record(design_n2.netlist, words)
+    assert design_n2.state_codes.error_codeword in {w for _, w, _ in record}
+    assert record[-1][2] and not record[0][2]
+    assert (calls, used) == (2, 70)
 
 
 def test_golden_run_evaluates_each_transition_once():
