@@ -424,20 +424,25 @@ def _screen(
     shows on every edge, a net that no op reads shows on none, and a net
     read twice or more, even by one op, is simulated, as is an observed
     stem when ``keep`` is set. Where a net's flip shows, it gives exactly
-    the observed values that its stem's flip gives.
+    the observed values that its stem's flip gives. The readers come from
+    ``comp.reader``, copied with every observed net marked as a stem.
 
     Each simulated stem has a block of ``n_edges`` lanes that start from
     the golden edges and flip it, and a call holds about ``_SCREEN_LANES``
-    lanes and runs every op. Only the flop q and ``x_e`` nets need golden
-    values replicated over the blocks: the ops compute every other net.
+    lanes and runs every op; the last call is only as wide as its blocks.
+    Only the flop q and ``x_e`` nets need golden values replicated over the
+    blocks: the ops compute every other net.
 
     With ``keep``, each simulated stem maps to its faulty ``(flop d word,
     state_e word, fsm_alert)`` on each golden edge, so every stem whose flip
     shows anywhere has them.
     """
-    ops, stop, users = comp.ops, comp.op_stop, comp.users
+    ops, stop = comp.ops, comp.op_stop
     observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
     is_observed = set(observed)
+    reader = comp.reader.copy()
+    for net in observed:  # a stem, whatever reads it
+        reader[net] = -2
     block = (1 << n_edges) - 1
     v = golden_values
 
@@ -447,10 +452,10 @@ def _screen(
     for net in nets:
         path = []  # (net, the op that reads it) down to a stem or a linked net
         while net not in link:
-            readers = users[net]
-            if len(readers) != 1 or net in is_observed:
+            pos = reader[net]
+            if pos < 0:
                 break
-            op = ops[readers[0]]
+            op = ops[pos]
             path.append((net, op))
             net = op[1]
         stem, mask = link.get(net, (net, block))
@@ -463,22 +468,24 @@ def _screen(
                 mask &= block ^ (v[j] if net == i else v[i])
             link[net] = (stem, mask)
         routes.append((stem, mask))
-    stems = {stem for stem, _ in routes if (keep if stem in is_observed else users[stem])}
+    stems = {stem for stem, _ in routes if (keep if stem in is_observed else reader[stem] == -2)}
     order = sorted(stems, key=stop.__getitem__)
 
     per_call = max(1, _SCREEN_LANES // n_edges)
-    # every call is as wide as the first: the last call's spare blocks flip nothing
-    full = (1 << min(len(order), per_call) * n_edges) - 1
-    repeat = full // block  # bit 0 of every block
-    sources = [(net, v[net] * repeat) for net in comp.out_bits["x_e"] + [q for _, q, _ in comp.flops]]
-    golden = [(net, v[net] * repeat) for net in observed]
+    source_nets = comp.out_bits["x_e"] + [q for _, q, _ in comp.flops]
     values = [0] * comp.n_nets
     end = (len(ops), 0, 0, 0, 0)
     stem_shown: Dict[int, int] = {}
     faulty: Dict[int, List[Tuple[int, int, int]]] = {}
-    calls = lanes = 0
+    calls = lanes = full = 0
     for start in range(0, len(order), per_call):
         picked = order[start : start + per_call]
+        width = len(picked) * n_edges
+        if full != (1 << width) - 1:  # the first pass, and a narrower last one
+            full = (1 << width) - 1
+            repeat = full // block  # bit 0 of every block
+            sources = [(net, v[net] * repeat) for net in source_nets]
+            golden = [(net, v[net] * repeat) for net in observed]
         for net, value in sources:  # a flip mask changes a source in place
             values[net] = value
         masks = [(stop[net], net, block << b * n_edges, 0, 0) for b, net in enumerate(picked)]
@@ -489,12 +496,12 @@ def _screen(
             changed |= values[net] ^ value
         for b, net in enumerate(picked):
             stem_shown[net] = changed >> b * n_edges & block
-        if keep:  # the last pass's spare blocks hold bits too, so read every lane
-            triples = _triples(comp, values, full.bit_length())
+        if keep:
+            triples = _triples(comp, values, width)
             for b, net in enumerate(picked):
                 faulty[net] = triples[b * n_edges : (b + 1) * n_edges]
         calls += 1
-        lanes += len(picked) * n_edges
+        lanes += width
     found = [(stem, mask if stem in is_observed else mask & stem_shown.get(stem, 0)) for stem, mask in routes]
     return found, faulty, len(order), calls, lanes
 
@@ -509,9 +516,9 @@ class _Activity:
     ``values``, every net's golden value on each edge, to their cycles;
     ``routes`` maps each screened net to its stem and the edges on which its
     flip shows, and ``faulty`` holds the faulty triples that ``_screen``
-    kept. A mask of edges turns into cycles four edges at a time, from one
-    table per group of four edges that holds the cycles of each of its 16
-    subsets.
+    kept. A mask of edges turns into cycles eight edges at a time, one byte
+    of the mask each, from one table per group of eight edges that holds
+    the cycles of each of its 256 subsets.
     """
 
     def __init__(
@@ -522,28 +529,28 @@ class _Activity:
         faulty: Dict[int, List[Tuple[int, int, int]]],
     ):
         self.edge_cycles = list(edges.values())
+        self.every = (1 << len(self.edge_cycles)) - 1
         self.values = values
         self.routes = routes
         self.faulty = faulty
         self.found: Dict[Tuple[int, int], int] = {}
-        # tables[g][s]: the cycles of the edges 4g..4g+3 whose bits are set in s
+        # tables[g][s]: the cycles of the edges 8g..8g+7 whose bits are set in s
         self.tables: List[List[int]] = []
-        for lo in range(0, len(self.edge_cycles), 4):
+        for lo in range(0, len(self.edge_cycles), 8):
             table = [0]
-            for cycles in self.edge_cycles[lo : lo + 4]:
+            for cycles in self.edge_cycles[lo : lo + 8]:
                 table += [t | cycles for t in table]
             self.tables.append(table)
 
     def __call__(self, net: int, effect: int) -> int:
         found = self.found.get((net, effect))
         if found is None:
-            every = (1 << len(self.edge_cycles)) - 1
+            every = self.every
             route = self.routes.get(net)
             edges = (every, self.values[net], every ^ self.values[net])[effect] & (route[1] if route else every)
             found = 0
-            for table in self.tables:
-                found |= table[edges & 15]
-                edges >>= 4
+            for table, subset in zip(self.tables, edges.to_bytes(len(self.tables), "little")):
+                found |= table[subset]
             self.found[net, effect] = found
         return found
 
@@ -637,7 +644,10 @@ def _settle_flips(
     cycle. Those edges are looked up in ``memo``, the golden run's (key ->
     next flop state, ``state_e``, ``fsm_alert``), and the ones it lacks are
     evaluated in passes of ``_POOL_LANES`` lanes. A flip still off golden
-    after ``c + 1`` is pooled, for ``_run_pool`` to run from ``c``.
+    after ``c + 1`` is pooled, for ``_run_pool`` to run from ``c``. The
+    outcome at ``c + 1`` depends only on the stem, ``c``'s golden edge, the
+    word of ``c + 1`` and whether ``c + 1`` is the last cycle, so it is
+    found once for each such key and holds for all of its cycles.
 
     A single stuck-at fault first acts at ``c`` as the flip there does, and
     is held at ``c + 1``. When its net lies outside ``comp.out_cone``, it
@@ -663,30 +673,42 @@ def _settle_flips(
             return 1 + dirty, dirty
         return 3, dirty
 
+    # per golden edge, its campaign cycles c, split by the word of c + 1 and
+    # by whether c + 1 is the last cycle: with the faulty values at c, these
+    # fix the outcome at c + 1
+    edge_cycles = [cycles & campaign for cycles in act.edge_cycles]
+    follow: List[Dict[Tuple[int, bool], int]] = []
+    for cycles in edge_cycles:
+        split: Dict[Tuple[int, bool], int] = {}
+        for c in _set_bits(cycles):
+            after = xs[c + 1], c + 1 == last
+            split[after] = split.get(after, 0) | 1 << c
+        follow.append(split)
+
     outcomes: Dict[int, List] = {}
-    pending = []  # (outcome, cycle, corrupt flag, key of the cycle after)
+    pending = []  # (outcome, corrupt flag, key of the cycle after, cycles)
     for stem, _ in act.routes.values():
         if stem in outcomes:
             continue
         out = outcomes[stem] = [0, 0, 0, 0, 0, {}]
-        for cycles, (nxt, word, alert) in zip(act.edge_cycles, act.faulty.get(stem, ())):
-            cycles &= campaign
+        for cycles, (nxt, word, alert), split in zip(edge_cycles, act.faulty.get(stem, ()), follow):
             if not cycles:
                 continue
             k, x = classify((cycles & -cycles).bit_length() - 1, nxt, word, alert, 0)
             if k == 3:
-                pending += [(out, c, x, nxt << width | xs[c + 1]) for c in _set_bits(cycles)]
+                pending += [(out, x, nxt << width | w, group) for (w, _), group in split.items()]
                 continue
             out[k] |= cycles
             if k == 4:
                 out[5].update((c, (c, x)) for c in _set_bits(cycles))
 
-    lanes = _fill(comp, memo, [key for _, _, _, key in pending])
-    for out, c, dirty, key in pending:
+    lanes = _fill(comp, memo, [key for _, _, key, _ in pending])
+    for out, dirty, key, cycles in pending:
+        c = (cycles & -cycles).bit_length() - 1
         k, x = classify(c + 1, *memo[key], dirty)
-        out[k] |= 1 << c
+        out[k] |= cycles
         if k == 4:
-            out[5][c] = (c + 1, x)
+            out[5].update((c, (c + 1, x)) for c in _set_bits(cycles))
     return outcomes, -(-lanes // _POOL_LANES), lanes
 
 
@@ -1084,7 +1106,11 @@ def run_campaign(
                     counts["detected"] += n
                     stuck_settled += n
                     continue
-                members = [(a + offset, (a,)) for a in (first + position[c] for c in _set_bits(group))]
+                if n == 1:  # every sampled draw
+                    a = first + position[group.bit_length() - 1]
+                    members = [(a + offset, (a,))]
+                else:
+                    members = [(a + offset, (a,)) for a in (first + position[c] for c in _set_bits(group))]
                 if out and out[4] >> c1 & 1:
                     counts["hijack"] += n
                     stuck_settled += n

@@ -227,15 +227,21 @@ class _Compiled:
         return stop
 
     @cached_property
-    def users(self) -> List[List[int]]:
-        """net index -> the positions in ``ops`` of the ops that read it, in
-        order. Built on the first stuck-at screen only."""
+    def reader(self) -> List[int]:
+        """net index -> the position in ``ops`` of the only op that reads it;
+        -1 when no op reads it, -2 when it is read twice or more, even by one
+        op. Built on the first stuck-at screen only."""
         arity = list(_ARITY.values())
-        users: List[List[int]] = [[] for _ in range(self.n_nets)]
-        for pos, (kind, _, *ins) in enumerate(self.ops):
-            for net in ins[: arity[kind]]:
-                users[net].append(pos)
-        return users
+        reader = [-1] * self.n_nets
+        for pos, (kind, _, i, j, k) in enumerate(self.ops):
+            n = arity[kind]
+            if n:
+                reader[i] = pos if reader[i] == -1 else -2
+                if n > 1:
+                    reader[j] = pos if reader[j] == -1 else -2
+                    if n > 2:
+                        reader[k] = pos if reader[k] == -1 else -2
+        return reader
 
     @cached_property
     def out_cone(self) -> Set[int]:

@@ -527,6 +527,31 @@ def test_screen_matches_single_flips(request, design):
     _check_screen_of_every_net(netlist, words)
 
 
+@pytest.mark.parametrize("n_edges", [1, 7, 8, 9, 15, 97])
+def test_activity_tables_match_a_per_edge_or(n_edges):
+    # the tables turn edges into cycles eight at a time, and the last group
+    # may be short; each net's edges are its golden ones for the effect,
+    # cut to its route's edges when it has one. Each cycle of a 300-cycle
+    # trace lies on one edge, and each edge has a cycle
+    rng = random.Random(n_edges)
+    every = (1 << n_edges) - 1
+    edge_of = list(range(n_edges)) + [rng.randrange(n_edges) for _ in range(300 - n_edges)]
+    rng.shuffle(edge_of)
+    edges = {rng.getrandbits(16) << 8 | e: sum(1 << c for c, f in enumerate(edge_of) if f == e) for e in range(n_edges)}
+    values = [rng.getrandbits(n_edges) for _ in range(40)] + [0, every]
+    routes = {net: (0, rng.getrandbits(n_edges)) for net in range(0, len(values), 3)}
+    act = fe._Activity(edges, values, routes, {})
+    cycles = list(edges.values())
+    for net, v in enumerate(values):
+        route = routes[net][1] if net in routes else every
+        for effect, mask in enumerate((every, v, every ^ v)):
+            want = 0
+            for e in range(n_edges):
+                if (mask & route) >> e & 1:
+                    want |= cycles[e]
+            assert act(net, effect) == want, (net, effect)
+
+
 def _edge_keys(netlist, words):
     """The (flop state, x_e word) key of every golden cycle, settle cycle included."""
     golden, _, _ = fe._golden(netlist, words, ())
@@ -534,29 +559,39 @@ def _edge_keys(netlist, words):
     return [q << width | x for (q, _, _), x in zip(golden, (*words, 0))]
 
 
-def _stems(comp, nets, keep=False):
-    """The fanout stems that the screen of ``nets`` simulates: from each
-    net, follow the nets that one op input reads and that are not observed
-    to the first that is not such a net, and keep it if it is read twice or
-    more and not observed, or, when the screen keeps faulty triples, if it
-    is observed."""
-    observed = {d for d, _, _ in comp.flops} | set(comp.out_bits["state_e"]) | set(comp.out_bits["fsm_alert"])
+def _stems(netlist, nets, keep=False):
+    """The fanout stems (net indices) that the screen of the net indices
+    ``nets`` simulates: from each net, follow the nets that one gate input
+    reads and that are not observed to the first that is not such a net,
+    and keep it if it is read twice or more and not observed, or, when the
+    screen keeps faulty triples, if it is observed. The readers are counted
+    by name from ``netlist.gates``, not from the compiled netlist."""
+    readers = {}  # net name -> the gates that read it, once per input
+    for g in netlist.gates:
+        for name in g.inputs:
+            readers.setdefault(name, []).append(g)
+    observed = {f.d for f in netlist.flops}
+    observed |= {*netlist.port("state_e").bits, *netlist.port("fsm_alert").bits}
+    index = netlist._compile().index
+    names = list(index)
     ends = set()
     for net in nets:
-        while len(comp.users[net]) == 1 and net not in observed:
-            net = comp.ops[comp.users[net][0]][1]
-        ends.add(net)
-    return {net for net in ends if (keep if net in observed else len(comp.users[net]) >= 2)}
+        name = names[net]
+        while len(readers.get(name, ())) == 1 and name not in observed:
+            name = readers[name][0].output
+        ends.add(name)
+    return {index[n] for n in ends if (keep if n in observed else len(readers.get(n, ())) >= 2)}
 
 
 def _check_screen_of_every_net(netlist, words):
     """The stuck-at lookup of an exhaustive single-fault campaign over every
     net against ``_brute_force_screen`` and each cycle's golden net values,
-    at one stem per screen call, 7 stems per call and full calls: a
-    stuck-at-0 fault is active where the net is 1 and a flip shows, a
-    stuck-at-1 fault where it is 0 and a flip shows. With every net
-    screened, the stems are the nets read twice or more that are not
-    observed."""
+    at one stem per screen call, 7 stems per call, one stem fewer than all
+    per call (so that the last call holds one) and full calls: a stuck-at-0
+    fault is active where the net is 1 and a flip shows, a stuck-at-1 fault
+    where it is 0 and a flip shows. With every net screened, the stems are
+    the nets read twice or more that are not observed. Every screen call
+    is as wide as its blocks, one lane per edge for each stem it flips."""
     comp = netlist._compile()
     golden, _, _ = fe._golden(netlist, words, ())
     keys = _edge_keys(netlist, words)
@@ -566,14 +601,29 @@ def _check_screen_of_every_net(netlist, words):
     want = _brute_force_screen(netlist, words)
     nets = list(range(comp.n_nets))
     spec = fe.CampaignSpec(scope="all", effects=("stuck0", "stuck1"))
-    for lanes_per_call in (1, 7 * edges, fe._SCREEN_LANES):
-        with mock.patch.object(fe, "_SCREEN_LANES", lanes_per_call):
+    n_stems = len(_stems(netlist, nets))
+    run_ops = fe._run_ops
+    for lanes_per_call in (1, 7 * edges, (n_stems - 1) * edges, fe._SCREEN_LANES):
+        blocks = []  # (stems flipped, lanes) of each screen call
+
+        def counted(ops, values, full, masks):
+            blocks.append((len(masks) - 1, full.bit_length()))
+            run_ops(ops, values, full, masks)
+
+        with mock.patch.object(fe, "_SCREEN_LANES", lanes_per_call), mock.patch.object(fe, "_run_ops", counted):
             active, screened, stems, calls, lanes = fe._activity(
                 comp, golden, words, spec, nets, 0, None
             )
         per_call = max(1, lanes_per_call // edges)
-        assert (screened, stems) == (len(nets), len(_stems(comp, nets)))
+        assert (screened, stems) == (len(nets), n_stems)
         assert (calls, lanes) == (1 + -(-stems // per_call), (1 + stems) * edges)
+        # the first call holds the golden values, and flips nothing
+        assert blocks[0] == (0, edges) and len(blocks) == calls
+        assert [width for _, width in blocks[1:]] == [b * edges for b, _ in blocks[1:]]
+        if stems:
+            assert blocks[-1][0] == stems - per_call * (calls - 2)
+            if lanes_per_call == (stems - 1) * edges > 0:
+                assert blocks[-1][0] == 1
         assert [active(n, 1) for n in nets] == [w & ones[n] for n, w in zip(nets, want)]
         assert [active(n, 2) for n in nets] == [w & (every ^ ones[n]) for n, w in zip(nets, want)]
 
@@ -630,7 +680,7 @@ def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lan
     edges = len(set(_edge_keys(netlist, words)))
     comp = netlist._compile()
     nets = [comp.index[site] for site in enumerate_fault_sites(netlist, "all")]
-    stems = len(_stems(comp, nets, keep=True))
+    stems = len(_stems(netlist, nets, keep=True))
     # two cycles keep the one-lane pool quick; the screen covers every edge
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), cycles=(0, 7))
     totals, witnesses = reference_campaign(netlist, words, spec, codes)
@@ -662,7 +712,7 @@ def test_screen_flips_only_fanout_stems(design_n2):
     with mock.patch.object(fe, "_run_ops", counted):
         _, _, stems, calls, lanes = fe._screen(comp, values, len(keys), nets)
     flipped = [net for _, picked in runs for net in picked]
-    assert sorted(flipped) == sorted(_stems(comp, nets))
+    assert sorted(flipped) == sorted(_stems(netlist, nets))
     assert len(flipped) == stems < len(nets)
     assert [n for n, _ in runs] == [len(comp.ops)] * calls
     assert lanes == stems * len(keys)
@@ -1147,7 +1197,7 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     nets, stems, calls, lanes, idle, shared = map(int, found.groups())
     comp = design_n2.netlist._compile()
     sites = [comp.index[site] for site in enumerate_fault_sites(design_n2.netlist, spec.scope)]
-    assert nets == rep.metadata["sites"] and stems == len(_stems(comp, sites))
+    assert nets == rep.metadata["sites"] and stems == len(_stems(design_n2.netlist, sites))
     # one lane per distinct golden edge for the golden net values, and per
     # (stem, edge) pair for the screen
     assert calls >= 2 and lanes == (stems + 1) * len(set(_edge_keys(design_n2.netlist, _autocover(design_n2))))

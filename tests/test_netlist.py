@@ -529,6 +529,29 @@ def test_compiled_ops_read_only_earlier_ops_flops_or_inputs(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(faulted_netlists())
+def test_reader_table_counts_the_readers_of_each_net(case):
+    # a MUX that reads one net twice makes that net a stem, even if no
+    # other gate reads it
+    n = case[0]
+    twice = n.gates[0].output
+    n.add_gate("MUX", [twice, twice, n.nets()[0]], "mux_twice")
+    n.validate()
+    readers = {}  # net name -> the gates that read it, once per input
+    for g in n.gates:
+        for name in g.inputs:
+            readers.setdefault(name, []).append(g.output)
+    comp = n._compile()
+    position = {out: pos for pos, (_, out, _, _, _) in enumerate(comp.ops)}
+    want = []
+    for name in comp.index:
+        outs = readers.get(name, [])
+        want.append(-1 if not outs else position[comp.index[outs[0]]] if len(outs) == 1 else -2)
+    assert comp.reader == want
+    assert comp.reader[comp.index[twice]] == -2
+
+
+@settings(max_examples=200, deadline=None)
 @given(gate_lists())
 def test_compiled_ops_keep_a_topological_gate_order(case):
     widths, qs, gates = case
