@@ -516,9 +516,11 @@ class _Activity:
     ``values``, every net's golden value on each edge, to their cycles;
     ``routes`` maps each screened net to its stem and the edges on which its
     flip shows, and ``faulty`` holds the faulty triples that ``_screen``
-    kept. A mask of edges turns into cycles eight edges at a time, one byte
-    of the mask each, from one table per group of eight edges that holds
-    the cycles of each of its 256 subsets.
+    kept. A mask of edges turns into cycles ``size`` edges at a time, from
+    one table per group of ``size`` edges that holds the cycles of each of
+    its subsets. ``lookups`` bounds the distinct lookups to come: a group's
+    table holds at most a quarter as many masks, up to eight edges a group,
+    so a few lookups on a long trace with many edges build small tables.
     """
 
     def __init__(
@@ -527,6 +529,7 @@ class _Activity:
         values: List[int],
         routes: Dict[int, Tuple[int, int]],
         faulty: Dict[int, List[Tuple[int, int, int]]],
+        lookups: int,
     ):
         self.edge_cycles = list(edges.values())
         self.every = (1 << len(self.edge_cycles)) - 1
@@ -534,23 +537,26 @@ class _Activity:
         self.routes = routes
         self.faulty = faulty
         self.found: Dict[Tuple[int, int], int] = {}
-        # tables[g][s]: the cycles of the edges 8g..8g+7 whose bits are set in s
+        self.size = size = max(1, min(8, lookups.bit_length() - 3))
+        # tables[g][s]: the cycles of the edges of group g whose bits are set in s
         self.tables: List[List[int]] = []
-        for lo in range(0, len(self.edge_cycles), 8):
+        for lo in range(0, len(self.edge_cycles), size):
             table = [0]
-            for cycles in self.edge_cycles[lo : lo + 8]:
+            for cycles in self.edge_cycles[lo : lo + size]:
                 table += [t | cycles for t in table]
             self.tables.append(table)
 
     def __call__(self, net: int, effect: int) -> int:
         found = self.found.get((net, effect))
         if found is None:
-            every = self.every
+            every, size = self.every, self.size
             route = self.routes.get(net)
             edges = (every, self.values[net], every ^ self.values[net])[effect] & (route[1] if route else every)
             found = 0
-            for table, subset in zip(self.tables, edges.to_bytes(len(self.tables), "little")):
-                found |= table[subset]
+            low = (1 << size) - 1
+            for table in self.tables:
+                found |= table[edges & low]
+                edges >>= size
             self.found[net, effect] = found
         return found
 
@@ -597,10 +603,12 @@ def _activity(
     routes: Dict[int, Tuple[int, int]] = {}
     faulty: Dict[int, List[Tuple[int, int, int]]] = {}
     stems, calls, lanes = 0, 1, len(edges)
+    nets = list(dict.fromkeys(site_nets))
+    lookups = len(nets) * len(spec.effects)  # distinct (net, effect) pairs at most
+    if spec.mode == "sampled":
+        lookups = min(lookups, spec.sample_count * spec.max_simultaneous_faults)
     if spec.max_simultaneous_faults == 1:
-        if spec.mode == "exhaustive":
-            nets = list(dict.fromkeys(site_nets))
-        else:
+        if spec.mode == "sampled":
             nets = list(dict.fromkeys(atom(i)[0] for (i,) in _enumerate_experiments(n_atoms, spec)))
         found, faulty, stems, screen_calls, screen_lanes = _screen(
             comp, values, len(edges), nets, keep="flip" in spec.effects
@@ -608,7 +616,7 @@ def _activity(
         routes = dict(zip(nets, found))
         calls += screen_calls
         lanes += screen_lanes
-    return _Activity(edges, values, routes, faulty), len(routes), stems, calls, lanes
+    return _Activity(edges, values, routes, faulty, lookups), len(routes), stems, calls, lanes
 
 
 def _settle_flips(
@@ -1106,11 +1114,12 @@ def run_campaign(
                     counts["detected"] += n
                     stuck_settled += n
                     continue
-                if n == 1:  # every sampled draw
-                    a = first + position[group.bit_length() - 1]
-                    members = [(a + offset, (a,))]
-                else:
-                    members = [(a + offset, (a,)) for a in (first + position[c] for c in _set_bits(group))]
+                members = []
+                while group:
+                    low = group & -group
+                    group ^= low
+                    a = first + position[low.bit_length() - 1]
+                    members.append((a + offset, (a,)))
                 if out and out[4] >> c1 & 1:
                     counts["hijack"] += n
                     stuck_settled += n

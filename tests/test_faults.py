@@ -527,9 +527,11 @@ def test_screen_matches_single_flips(request, design):
     _check_screen_of_every_net(netlist, words)
 
 
+@pytest.mark.parametrize("lookups", [1, 64, 1024])
 @pytest.mark.parametrize("n_edges", [1, 7, 8, 9, 15, 97])
-def test_activity_tables_match_a_per_edge_or(n_edges):
-    # the tables turn edges into cycles eight at a time, and the last group
+def test_activity_tables_match_a_per_edge_or(n_edges, lookups):
+    # the tables turn edges into cycles one group at a time, one edge a group
+    # for one lookup, four for 64 and eight for 1,024, and the last group
     # may be short; each net's edges are its golden ones for the effect,
     # cut to its route's edges when it has one. Each cycle of a 300-cycle
     # trace lies on one edge, and each edge has a cycle
@@ -540,7 +542,8 @@ def test_activity_tables_match_a_per_edge_or(n_edges):
     edges = {rng.getrandbits(16) << 8 | e: sum(1 << c for c, f in enumerate(edge_of) if f == e) for e in range(n_edges)}
     values = [rng.getrandbits(n_edges) for _ in range(40)] + [0, every]
     routes = {net: (0, rng.getrandbits(n_edges)) for net in range(0, len(values), 3)}
-    act = fe._Activity(edges, values, routes, {})
+    act = fe._Activity(edges, values, routes, {}, lookups)
+    assert act.size == {1: 1, 64: 4, 1024: 8}[lookups]
     cycles = list(edges.values())
     for net, v in enumerate(values):
         route = routes[net][1] if net in routes else every
@@ -550,6 +553,25 @@ def test_activity_tables_match_a_per_edge_or(n_edges):
                 if (mask & route) >> e & 1:
                     want |= cycles[e]
             assert act(net, effect) == want, (net, effect)
+
+
+def test_activity_tables_are_sized_from_the_lookup_bound(design_n2):
+    # a campaign looks up at most its distinct site nets times its effects,
+    # and when sampled at most its draws times the faults of a draw
+    netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
+    comp = netlist._compile()
+    nets = len({comp.index[site] for site in enumerate_fault_sites(netlist, "all")})
+    for fields, lookups in (
+        (dict(), 2 * nets),
+        (dict(mode="sampled", sample_count=20), 20),
+        (dict(mode="sampled", sample_count=20, max_simultaneous_faults=2), 40),
+        (dict(mode="sampled", sample_count=5000), min(2 * nets, 5000)),
+    ):
+        spec = fe.CampaignSpec(scope="all", effects=("stuck0", "stuck1"), **fields)
+        built = mock.Mock(wraps=fe._Activity)
+        with mock.patch.object(fe, "_Activity", built):
+            fe.run_campaign(netlist, words, spec, codes)
+        assert built.call_args.args[4] == lookups, fields
 
 
 def _edge_keys(netlist, words):
@@ -674,7 +696,7 @@ def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lan
     # lanes, whatever the pool width and the order of the experiment stream;
     # a campaign that flips and sticks also simulates the observed stems and
     # keeps their faulty values, read over every lane of a pass: at 7 stems
-    # a pass the last pass is partial, and its spare blocks still hold bits
+    # a pass the last pass is partial, and only as wide as its blocks
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     edges = len(set(_edge_keys(netlist, words)))
