@@ -7,7 +7,6 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -165,19 +164,10 @@ def cmd_inject(args: argparse.Namespace) -> int:
             sample_count=10_000 if args.sample is None else args.sample,
             seed=args.seed,
         )
-        t0 = time.perf_counter()
         report = run_campaign(netlist, words, spec, codes)
-        elapsed = time.perf_counter() - t0
     except (fe.CampaignError, nl_mod.NetlistError) as exc:
         log.error("campaign failed: %s", exc)
         return EXIT_FAIL
-    # timings go to the log: the report stays identical from run to run
-    log.info(
-        "campaign: %d experiments in %.3f s (%.0f/s)",
-        report.total,
-        elapsed,
-        report.total / elapsed if elapsed else 0.0,
-    )
     try:
         _dump_json(Path(args.out), report.to_json_dict())
     except OSError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -32,6 +33,13 @@ EXHAUSTIVE_BOUND = 10_000_000
 _POOL_LANES = 1024
 # lanes of one screen call, one per (fanout stem, golden edge) pair
 _SCREEN_LANES = 4096
+# the keys of a campaign's record, all present and 0 for a phase that does
+# not run; the README lists their meanings
+_STATS = (
+    "golden_cycles golden_passes golden_lanes golden_s screen_nets screen_stems screen_passes screen_lanes screen_s "
+    "settled_without_lane shared_lane flips_settled settle_passes settle_lanes flips_pooled stuck_settled "
+    "pool_lanes pool_steps experiments wall_s experiments_per_s"
+).split()
 
 
 class CampaignError(Exception):
@@ -232,11 +240,14 @@ def _golden(
     netlist: Netlist,
     words: Sequence[int],
     state_words: Sequence[int],
+    stats: Dict[str, float],
     memo: Optional[Dict[int, Tuple[int, int, int]]] = None,
-) -> Tuple[List[Tuple[int, int, int]], int, int]:
+) -> List[Tuple[int, int, int]]:
     """The fault-free run of ``words`` and a settle cycle: one ``(flop state,
     state_e word, fsm_alert)`` triple per cycle, bit ``j`` of the flop state
-    being flop ``j``, and the ``_run_ops`` calls and lanes spent.
+    being flop ``j``. The cycles, the ``_run_ops`` calls and lanes spent and
+    the time taken go into ``stats`` as ``golden_cycles``,
+    ``golden_passes``, ``golden_lanes`` and ``golden_s``.
 
     All machine state is in the flops and ``x_e`` is the only driven input,
     so a cycle depends only on its (flop state, ``x_e`` word) edge, and each
@@ -256,6 +267,7 @@ def _golden(
     Every evaluated edge goes into ``memo``, key -> (next flop state,
     ``state_e`` word, ``fsm_alert``), when one is given.
     """
+    t0 = time.perf_counter()
     x_nets, state_nets, _ = _port_nets(netlist, words)
     comp = netlist._compile()
     width = len(x_nets)
@@ -282,7 +294,9 @@ def _golden(
         state_next, word, alert = memo[key]
         record.append((state, word, alert))
         state = state_next
-    return record, calls, lanes
+    stats.update(golden_cycles=len(record), golden_passes=calls, golden_lanes=lanes)
+    stats["golden_s"] = time.perf_counter() - t0
+    return record
 
 
 def _fill(
@@ -336,7 +350,7 @@ def _transpose(words: Sequence[int], width: int) -> List[int]:
 
 def golden_run(netlist: Netlist, words: Sequence[int], codes: CodeBook) -> Tuple[List[str], List[int]]:
     """Decoded fault-free trajectory (len(words)+1 states) and per-cycle alert."""
-    record, _, _ = _golden(netlist, words, [w for _, w in codes.entries])
+    record = _golden(netlist, words, [w for _, w in codes.entries], {})
     return [decode_exact(codes, w) for _, w, _ in record], [a for _, _, a in record]
 
 
@@ -404,12 +418,15 @@ def _lanes(mask: int) -> List[int]:
 
 
 def _screen(
-    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int], keep: bool = False
-) -> Tuple[List[Tuple[int, int]], Dict[int, List[Tuple[int, int, int]]], int, int, int]:
+    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int], stats: Dict[str, float],
+    keep: bool = False,
+) -> Tuple[List[Tuple[int, int]], Dict[int, List[Tuple[int, int, int]]]]:
     """For each of ``nets``, its stem and the golden edges (bit ``e`` for
     edge ``e``) on which flipping the net changes a flop input, ``state_e``
-    or ``fsm_alert``; the faulty observed values of each stem when ``keep``
-    is set; and the stems simulated, ``_run_ops`` calls and lanes spent.
+    or ``fsm_alert``; and the faulty observed values of each stem when
+    ``keep`` is set. The stems simulated go into ``stats`` as
+    ``screen_stems``, and the ``_run_ops`` calls and lanes spent add to its
+    ``screen_passes`` and ``screen_lanes``.
 
     ``golden_values`` holds every net's fault-free value with one lane per
     distinct edge of the golden run, ``n_edges`` lanes in all. Only fanout
@@ -477,7 +494,7 @@ def _screen(
     end = (len(ops), 0, 0, 0, 0)
     stem_shown: Dict[int, int] = {}
     faulty: Dict[int, List[Tuple[int, int, int]]] = {}
-    calls = lanes = full = 0
+    full = 0
     for start in range(0, len(order), per_call):
         picked = order[start : start + per_call]
         width = len(picked) * n_edges
@@ -500,10 +517,11 @@ def _screen(
             triples = _triples(comp, values, width)
             for b, net in enumerate(picked):
                 faulty[net] = triples[b * n_edges : (b + 1) * n_edges]
-        calls += 1
-        lanes += width
+        stats["screen_passes"] += 1
+        stats["screen_lanes"] += width
+    stats["screen_stems"] = len(order)
     found = [(stem, mask if stem in is_observed else mask & stem_shown.get(stem, 0)) for stem, mask in routes]
-    return found, faulty, len(order), calls, lanes
+    return found, faulty
 
 
 class _Activity:
@@ -569,11 +587,14 @@ def _activity(
     site_nets: Sequence[int],
     n_atoms: int,
     atom: Callable[[int], Tuple[int, int, int]],
-) -> Tuple[Optional[_Activity], int, int, int, int]:
-    """The activity lookup of a campaign (see ``_Activity``), and the nets
-    screened, the stems ``_screen`` simulated, and the ``_run_ops`` calls
-    and lanes spent. A campaign without a stuck-at effect gets no lookup,
-    spends nothing, and its flips are active at their own cycles.
+    stats: Dict[str, float],
+) -> Optional[_Activity]:
+    """The activity lookup of a campaign (see ``_Activity``). The nets
+    screened go into ``stats`` as ``screen_nets``, the ``_run_ops`` calls
+    and lanes spent as ``screen_passes`` and ``screen_lanes``, with the
+    screen's, and the time taken as ``screen_s``. A campaign without a
+    stuck-at effect gets no lookup, spends nothing, and its flips are
+    active at their own cycles.
 
     Every net's golden value comes from one ``_eval_edges`` call with one
     lane per distinct edge of the ``_golden`` record ``golden`` of ``words``,
@@ -593,16 +614,17 @@ def _activity(
     because two faults that each show nowhere can show together.
     """
     if all(e == "flip" for e in spec.effects):
-        return None, 0, 0, 0, 0
+        return None
+    t0 = time.perf_counter()
     width = len(comp.out_bits["x_e"])
     edges: Dict[int, int] = {}  # key -> cycles
     for c, ((q, _, _), x) in enumerate(zip(golden, (*words, 0))):
         key = q << width | x
         edges[key] = edges.get(key, 0) | 1 << c
     values = _eval_edges(comp, list(edges))
+    stats.update(screen_passes=1, screen_lanes=len(edges))
     routes: Dict[int, Tuple[int, int]] = {}
     faulty: Dict[int, List[Tuple[int, int, int]]] = {}
-    stems, calls, lanes = 0, 1, len(edges)
     nets = list(dict.fromkeys(site_nets))
     lookups = len(nets) * len(spec.effects)  # distinct (net, effect) pairs at most
     if spec.mode == "sampled":
@@ -610,13 +632,10 @@ def _activity(
     if spec.max_simultaneous_faults == 1:
         if spec.mode == "sampled":
             nets = list(dict.fromkeys(atom(i)[0] for (i,) in _enumerate_experiments(n_atoms, spec)))
-        found, faulty, stems, screen_calls, screen_lanes = _screen(
-            comp, values, len(edges), nets, keep="flip" in spec.effects
-        )
+        found, faulty = _screen(comp, values, len(edges), nets, stats, keep="flip" in spec.effects)
         routes = dict(zip(nets, found))
-        calls += screen_calls
-        lanes += screen_lanes
-    return _Activity(edges, values, routes, faulty, lookups), len(routes), stems, calls, lanes
+    stats.update(screen_nets=len(routes), screen_s=time.perf_counter() - t0)
+    return _Activity(edges, values, routes, faulty, lookups)
 
 
 def _settle_flips(
@@ -628,12 +647,14 @@ def _settle_flips(
     codes: CodeBook,
     memo: Dict[int, Tuple[int, int, int]],
     campaign: int,
-) -> Tuple[Dict[int, List], int, int]:
+    stats: Dict[str, float],
+) -> Dict[int, List]:
     """The outcome of a single flip of each stem of ``act.routes`` at each
     campaign cycle (bit ``c`` of ``campaign``), exactly as ``_classify``
-    finds it on a whole-trace run; and the ``_eval_edges`` calls and lanes
-    spent. Flips of a net whose route ends at a stem share its outcome at
-    each cycle at which they show.
+    finds it on a whole-trace run. The ``_eval_edges`` calls and lanes spent
+    go into ``stats`` as ``settle_passes`` and ``settle_lanes``. Flips of a
+    net whose route ends at a stem share its outcome at each cycle at which
+    they show.
 
     The outcome is ``[detected, masked, masked_corrupt, pooled, hijacked,
     hijacks]``: five masks of cycles and, per hijacked cycle, its
@@ -711,13 +732,14 @@ def _settle_flips(
                 out[5].update((c, (c, x)) for c in _set_bits(cycles))
 
     lanes = _fill(comp, memo, [key for _, _, key, _ in pending])
+    stats.update(settle_passes=-(-lanes // _POOL_LANES), settle_lanes=lanes)
     for out, dirty, key, cycles in pending:
         c = (cycles & -cycles).bit_length() - 1
         k, x = classify(c + 1, *memo[key], dirty)
         out[k] |= cycles
         if k == 4:
             out[5].update((c, (c + 1, x)) for c in _set_bits(cycles))
-    return outcomes, -(-lanes // _POOL_LANES), lanes
+    return outcomes
 
 
 def _run_pool(
@@ -726,7 +748,7 @@ def _run_pool(
     golden: Sequence[Tuple[int, int, int]],
     golden_states: Sequence[str],
     codes: CodeBook,
-    spent: List[int],
+    stats: Dict[str, float],
     experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...], int]],
 ) -> Iterator[Tuple[object, str, Optional[Tuple[int, str]]]]:
     """Classify each experiment as ``_classify`` does on a whole-trace run;
@@ -752,8 +774,9 @@ def _run_pool(
     by offset so that input bits and golden words are packed per group. A
     step is one ``_run_ops`` pass over all ``_POOL_LANES`` lanes, whose cost
     hardly grows with the width up to about a thousand lanes, so a wide pool
-    takes fewer steps. ``spent`` counts the lanes entered, an experiment
-    queued again entering once more, and the steps taken.
+    takes fewer steps. Once the pool is empty, ``stats`` gets the lanes
+    entered, an experiment queued again entering once more, as
+    ``pool_lanes``, and the steps taken as ``pool_steps``.
 
     A lane retires once its outcome is fixed: detected or hijacked; at the
     end of the trace; or, once the run of consecutive mask cycles it entered
@@ -805,7 +828,7 @@ def _run_pool(
     due: Dict[int, List[Tuple[int, int, int, int]]] = {}  # step -> (lane, gen, net or -1 to release, effect)
     stuck: Dict[int, List[int]] = {}  # net -> [clear, set] lanes
     active = quiet = corrupt = 0
-    step = 0
+    step = entered = 0
     while True:
         entering: Dict[int, int] = {}  # entry cycle -> lanes
         carried = held = 0  # entering lanes already corrupt; with a release to come
@@ -843,10 +866,11 @@ def _run_pool(
                 due.setdefault(step + (run ^ run + 1).bit_length() - 2, []).append((lane, gen[lane], -1, 0))
                 held |= bit
         if not active and not entering:
+            stats.update(pool_lanes=entered, pool_steps=step)
             return
         if entering:
             incoming = sum(entering.values())  # the entry cycles' lanes are disjoint
-            spent[0] += incoming.bit_count()
+            entered += incoming.bit_count()
             keep = full ^ incoming
             st = [v & keep for v in st]
             for c0, lanes in entering.items():
@@ -891,7 +915,6 @@ def _run_pool(
                 for j in flop_ones[c + 1]:
                     golden_next[j] |= lanes
         _run_ops(ops, values, full, masks)
-        spent[1] += 1
         st = [values[d] & full for d, _, _ in flops]
 
         alert = 0
@@ -983,26 +1006,19 @@ def run_campaign(
     flip; a multi-fault experiment takes a lane of its own. A witness is
     built only for a hijack, one per member.
 
-    The gate passes of the golden run, the screen, the settling and the
-    pool are logged on the ``fsmguard`` logger. Experiments are independent
-    and witnesses are listed in enumeration order, so reports do not depend
-    on the pool width.
+    The gate passes, lanes and timings of the golden run, the screen, the
+    settling and the pool, and the experiments that each path settled, go
+    into one dict of the ``_STATS`` keys, logged as one INFO record
+    ``campaign: {json}`` on the ``fsmguard`` logger; the report holds none
+    of them. Experiments are independent and witnesses are listed in
+    enumeration order, so reports do not depend on the pool width.
     """
-    theo = _theoretical_p(netlist)
     t0 = time.perf_counter()
+    stats: Dict[str, float] = dict.fromkeys(_STATS, 0)
+    theo = _theoretical_p(netlist)
     memo: Dict[int, Tuple[int, int, int]] = {}
-    golden, calls, lanes = _golden(netlist, golden_words, [w for _, w in codes.entries], memo)
+    golden = _golden(netlist, golden_words, [w for _, w in codes.entries], stats, memo)
     golden_states = [decode_exact(codes, w) for _, w, _ in golden]
-    # importing logging costs about 8 ms and 0.6 MB, so it is used only once
-    # the application has loaded it: before that, no handler is configured
-    # that could emit an INFO record
-    logging = sys.modules.get("logging")
-    log = logging.getLogger("fsmguard") if logging is not None else None
-    if log is not None:
-        log.info(
-            "golden run: %d cycles in %d evaluations (%d lanes), %.3f s",
-            len(golden), calls, lanes, time.perf_counter() - t0,
-        )
     if any(alert for _, _, alert in golden):
         raise CampaignError("golden run already raises the alert; configuration bug")
     if any(s is None for s in golden_states):
@@ -1044,21 +1060,13 @@ def run_campaign(
 
     stream = _enumerate_experiments(n_atoms, spec)  # checks the exhaustive bound before the screen
     single = spec.max_simultaneous_faults == 1
-    t0 = time.perf_counter()
-    active, nets, stems, screen_calls, screen_lanes = _activity(
-        comp, golden, golden_words, spec, site_nets, n_atoms, atom
-    )
-    screen_s = time.perf_counter() - t0
+    active = _activity(comp, golden, golden_words, spec, site_nets, n_atoms, atom, stats)
     campaign = sum(1 << c for c in cycles)
     flips: Dict[int, List] = {}  # stem -> outcome of its single flips
-    settle_calls = settle_lanes = 0
     if active is not None and single and "flip" in spec.effects:
-        flips, settle_calls, settle_lanes = _settle_flips(
-            comp, active, golden, golden_states, golden_words, codes, memo, campaign
-        )
+        flips = _settle_flips(comp, active, golden, golden_states, golden_words, codes, memo, campaign, stats)
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     hijacks: List[Tuple[int, HijackWitness]] = []
-    idle = shared = settled = pooled = stuck_settled = 0
 
     def witness(i: int, e: Tuple[int, ...], cyc: int, sym: str) -> None:
         hijacks.append((i, HijackWitness(tuple(map(fault_site, e)), cyc, sym, golden_states[cyc])))
@@ -1070,8 +1078,9 @@ def run_campaign(
         """The pool's lanes of a single-fault campaign, from ``(net, effect,
         onsets, first, offset)`` items: the fault of ``net`` with ``effect``
         at each cycle ``c`` of the mask ``onsets`` is atom ``first +
-        position[c]``, and its experiment index is ``offset`` more."""
-        nonlocal idle, shared, settled, pooled, stuck_settled
+        position[c]``, and its experiment index is ``offset`` more. Its
+        counts go into ``stats`` once the items are spent."""
+        idle = shared = settled = pooled = stuck_settled = 0
         cone = comp.out_cone if flips else ()
         for net, effect, onsets, first, offset in items:
             if not effect:
@@ -1129,10 +1138,12 @@ def run_campaign(
                 shared += n - 1
                 yield members, ((net, effect, c1),), m
             idle += rest.bit_count()
+        stats.update(settled_without_lane=idle, shared_lane=shared, flips_settled=settled)
+        stats.update(flips_pooled=pooled, stuck_settled=stuck_settled)
 
     def draws() -> Iterator[Lane]:
         """The pool's lanes of a multi-fault campaign, one experiment each."""
-        nonlocal idle
+        idle = 0
         for i, e in enumerate(stream):
             faults = tuple(map(atom, e))
             mask = 0
@@ -1142,6 +1153,7 @@ def run_campaign(
                 yield [(i, e)], faults, mask
             else:
                 idle += 1
+        stats["settled_without_lane"] = idle
 
     if not single:
         experiments = draws()
@@ -1163,26 +1175,23 @@ def run_campaign(
                 yield site_nets[site], effect, mask, a - k, i - a
 
         experiments = single_faults(drawn())
-    spent = [0, 0]  # lanes entered and steps taken by the pool
-    for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, spent, experiments):
+    for members, cls, info in _run_pool(comp, golden_words, golden, golden_states, codes, stats, experiments):
         counts[cls] += len(members)
         if cls == "hijack":
             for i, e in members:
                 witness(i, e, *info)
-    counts["masked"] += idle
-    if log is not None:
-        log.info(
-            "screen: %d nets, %d stems in %d evaluations (%d lanes), %.3f s; "
-            "%d experiments settled without a lane, %d shared a lane",
-            nets, stems, screen_calls, screen_lanes, screen_s, idle, shared,
-        )
-        log.info(
-            "pool: %d lanes in %d steps; %d flips settled per edge in %d evaluations "
-            "(%d lanes), %d flips entered the pool; %d stuck-at experiments settled per edge",
-            *spent, settled, settle_calls, settle_lanes, pooled, stuck_settled,
-        )
+    counts["masked"] += stats["settled_without_lane"]
 
     total = sum(counts.values())
+    wall = time.perf_counter() - t0
+    stats.update(experiments=total, wall_s=wall, experiments_per_s=total / wall if wall else 0.0)
+    # importing logging costs about 8 ms and 0.6 MB, so it is used only once
+    # the application has loaded it: before that, no handler is configured
+    # that could emit an INFO record
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger("fsmguard")
+    if log and log.isEnabledFor(logging.INFO):
+        log.info("campaign: %s", json.dumps(stats, sort_keys=True))
     hijack = counts["hijack"]
     sampled = spec.mode == "sampled" and total
     return FaultCampaignReport(

@@ -204,13 +204,20 @@ def parse_fsm(source: str, format: str = "json") -> FsmSpec:
 
 
 def _int_field(value: object, where: str) -> int:
-    # int() alone would also truncate a float such as 1.5 to 1
-    if isinstance(value, (int, str)):
+    # int() alone would also truncate a float such as 1.5 to 1, and read true as 1
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
             pass
     raise FsmParseError(f"{where} is not an integer: {value!r}")
+
+
+def _str_field(value: object, where: str) -> str:
+    # a list would fail later as an unhashable state, a number as a Verilog name
+    if isinstance(value, str):
+        return value
+    raise FsmParseError(f"{where} is not a string: {value!r}")
 
 
 def _parse_json(source: str) -> FsmSpec:
@@ -223,7 +230,7 @@ def _parse_json(source: str) -> FsmSpec:
 
     def signals(key: str) -> Tuple[Signal, ...]:
         return tuple(
-            Signal(s["name"], _int_field(s.get("width", 1), f"{key}[{i}].width"))
+            Signal(_str_field(s["name"], f"{key}[{i}].name"), _int_field(s.get("width", 1), f"{key}[{i}].width"))
             for i, s in enumerate(doc.get(key, []))
         )
 
@@ -232,14 +239,17 @@ def _parse_json(source: str) -> FsmSpec:
 
     try:
         name = doc.get("name", "fsm")
-        states = tuple(doc["states"])
-        reset = doc["reset"]
+        if not isinstance(doc["states"], list):  # tuple() would split a string into states
+            raise FsmParseError(f"states is not a list: {doc['states']!r}")
+        states = tuple(_str_field(s, f"states[{i}]") for i, s in enumerate(doc["states"]))
+        reset = _str_field(doc["reset"], "reset")
         inputs, outputs = signals("inputs"), signals("outputs")
         transitions = []
         for i, t in enumerate(doc.get("transitions", [])):
             guard = values(t.get("guard", {}), f"transitions[{i}].guard")
             outs = values(t.get("outputs", {}), f"transitions[{i}].outputs")
-            transitions.append(Transition(t["from"], guard, t["to"], outs))
+            src, dst = (_str_field(t[end], f"transitions[{i}].{end}") for end in ("from", "to"))
+            transitions.append(Transition(src, guard, dst, outs))
         state_outputs = tuple(
             (s, values(vals, f"state_outputs.{s}")) for s, vals in doc.get("state_outputs", {}).items()
         )

@@ -440,8 +440,9 @@ def build_hardened_netlist(
 def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
     """Full hardening pipeline: codebooks, layout, modifiers, netlist.
 
-    The stage timings and counts go to one INFO line on the ``fsmguard``
-    logger, not into the report, whose bytes depend on the inputs alone.
+    The stage timings and counts go to one INFO record ``harden: {json}``
+    on the ``fsmguard`` logger, not into the report, whose bytes depend on
+    the inputs alone.
     """
     import sys
     import time
@@ -475,12 +476,11 @@ def harden(fsm: FsmSpec, cfg: HardeningConfig) -> HardenedDesign:
     t.append(time.perf_counter())
     # logging is looked up, not imported: see run_campaign
     logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("fsmguard").info(
-            "harden: %d edges, 1 elimination, %d gates; codebooks %.3f s, modifiers %.3f s, "
-            "netlist build %.3f s, validate %.3f s",
-            len(plans), len(nl.gates), *(b - a for a, b in zip(t, t[1:])),
-        )
+    log = logging and logging.getLogger("fsmguard")
+    if log and log.isEnabledFor(logging.INFO):
+        stages = zip(("codebooks_s", "modifiers_s", "build_s", "validate_s"), (b - a for a, b in zip(t, t[1:])))
+        record = dict(stages, edges=len(plans), eliminations=1, gates=len(nl.gates))
+        log.info("harden: %s", json.dumps(record, sort_keys=True))
     if fsm.outputs:
         # netlist.v declares ports, nets and each flop's q_r register in one namespace
         taken = set(nl.nets()).union(f"{f.q}_r" for f in nl.flops)

@@ -5,6 +5,14 @@ import pytest
 
 import fsmguard as fg
 
+def log_record(caplog, name):
+    """The JSON record of the one ``name: {json}`` message logged since
+    ``caplog`` was last cleared."""
+    prefix = f"{name}: "
+    (record,) = [json.loads(m[len(prefix) :]) for m in caplog.messages if m.startswith(prefix)]
+    return record
+
+
 FIG2_DOC = {
     "name": "fig2",
     "states": ["S0", "S1", "S2", "S3"],

@@ -11,7 +11,7 @@ import pytest
 import fsmguard
 from fsmguard import cli
 from fsmguard import netlist as nl_mod
-from tests.conftest import REF14_DOC, TOGGLE_DOC
+from tests.conftest import REF14_DOC, TOGGLE_DOC, log_record
 from tests.test_faults import PORT_DEFECTS, break_ports
 
 
@@ -57,8 +57,13 @@ def test_harden_bad_fsm(tmp_path):
     [
         ([REF14_DOC], "the FSM document is a JSON list, not an object"),
         ({**REF14_DOC, "inputs": [{"name": "a", "width": "two"}]}, "inputs[0].width is not an integer"),
+        # each of these hardened a wrong FSM or escaped as a TypeError traceback
+        ({**REF14_DOC, "states": "AB"}, "FSM error: states is not a list: 'AB'"),
+        ({**REF14_DOC, "states": ["S0", ["S1"]]}, "FSM error: states[1] is not a string: ['S1']"),
+        ({**REF14_DOC, "states": [1, 2]}, "FSM error: states[0] is not a string: 1"),
+        ({**REF14_DOC, "inputs": [{"name": "a", "width": True}]}, "FSM error: inputs[0].width is not an integer: True"),
     ],
-    ids=["top-level-list", "input-width"],
+    ids=["top-level-list", "input-width", "states-string", "nested-state", "numeric-states", "bool-width"],
 )
 def test_harden_malformed_fsm_located(tmp_path, caplog, doc, where):
     p = tmp_path / "bad.json"
@@ -324,7 +329,9 @@ def test_inject_logs_throughput_not_in_report(hardened_dir, tmp_path, caplog):
     argv = ["inject", "--netlist", str(hardened_dir / "netlist.json"), "--scope", "inputs"]
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
     total = json.loads(out.read_text())["totals"]["total"]
-    assert re.search(rf"campaign: {total} experiments in \d+\.\d{{3}} s \(\d+/s\)", caplog.text)
+    record = log_record(caplog, "campaign")
+    assert record["experiments"] == total > 0
+    assert record["experiments_per_s"] == pytest.approx(total / record["wall_s"])
     first = out.read_bytes()
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
     assert out.read_bytes() == first

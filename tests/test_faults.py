@@ -4,8 +4,8 @@ import json
 import logging
 import math
 import random
-import re
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -16,7 +16,7 @@ import fsmguard as fg
 from fsmguard import faults as fe
 from fsmguard.coding import CodeBook, decode_exact
 from fsmguard.netlist import FaultSite, Netlist, enumerate_fault_sites, simulate_batch
-from tests.conftest import bigm_doc
+from tests.conftest import bigm_doc, log_record
 from tests.strategies import random_fsms
 
 
@@ -574,9 +574,20 @@ def test_activity_tables_are_sized_from_the_lookup_bound(design_n2):
         assert built.call_args.args[4] == lookups, fields
 
 
+# the screen's counts in a campaign's record: nets screened, stems simulated,
+# and the _run_ops calls and lanes of the golden values and the screen
+SCREEN_KEYS = ("screen_nets", "screen_stems", "screen_passes", "screen_lanes")
+
+
+def _record(caplog, *keys):
+    """The values of ``keys`` in the one campaign record in ``caplog``."""
+    record = log_record(caplog, "campaign")
+    return tuple(record[key] for key in keys)
+
+
 def _edge_keys(netlist, words):
     """The (flop state, x_e word) key of every golden cycle, settle cycle included."""
-    golden, _, _ = fe._golden(netlist, words, ())
+    golden = fe._golden(netlist, words, (), {})
     width = len(netlist._compile().out_bits["x_e"])
     return [q << width | x for (q, _, _), x in zip(golden, (*words, 0))]
 
@@ -615,7 +626,7 @@ def _check_screen_of_every_net(netlist, words):
     the nets read twice or more that are not observed. Every screen call
     is as wide as its blocks, one lane per edge for each stem it flips."""
     comp = netlist._compile()
-    golden, _, _ = fe._golden(netlist, words, ())
+    golden = fe._golden(netlist, words, (), {})
     keys = _edge_keys(netlist, words)
     ones = fe._eval_edges(comp, keys)  # per net, the cycles at which it is 1
     every = (1 << len(keys)) - 1
@@ -632,10 +643,10 @@ def _check_screen_of_every_net(netlist, words):
             blocks.append((len(masks) - 1, full.bit_length()))
             run_ops(ops, values, full, masks)
 
+        stats = {}
         with mock.patch.object(fe, "_SCREEN_LANES", lanes_per_call), mock.patch.object(fe, "_run_ops", counted):
-            active, screened, stems, calls, lanes = fe._activity(
-                comp, golden, words, spec, nets, 0, None
-            )
+            active = fe._activity(comp, golden, words, spec, nets, 0, None, stats)
+        screened, stems, calls, lanes = (stats[key] for key in SCREEN_KEYS)
         per_call = max(1, lanes_per_call // edges)
         assert (screened, stems) == (len(nets), n_stems)
         assert (calls, lanes) == (1 + -(-stems // per_call), (1 + stems) * edges)
@@ -662,7 +673,9 @@ def test_flip_only_campaign_skips_the_screen(design_n2, faults):
         scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=faults
     )
     want = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
-    _, golden_calls, _ = fe._golden(netlist, words, [w for _, w in codes.entries])
+    stats = {}
+    fe._golden(netlist, words, [w for _, w in codes.entries], stats)
+    golden_calls = stats["golden_passes"]
     for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1 if faults > 1 else 2)):
         evals = mock.Mock(wraps=fe._eval_edges)
         screen = mock.Mock(wraps=fe._screen)
@@ -672,22 +685,6 @@ def test_flip_only_campaign_skips_the_screen(design_n2, faults):
         assert screen.call_count == (1 if passes and faults == 1 else 0)
         if not passes:
             assert got.to_json_dict() == want
-
-
-def _settle_log(caplog):
-    """(flips settled per edge, flips that entered the pool) of the pool's log line."""
-    found = re.search(
-        r"(\d+) flips settled per edge in \d+ evaluations \(\d+ lanes\), (\d+) flips entered the pool", caplog.text
-    )
-    return tuple(map(int, found.groups()))
-
-
-def _screen_log(caplog):
-    """(nets, stems, evaluations, lanes) of the screen's log line."""
-    found = re.search(
-        r"screen: (\d+) nets, (\d+) stems in (\d+) evaluations \((\d+) lanes\)", caplog.text
-    )
-    return tuple(map(int, found.groups()))
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 256])
@@ -713,7 +710,8 @@ def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lan
             doc = fe.run_campaign(netlist, words, spec, codes).to_json_dict()
         assert (doc["totals"], doc["witnesses"]) == (totals, witnesses)
         per_call = max(1, screen_lanes // edges)
-        assert _screen_log(caplog) == (len(nets), stems, 1 + math.ceil(stems / per_call), (1 + stems) * edges)
+        want = (len(nets), stems, 1 + math.ceil(stems / per_call), (1 + stems) * edges)
+        assert _record(caplog, *SCREEN_KEYS) == want
 
 
 def test_screen_flips_only_fanout_stems(design_n2):
@@ -731,8 +729,10 @@ def test_screen_flips_only_fanout_stems(design_n2):
         runs.append((len(ops), [net for _, net, _, _, _ in masks[:-1]]))
         run_ops(ops, values, full, masks)
 
+    stats = Counter()
     with mock.patch.object(fe, "_run_ops", counted):
-        _, _, stems, calls, lanes = fe._screen(comp, values, len(keys), nets)
+        fe._screen(comp, values, len(keys), nets, stats)
+    stems, calls, lanes = (stats[key] for key in SCREEN_KEYS[1:])
     flipped = [net for _, picked in runs for net in picked]
     assert sorted(flipped) == sorted(_stems(netlist, nets))
     assert len(flipped) == stems < len(nets)
@@ -755,10 +755,11 @@ def test_screen_covers_the_drawn_nets_only(design_n2, caplog):
     screen = mock.Mock(wraps=fe._screen)
     with mock.patch.object(fe, "_screen", screen):
         fe.run_campaign(netlist, words, spec, codes)
-    (comp, _, _, nets), _ = screen.call_args
+    (comp, _, _, nets, _), _ = screen.call_args
     assert screen.call_count == 1
     assert sorted(nets) == sorted(comp.index[site] for site in drawn)
-    assert _screen_log(caplog)[0] == len(drawn) < len(enumerate_fault_sites(netlist, spec.scope))
+    assert _record(caplog, "screen_nets") == (len(drawn),)
+    assert len(drawn) < len(enumerate_fault_sites(netlist, spec.scope))
 
     # several faults use no screen, and the stream is drawn once, not twice
     caplog.clear()
@@ -770,7 +771,7 @@ def test_screen_covers_the_drawn_nets_only(design_n2, caplog):
     screen.assert_not_called()
     assert stream.call_count == 1
     # only the golden net values, one pass
-    assert _screen_log(caplog)[:3] == (0, 0, 1)
+    assert _record(caplog, *SCREEN_KEYS[:3]) == (0, 0, 1)
 
 
 def _pool_entries(netlist, words, spec, codes, lanes=fe._POOL_LANES):
@@ -836,8 +837,8 @@ def test_equal_stuck_at_experiments_share_a_lane(request, case, lanes, caplog):
                     keys.append((net, effect, mask))
     runs = sum(1 for i, key in enumerate(keys) if not i or keys[i - 1] != key)
     assert len(entered) == runs < len(keys)
-    found = re.search(r"(\d+) experiments settled without a lane, (\d+) shared a lane", caplog.text)
-    assert tuple(map(int, found.groups())) == (totals["total"] - len(keys), len(keys) - runs)
+    idle_shared = _record(caplog, "settled_without_lane", "shared_lane")
+    assert idle_shared == (totals["total"] - len(keys), len(keys) - runs)
 
     # a shared lane ends hijacked (design_n2) or silently corrupt (the register)
     ends = {cls for members, cls in outcomes if len(members) > 1}
@@ -865,14 +866,12 @@ def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
     activity, settle_flips = fe._activity, fe._settle_flips
 
     def screened(*args):
-        found = activity(*args)
-        kept.append(found[0])
-        return found
+        kept.append(activity(*args))
+        return kept[-1]
 
     def settle(*args):
-        found = settle_flips(*args)
-        kept.append(found[0])
-        return found
+        kept.append(settle_flips(*args))
+        return kept[-1]
 
     with mock.patch.object(fe, "_activity", screened), mock.patch.object(fe, "_settle_flips", settle):
         report, entered, _ = _pool_entries(netlist, words, spec, codes)
@@ -888,11 +887,9 @@ def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
         settled += [(net, c) for c in range(len(words)) if ended >> c & 1]
     pooled = [(net, c) for _, ((net, effect, c),), _ in entered if not effect]
     assert sorted(settled + pooled) == sorted(want) and not pooled
-    assert _settle_log(caplog) == (len(settled), 0)
+    assert _record(caplog, "flips_settled", "flips_pooled") == (len(settled), 0)
     assert 0 < len(want) < len(nets) * len(words)
-    found = re.search(r"(\d+) experiments settled without a lane, (\d+) shared a lane", caplog.text)
-    idle, shared = map(int, found.groups())
-    stuck = int(re.search(r"(\d+) stuck-at experiments settled per edge", caplog.text).group(1))
+    idle, shared, stuck = _record(caplog, "settled_without_lane", "shared_lane", "stuck_settled")
     assert idle + shared + len(settled) + stuck + len(entered) == report.total
     assert stuck > 0
     assert idle >= len(nets) * len(words) - len(want)
@@ -912,9 +909,8 @@ def test_sampled_single_faults_settle_per_edge(design_n2, caplog):
     totals, witnesses = reference_campaign(netlist, words, spec, codes)
     assert doc["totals"] == totals
     assert doc["witnesses"] == witnesses and witnesses
-    settled, pooled = _settle_log(caplog)
-    assert settled > 0 and pooled == 0
-    assert int(re.search(r"(\d+) stuck-at experiments settled per edge", caplog.text).group(1)) > 0
+    settled, pooled, stuck = _record(caplog, "flips_settled", "flips_pooled", "stuck_settled")
+    assert settled > 0 and pooled == 0 and stuck > 0
 
 
 def test_stuck_at_in_the_alert_cone_takes_a_lane(design_n2):
@@ -973,13 +969,15 @@ def test_golden_matches_simulate_batch_on_hardened_fsms(case, lanes):
     design, words, _, _ = case
     codes = design.state_codes
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        record, calls, used = fe._golden(design.netlist, words, [w for _, w in codes.entries])
+        stats = {}
+        record = fe._golden(design.netlist, words, [w for _, w in codes.entries], stats)
         states, alerts = fe.golden_run(design.netlist, words, codes)
     want = _lane0_record(design.netlist, words)
     assert record == want
     assert states == [decode_exact(codes, w) for _, w, _ in want]
     assert alerts == [a for _, _, a in want]
-    assert calls <= used <= calls * lanes
+    assert stats["golden_cycles"] == len(words) + 1
+    assert stats["golden_passes"] <= stats["golden_lanes"] <= stats["golden_passes"] * lanes
 
 
 @st.composite
@@ -1015,9 +1013,10 @@ def golden_netlists(draw):
 def test_golden_sim_matches_simulate_batch_on_random_netlists(case, lanes):
     n, words = case
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        record, calls, used = fe._golden(n, words, ())
+        stats = {}
+        record = fe._golden(n, words, (), stats)
     assert record == _lane0_record(n, words)
-    assert calls <= used <= calls * lanes
+    assert stats["golden_passes"] <= stats["golden_lanes"] <= stats["golden_passes"] * lanes
 
 
 @settings(max_examples=100, deadline=None)
@@ -1059,7 +1058,7 @@ def settled_flip_campaigns(draw):
     rewired.add_port("state_e", "out", n.port("state_e").bits)
     rewired.add_port("fsm_alert", "out", alert)
     rewired.validate()
-    golden = sorted({w for _, w, _ in fe._golden(rewired, words, ())[0]})
+    golden = sorted({w for _, w, _ in fe._golden(rewired, words, (), {})})
     others = [w for w in range(1 << width) if w not in golden]
     assume(others)
     extra = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
@@ -1091,6 +1090,53 @@ def test_flips_settled_per_edge_match_reference_on_random_netlists(case, lanes):
     _assert_pool_matches_reference(netlist, words, spec, codes, lanes)
 
 
+# every key of a campaign's record, whatever the campaign
+RECORD_KEYS = {
+    "golden_cycles", "golden_passes", "golden_lanes", "golden_s",
+    "screen_nets", "screen_stems", "screen_passes", "screen_lanes", "screen_s",
+    "settled_without_lane", "shared_lane",
+    "flips_settled", "settle_passes", "settle_lanes", "flips_pooled", "stuck_settled",
+    "pool_lanes", "pool_steps",
+    "experiments", "wall_s", "experiments_per_s",
+}
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much, HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.one_of(
+        small_campaigns().map(lambda c: (c[0].netlist, c[1], c[0].state_codes, *c[2:])),
+        st.tuples(settled_flip_campaigns(), st.sampled_from([1, 3, fe._POOL_LANES])).map(lambda c: (*c[0], c[1])),
+    )
+)
+def test_campaign_record_counts_every_experiment(caplog, case):
+    # an experiment settles without a lane, shares one, settles per edge or
+    # enters the pool, once or again at a later run of its mask: a single
+    # flip of a flip-only campaign enters exactly once. The screen takes a
+    # lane per distinct golden edge for the golden values, and one per
+    # (stem, edge) pair
+    netlist, words, codes, spec, lanes = case
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    caplog.clear()
+    with mock.patch.object(fe, "_POOL_LANES", lanes):
+        report = fe.run_campaign(netlist, words, spec, codes)
+    record = log_record(caplog, "campaign")
+    assert record.keys() == RECORD_KEYS
+    assert record["experiments"] == report.total
+    settled = ("settled_without_lane", "shared_lane", "flips_settled", "stuck_settled")
+    entered = report.total - sum(record[key] for key in settled)
+    if spec.effects == ("flip",) and spec.max_simultaneous_faults == 1:
+        assert record["pool_lanes"] == entered == report.total
+    else:
+        assert record["pool_lanes"] >= entered
+    if spec.effects != ("flip",):
+        edges = len(set(_edge_keys(netlist, words)))
+        assert record["screen_lanes"] == (record["screen_stems"] + 1) * edges
+
+
 @pytest.mark.parametrize("effect", ["stuck0", "stuck1"])
 def test_flips_corrupt_past_the_next_cycle_fall_through_to_the_pool(effect, caplog):
     # a flipped register bit stays off golden, undetected, until the next
@@ -1099,7 +1145,7 @@ def test_flips_corrupt_past_the_next_cycle_fall_through_to_the_pool(effect, capl
     netlist, words, codes = _alert_free_register()
     spec = fe.CampaignSpec(scope="all", effects=("flip", effect))
     totals = _assert_pool_matches_reference(netlist, words, spec, codes, fe._POOL_LANES)
-    settled, pooled = _settle_log(caplog)
+    settled, pooled = _record(caplog, "flips_settled", "flips_pooled")
     assert settled > 0 and pooled > 0 and totals["masked_corrupt"] > 0
 
 
@@ -1130,10 +1176,11 @@ def test_golden_sim_counter_that_never_repeats(lanes):
     n = _counter(9, port="x_e")
     words = [1 | (c % 4) << 1 for c in range(300)]
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        record, calls, used = fe._golden(n, words, ())
+        stats = {}
+        record = fe._golden(n, words, (), stats)
     assert record == _lane0_record(n, words)
-    assert calls == len(words) + 1
-    assert used == calls * min(lanes, 5)
+    assert stats["golden_passes"] == len(words) + 1
+    assert stats["golden_lanes"] == stats["golden_passes"] * min(lanes, 5)
 
 
 @pytest.mark.parametrize("lanes, calls, used", [(3, 15, 43), (8, 10, 50), (256, 5, 50)])
@@ -1143,9 +1190,10 @@ def test_golden_sim_fills_each_pass_from_the_queue(design_n2, lanes, calls, used
     # for each of the 5 flop states the walk finds, under all 10 words
     words = _autocover(design_n2)
     with mock.patch.object(fe, "_POOL_LANES", lanes):
-        record, got_calls, got_used = fe._golden(design_n2.netlist, words, ())
+        stats = {}
+        record = fe._golden(design_n2.netlist, words, (), stats)
     assert record == _lane0_record(design_n2.netlist, words)
-    assert (got_calls, got_used) == (calls, used)
+    assert (stats["golden_passes"], stats["golden_lanes"]) == (calls, used)
 
 
 @pytest.mark.parametrize("name", ["fig2_design", "design_n2"])
@@ -1157,13 +1205,15 @@ def test_golden_walk_seeded_from_the_codebook(request, name):
     design = request.getfixturevalue(name)
     netlist, words = design.netlist, _autocover(design)
     codewords = [w for _, w in design.state_codes.entries]
-    seeded, calls, used = fe._golden(netlist, words, codewords)
-    unseeded, unseeded_calls, _ = fe._golden(netlist, words, ())
+    stats, unseeded_stats = {}, {}
+    seeded = fe._golden(netlist, words, codewords, stats)
+    unseeded = fe._golden(netlist, words, (), unseeded_stats)
     assert seeded == unseeded == _lane0_record(netlist, words)
+    calls, unseeded_calls = stats["golden_passes"], unseeded_stats["golden_passes"]
     assert calls <= unseeded_calls
     if name == "design_n2":
         assert (calls, unseeded_calls) == (1, 5)
-        assert used == len(set(codewords)) * len(set(words) | {0})
+        assert stats["golden_lanes"] == len(set(codewords)) * len(set(words) | {0})
 
 
 def test_golden_walk_that_leaves_the_codebook(design_n2):
@@ -1173,11 +1223,12 @@ def test_golden_walk_that_leaves_the_codebook(design_n2):
     words = _autocover(design_n2)
     words = words[:5] + [0] + words[5:]
     codewords = [w for _, w in design_n2.state_codes.entries]
-    record, calls, used = fe._golden(design_n2.netlist, words, codewords)
+    stats = {}
+    record = fe._golden(design_n2.netlist, words, codewords, stats)
     assert record == _lane0_record(design_n2.netlist, words)
     assert design_n2.state_codes.error_codeword in {w for _, w, _ in record}
     assert record[-1][2] and not record[0][2]
-    assert (calls, used) == (2, 70)
+    assert (stats["golden_passes"], stats["golden_lanes"]) == (2, 70)
 
 
 def test_golden_run_evaluates_each_transition_once():
@@ -1196,27 +1247,17 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     caplog.set_level(logging.INFO, logger="fsmguard")
     spec = fe.CampaignSpec(scope="inputs_only", cycles=(0,))
     rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    record = log_record(caplog, "campaign")
     cycles = len(_autocover(design_n2)) + 1
-    assert re.search(
-        rf"golden run: {cycles} cycles in \d+ evaluations \(\d+ lanes\), \d+\.\d{{3}} s", caplog.text
-    )
-    assert re.search(
-        r"screen: 0 nets, 0 stems in 0 evaluations \(0 lanes\), 0\.000 s; "
-        r"0 experiments settled without a lane, 0 shared a lane",
-        caplog.text,
-    )
-    # every single flip takes one lane
-    pool_lanes, steps = map(int, re.search(r"pool: (\d+) lanes in (\d+) steps", caplog.text).groups())
-    assert pool_lanes == rep.total and steps > 0
+    assert record["golden_cycles"] == cycles and record["golden_passes"] > 0 and record["golden_s"] > 0
+    # a flip-only campaign has no screen, and every single flip takes one lane
+    assert [record[key] for key in (*SCREEN_KEYS, "screen_s", "settled_without_lane", "shared_lane")] == [0] * 7
+    assert record["pool_lanes"] == record["experiments"] == rep.total and record["pool_steps"] > 0
+    assert record["experiments_per_s"] == pytest.approx(rep.total / record["wall_s"])
     caplog.clear()
     spec = fe.CampaignSpec(scope="inputs_only", effects=("stuck0", "stuck1"))
     rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
-    found = re.search(
-        r"screen: (\d+) nets, (\d+) stems in (\d+) evaluations \((\d+) lanes\), \d+\.\d{3} s; "
-        r"(\d+) experiments settled without a lane, (\d+) shared a lane",
-        caplog.text,
-    )
-    nets, stems, calls, lanes, idle, shared = map(int, found.groups())
+    nets, stems, calls, lanes, idle, shared = _record(caplog, *SCREEN_KEYS, "settled_without_lane", "shared_lane")
     comp = design_n2.netlist._compile()
     sites = [comp.index[site] for site in enumerate_fault_sites(design_n2.netlist, spec.scope)]
     assert nets == rep.metadata["sites"] and stems == len(_stems(design_n2.netlist, sites))
@@ -1227,7 +1268,7 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
     assert 0 < shared < rep.total - idle
     # each experiment that was neither settled nor shared enters a lane at
     # least once, and again at each later run of its mask
-    pool_lanes, steps = map(int, re.search(r"pool: (\d+) lanes in (\d+) steps", caplog.text).groups())
+    pool_lanes, steps = _record(caplog, "pool_lanes", "pool_steps")
     assert pool_lanes >= rep.total - idle - shared and steps > 0
 
 
@@ -1256,8 +1297,7 @@ def test_pool_lanes_and_steps_are_pinned(design_n2, caplog, scope, effects, faul
         scope=scope, effects=effects, max_simultaneous_faults=faults, mode="sampled", sample_count=300, seed=5
     )
     _assert_pool_matches_reference(netlist, words, spec, codes, lanes)
-    found = re.search(r"pool: (\d+) lanes in (\d+) steps", caplog.text)
-    assert tuple(map(int, found.groups())) == pool
+    assert _record(caplog, "pool_lanes", "pool_steps") == pool
 
 
 # -- inputs the campaign must refuse ----------------------------------------------

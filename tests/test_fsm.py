@@ -108,8 +108,23 @@ def _with(doc, path, value):
         (_with(FIG2_DOC, ["transitions", 2, "guard", "x2"], "on"), r"transitions\[2\]\.guard\.x2 is not an integer: 'on'"),
         (_with(FIG2_DOC, ["transitions", 0, "guard", "x0"], 1.5), r"transitions\[0\]\.guard\.x0 is not an integer: 1\.5"),
         ([FIG2_DOC], "the FSM document is a JSON list, not an object"),
+        # a string is no list of states, though tuple() would split it into states
+        (_with(FIG2_DOC, ["states"], "AB"), "states is not a list: 'AB'"),
+        (_with(FIG2_DOC, ["states", 1], ["S1"]), r"states\[1\] is not a string: \['S1'\]"),
+        (_with(FIG2_DOC, ["states"], [1, 2]), r"states\[0\] is not a string: 1"),
+        (_with(FIG2_DOC, ["reset"], ["S0"]), r"reset is not a string: \['S0'\]"),
+        (_with(FIG2_DOC, ["inputs", 0, "name"], 0), r"inputs\[0\]\.name is not a string: 0"),
+        (_with(FIG2_DOC, ["transitions", 1, "to"], ["S2"]), r"transitions\[1\]\.to is not a string: \['S2'\]"),
+        (_with(FIG2_DOC, ["transitions", 0, "from"], 0), r"transitions\[0\]\.from is not a string: 0"),
+        # bool is an int subclass, so int() would read true as 1
+        (_with(FIG2_DOC, ["inputs", 1, "width"], True), r"inputs\[1\]\.width is not an integer: True"),
+        (_with(FIG2_DOC, ["transitions", 2, "guard", "x2"], True), r"transitions\[2\]\.guard\.x2 is not an integer: True"),
     ],
-    ids=["input-width", "output-width", "guard-value", "fractional-guard-value", "top-level-list"],
+    ids=[
+        "input-width", "output-width", "guard-value", "fractional-guard-value", "top-level-list",
+        "states-string", "nested-state", "numeric-states", "reset-list", "numeric-input-name",
+        "list-endpoint", "numeric-endpoint", "bool-width", "bool-guard-value",
+    ],
 )
 def test_json_bad_values_located(doc, message):
     with pytest.raises(fg.FsmParseError, match=f"^{message}$"):
