@@ -57,8 +57,7 @@ def cmd_harden(args: argparse.Namespace) -> int:
         log.error("FSM error: %s", exc)
         return EXIT_FAIL
     try:
-        cfg = HardeningConfig(protection_level=args.level, seed=args.seed)
-        design = harden(fsm, cfg)
+        design = harden(fsm, HardeningConfig(protection_level=args.level, seed=args.seed))
     except HardeningError as exc:
         log.error("hardening failed: %s", exc)
         return EXIT_FAIL
@@ -78,14 +77,6 @@ def cmd_harden(args: argparse.Namespace) -> int:
     except OSError as exc:
         log.error("cannot write %s: %s", out, exc)
         return EXIT_IO
-    log.info(
-        "hardened %s: N=%d k=%d e=%d, %d gates",
-        fsm.name,
-        cfg.protection_level,
-        design.layout.k,
-        design.layout.error_bits,
-        len(design.netlist.gates),
-    )
     print(f"wrote netlist.json, netlist.v, codebook.json, hardening_report.json to {out}")
     return EXIT_OK
 

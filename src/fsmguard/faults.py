@@ -241,7 +241,6 @@ def _golden(
     words: Sequence[int],
     state_words: Sequence[int],
     stats: Dict[str, float],
-    memo: Optional[Dict[int, Tuple[int, int, int]]] = None,
 ) -> List[Tuple[int, int, int]]:
     """The fault-free run of ``words`` and a settle cycle: one ``(flop state,
     state_e word, fsm_alert)`` triple per cycle, bit ``j`` of the flop state
@@ -263,18 +262,16 @@ def _golden(
     word in those flops and the reset value in the others. A golden run
     that stays on valid codewords with the other flops at reset then takes
     one pass when those edges fit one.
-
-    Every evaluated edge goes into ``memo``, key -> (next flop state,
-    ``state_e`` word, ``fsm_alert``), when one is given.
     """
     t0 = time.perf_counter()
-    x_nets, state_nets, _ = _port_nets(netlist, words)
+    x_nets, state_nets, alert_nets = _port_nets(netlist, words)
     comp = netlist._compile()
     width = len(x_nets)
     walk = [*words, 0]  # the settle cycle shows the final register state and alert
     rows = list(dict.fromkeys(walk))
     state = sum(1 << j for j, (_, _, rv) in enumerate(comp.flops) if rv)
-    memo = {} if memo is None else memo
+    memo: Dict[int, Tuple[int, int, int]] = {}  # key -> (next flop state, state_e word, fsm_alert)
+    ports = ([d for d, _, _ in comp.flops], state_nets, alert_nets)
     expected: List[int] = []
     flop_of = {q: j for j, (_, q, _) in enumerate(comp.flops)}
     if all(net in flop_of for net in state_nets):
@@ -289,7 +286,12 @@ def _golden(
     for x in walk:
         key = state << width | x
         if key not in memo:
-            lanes += _fill(comp, memo, [key, *(state << width | r for r in rows), *expected], _POOL_LANES)
+            keys = dict.fromkeys([key, *(state << width | r for r in rows), *expected])
+            batch = [k for k in keys if k not in memo][:_POOL_LANES]
+            values = _eval_edges(comp, batch)
+            # each key's (flop d word, state_e word, fsm_alert), read from its lane
+            memo.update(zip(batch, zip(*(_transpose([values[i] for i in nets], len(batch)) for nets in ports))))
+            lanes += len(batch)
             calls += 1
         state_next, word, alert = memo[key]
         record.append((state, word, alert))
@@ -297,23 +299,6 @@ def _golden(
     stats.update(golden_cycles=len(record), golden_passes=calls, golden_lanes=lanes)
     stats["golden_s"] = time.perf_counter() - t0
     return record
-
-
-def _fill(
-    comp: _Compiled,
-    memo: Dict[int, Tuple[int, int, int]],
-    keys: Sequence[int],
-    limit: Optional[int] = None,
-) -> int:
-    """Evaluate each distinct key of ``keys`` that ``memo`` lacks, the first
-    ``limit`` of them when one is given, in passes of ``_POOL_LANES`` lanes,
-    into ``memo``: key -> (next flop state, ``state_e`` word, ``fsm_alert``).
-    Returns the lanes spent."""
-    missing = [k for k in dict.fromkeys(keys) if k not in memo][:limit]
-    for lo in range(0, len(missing), _POOL_LANES):
-        batch = missing[lo : lo + _POOL_LANES]
-        memo.update(zip(batch, _triples(comp, _eval_edges(comp, batch), len(batch))))
-    return len(missing)
 
 
 def _eval_edges(comp: _Compiled, keys: Sequence[int]) -> List[int]:
@@ -326,14 +311,6 @@ def _eval_edges(comp: _Compiled, keys: Sequence[int]) -> List[int]:
         values[net] = v
     _run_ops(comp.ops, values, (1 << len(keys)) - 1, [(len(comp.ops), 0, 0, 0, 0)])
     return values
-
-
-def _triples(comp: _Compiled, values: Sequence[int], lanes: int) -> List[Tuple[int, int, int]]:
-    """The (flop d word, ``state_e`` word, ``fsm_alert``) of each of the
-    ``lanes`` lanes of every net's ``values``; no net may hold a bit at or
-    above lane ``lanes``."""
-    ports = ([d for d, _, _ in comp.flops], comp.out_bits["state_e"], comp.out_bits["fsm_alert"])
-    return list(zip(*(_transpose([values[i] for i in nets], lanes) for nets in ports)))
 
 
 def _transpose(words: Sequence[int], width: int) -> List[int]:
@@ -418,13 +395,11 @@ def _lanes(mask: int) -> List[int]:
 
 
 def _screen(
-    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int], stats: Dict[str, float],
-    keep: bool = False,
-) -> Tuple[List[Tuple[int, int]], Dict[int, List[Tuple[int, int, int]]]]:
+    comp: _Compiled, golden_values: Sequence[int], n_edges: int, nets: Sequence[int], stats: Dict[str, float]
+) -> List[Tuple[int, int]]:
     """For each of ``nets``, its stem and the golden edges (bit ``e`` for
     edge ``e``) on which flipping the net changes a flop input, ``state_e``
-    or ``fsm_alert``; and the faulty observed values of each stem when
-    ``keep`` is set. The stems simulated go into ``stats`` as
+    or ``fsm_alert``. The stems simulated go into ``stats`` as
     ``screen_stems``, and the ``_run_ops`` calls and lanes spent add to its
     ``screen_passes`` and ``screen_lanes``.
 
@@ -439,20 +414,17 @@ def _screen(
     b)`` passes ``s`` where ``a != b``, ``a`` where ``s`` is 0 and ``b``
     where ``s`` is 1. The chain of such ops ends at a stem: an observed net
     shows on every edge, a net that no op reads shows on none, and a net
-    read twice or more, even by one op, is simulated, as is an observed
-    stem when ``keep`` is set. Where a net's flip shows, it gives exactly
-    the observed values that its stem's flip gives. The readers come from
-    ``comp.reader``, copied with every observed net marked as a stem.
+    read twice or more, even by one op, is simulated. Where a net's flip
+    shows, it gives exactly the observed values that its stem's flip gives,
+    so ``_settle_flips`` settles the flips of all the nets of a stem by
+    flipping the stem. The readers come from ``comp.reader``, copied with
+    every observed net marked as a stem.
 
     Each simulated stem has a block of ``n_edges`` lanes that start from
     the golden edges and flip it, and a call holds about ``_SCREEN_LANES``
     lanes and runs every op; the last call is only as wide as its blocks.
     Only the flop q and ``x_e`` nets need golden values replicated over the
     blocks: the ops compute every other net.
-
-    With ``keep``, each simulated stem maps to its faulty ``(flop d word,
-    state_e word, fsm_alert)`` on each golden edge, so every stem whose flip
-    shows anywhere has them.
     """
     ops, stop = comp.ops, comp.op_stop
     observed = [d for d, _, _ in comp.flops] + comp.out_bits["state_e"] + comp.out_bits["fsm_alert"]
@@ -485,7 +457,7 @@ def _screen(
                 mask &= block ^ (v[j] if net == i else v[i])
             link[net] = (stem, mask)
         routes.append((stem, mask))
-    stems = {stem for stem, _ in routes if (keep if stem in is_observed else reader[stem] == -2)}
+    stems = {stem for stem, _ in routes if stem not in is_observed and reader[stem] == -2}
     order = sorted(stems, key=stop.__getitem__)
 
     per_call = max(1, _SCREEN_LANES // n_edges)
@@ -493,7 +465,6 @@ def _screen(
     values = [0] * comp.n_nets
     end = (len(ops), 0, 0, 0, 0)
     stem_shown: Dict[int, int] = {}
-    faulty: Dict[int, List[Tuple[int, int, int]]] = {}
     full = 0
     for start in range(0, len(order), per_call):
         picked = order[start : start + per_call]
@@ -513,15 +484,10 @@ def _screen(
             changed |= values[net] ^ value
         for b, net in enumerate(picked):
             stem_shown[net] = changed >> b * n_edges & block
-        if keep:
-            triples = _triples(comp, values, width)
-            for b, net in enumerate(picked):
-                faulty[net] = triples[b * n_edges : (b + 1) * n_edges]
         stats["screen_passes"] += 1
         stats["screen_lanes"] += width
     stats["screen_stems"] = len(order)
-    found = [(stem, mask if stem in is_observed else mask & stem_shown.get(stem, 0)) for stem, mask in routes]
-    return found, faulty
+    return [(stem, mask if stem in is_observed else mask & stem_shown.get(stem, 0)) for stem, mask in routes]
 
 
 class _Activity:
@@ -533,10 +499,9 @@ class _Activity:
     ``edges`` maps the distinct golden edges, in the order of the lanes of
     ``values``, every net's golden value on each edge, to their cycles;
     ``routes`` maps each screened net to its stem and the edges on which its
-    flip shows, and ``faulty`` holds the faulty triples that ``_screen``
-    kept. A mask of edges turns into cycles ``size`` edges at a time, from
-    one table per group of ``size`` edges that holds the cycles of each of
-    its subsets. ``lookups`` bounds the distinct lookups to come: a group's
+    flip shows. A mask of edges turns into cycles ``size`` edges at a time,
+    from one table per group of ``size`` edges that holds the cycles of each
+    of its subsets. ``lookups`` bounds the distinct lookups to come: a group's
     table holds at most a quarter as many masks, up to eight edges a group,
     so a few lookups on a long trace with many edges build small tables.
     """
@@ -546,14 +511,12 @@ class _Activity:
         edges: Dict[int, int],
         values: List[int],
         routes: Dict[int, Tuple[int, int]],
-        faulty: Dict[int, List[Tuple[int, int, int]]],
         lookups: int,
     ):
         self.edge_cycles = list(edges.values())
         self.every = (1 << len(self.edge_cycles)) - 1
         self.values = values
         self.routes = routes
-        self.faulty = faulty
         self.found: Dict[Tuple[int, int], int] = {}
         self.size = size = max(1, min(8, lookups.bit_length() - 3))
         # tables[g][s]: the cycles of the edges of group g whose bits are set in s
@@ -607,11 +570,10 @@ def _activity(
     screen traces most nets' flips through the golden values and simulates
     only fanout stems. A single-fault campaign screens the nets of all its
     atoms up front: every site's net in exhaustive mode, the drawn ones in
-    sampled mode, found by a second pass over the seeded stream. When such a
-    campaign also flips, the screen keeps its stems' faulty values for
-    ``_settle_flips``. Several faults are active wherever a stuck net
-    differs from its value, and flips at every cycle, without the screen,
-    because two faults that each show nowhere can show together.
+    sampled mode, found by a second pass over the seeded stream. Several
+    faults are active wherever a stuck net differs from its value, and flips
+    at every cycle, without the screen, because two faults that each show
+    nowhere can show together.
     """
     if all(e == "flip" for e in spec.effects):
         return None
@@ -624,7 +586,6 @@ def _activity(
     values = _eval_edges(comp, list(edges))
     stats.update(screen_passes=1, screen_lanes=len(edges))
     routes: Dict[int, Tuple[int, int]] = {}
-    faulty: Dict[int, List[Tuple[int, int, int]]] = {}
     nets = list(dict.fromkeys(site_nets))
     lookups = len(nets) * len(spec.effects)  # distinct (net, effect) pairs at most
     if spec.mode == "sampled":
@@ -632,10 +593,9 @@ def _activity(
     if spec.max_simultaneous_faults == 1:
         if spec.mode == "sampled":
             nets = list(dict.fromkeys(atom(i)[0] for (i,) in _enumerate_experiments(n_atoms, spec)))
-        found, faulty = _screen(comp, values, len(edges), nets, stats, keep="flip" in spec.effects)
-        routes = dict(zip(nets, found))
+        routes = dict(zip(nets, _screen(comp, values, len(edges), nets, stats)))
     stats.update(screen_nets=len(routes), screen_s=time.perf_counter() - t0)
-    return _Activity(edges, values, routes, faulty, lookups)
+    return _Activity(edges, values, routes, lookups)
 
 
 def _settle_flips(
@@ -645,100 +605,68 @@ def _settle_flips(
     golden_states: Sequence[str],
     words: Sequence[int],
     codes: CodeBook,
-    memo: Dict[int, Tuple[int, int, int]],
     campaign: int,
     stats: Dict[str, float],
 ) -> Dict[int, List]:
     """The outcome of a single flip of each stem of ``act.routes`` at each
-    campaign cycle (bit ``c`` of ``campaign``), exactly as ``_classify``
-    finds it on a whole-trace run. The ``_eval_edges`` calls and lanes spent
-    go into ``stats`` as ``settle_passes`` and ``settle_lanes``. Flips of a
-    net whose route ends at a stem share its outcome at each cycle at which
-    they show.
+    campaign cycle (bit ``c`` of ``campaign``) on which the flip of one of
+    its nets shows, exactly as ``_classify`` finds it on a whole-trace run,
+    from one ``_run_pool`` run with the cut. The lanes that run enters and
+    the steps it takes go into ``stats`` as ``settle_lanes`` and
+    ``settle_passes``. Flips of a net whose route ends at a stem share its
+    outcome at each cycle at which they show.
 
-    The outcome is ``[detected, masked, masked_corrupt, pooled, hijacked,
+    The outcome is ``[detected, masked, masked_corrupt, pending, hijacked,
     hijacks]``: five masks of cycles and, per hijacked cycle, its
     ``(cycle, state)``.
 
     All machine state is in the flops, so a flip at cycle ``c`` acts only
-    through its faulty ``(flop d, state_e, fsm_alert)`` at ``c``, which
-    depends on ``c``'s golden edge alone. ``act.faulty`` holds it for every
-    stem whose flip shows: the screen simulated each of them, observed
-    stems included. A stem it lacks shows nowhere, and its outcome is
-    empty. The alert or the ERROR word detects; else a valid word off the
-    golden one is a hijack and an invalid one marks the run corrupt; a
-    ``d`` equal to the golden next flop state rejoins the golden run. A run
-    still off golden runs ``c + 1`` from its faulty flop state under that
-    cycle's word, is classified in the same way, and ends there at the last
-    cycle. Those edges are looked up in ``memo``, the golden run's (key ->
-    next flop state, ``state_e``, ``fsm_alert``), and the ones it lacks are
-    evaluated in passes of ``_POOL_LANES`` lanes. A flip still off golden
-    after ``c + 1`` is pooled, for ``_run_pool`` to run from ``c``. The
-    outcome at ``c + 1`` depends only on the stem, ``c``'s golden edge, the
-    word of ``c + 1`` and whether ``c + 1`` is the last cycle, so it is
-    found once for each such key and holds for all of its cycles.
+    through ``c``'s golden edge, and a run still off golden after ``c`` goes
+    on from its faulty flop state under the word of ``c + 1``. Up to ``c +
+    1`` the run depends only on the stem, ``c``'s golden edge, the word of
+    ``c + 1`` and whether ``c + 1`` is the last cycle. So each such group is
+    one experiment, which enters the pool at its first cycle with the stem
+    flipped there, and its outcome holds for every cycle of the group, a
+    hijack keeping its cycle's offset. The cut retires a lane still off
+    golden after ``c + 1`` as pending: those flips take lanes of their own
+    in the campaign's pool, from ``c``.
 
     A single stuck-at fault first acts at ``c`` as the flip there does, and
     is held at ``c + 1``. When its net lies outside ``comp.out_cone``, it
     cannot change ``state_e`` or ``fsm_alert`` at ``c + 1``, so a flip
     outcome of detected or hijacked at ``c`` is its outcome too.
     """
-    err, width, xs, last = codes.error_codeword, len(comp.out_bits["x_e"]), (*words, 0), len(golden) - 1
-
-    def classify(c: int, nxt: int, word: int, alert: int, dirty: int) -> Tuple[int, object]:
-        """The outcome index at cycle ``c`` of a run that was golden before
-        ``c`` or, with ``dirty`` set, corrupt: with the state reached for a
-        hijack (4), and otherwise the corrupt flag, 3 meaning still off
-        golden."""
-        if alert or word == err:
-            return 0, dirty
-        if word != golden[c][1]:
-            sym = decode_exact(codes, word)
-            if sym != golden_states[c]:
-                if sym is not None:
-                    return 4, sym
-                dirty = 1
-        if c == last or nxt == golden[c + 1][0]:
-            return 1 + dirty, dirty
-        return 3, dirty
-
+    xs, last = (*words, 0), len(golden) - 1
+    shown: Dict[int, int] = {}  # stem -> edges on which the flip of one of its nets shows
+    for stem, edges in act.routes.values():
+        shown[stem] = shown.get(stem, 0) | edges
     # per golden edge, its campaign cycles c, split by the word of c + 1 and
-    # by whether c + 1 is the last cycle: with the faulty values at c, these
-    # fix the outcome at c + 1
-    edge_cycles = [cycles & campaign for cycles in act.edge_cycles]
-    follow: List[Dict[Tuple[int, bool], int]] = []
-    for cycles in edge_cycles:
+    # by whether c + 1 is the last cycle
+    follow: List[List[int]] = []
+    for cycles in act.edge_cycles:
         split: Dict[Tuple[int, bool], int] = {}
-        for c in _set_bits(cycles):
+        for c in _set_bits(cycles & campaign):
             after = xs[c + 1], c + 1 == last
             split[after] = split.get(after, 0) | 1 << c
-        follow.append(split)
+        follow.append(list(split.values()))
 
-    outcomes: Dict[int, List] = {}
-    pending = []  # (outcome, corrupt flag, key of the cycle after, cycles)
-    for stem, _ in act.routes.values():
-        if stem in outcomes:
-            continue
-        out = outcomes[stem] = [0, 0, 0, 0, 0, {}]
-        for cycles, (nxt, word, alert), split in zip(edge_cycles, act.faulty.get(stem, ()), follow):
-            if not cycles:
-                continue
-            k, x = classify((cycles & -cycles).bit_length() - 1, nxt, word, alert, 0)
-            if k == 3:
-                pending += [(out, x, nxt << width | w, group) for (w, _), group in split.items()]
-                continue
-            out[k] |= cycles
-            if k == 4:
-                out[5].update((c, (c, x)) for c in _set_bits(cycles))
+    def groups() -> Iterator[Tuple[Tuple[int, int], Tuple[Tuple[int, int, int], ...], int]]:
+        for stem, edges in shown.items():
+            for e in _set_bits(edges):
+                for cycles in follow[e]:
+                    low = cycles & -cycles
+                    yield (stem, cycles), ((stem, 0, low.bit_length() - 1),), low
 
-    lanes = _fill(comp, memo, [key for _, _, key, _ in pending])
-    stats.update(settle_passes=-(-lanes // _POOL_LANES), settle_lanes=lanes)
-    for out, dirty, key, cycles in pending:
-        c = (cycles & -cycles).bit_length() - 1
-        k, x = classify(c + 1, *memo[key], dirty)
-        out[k] |= cycles
-        if k == 4:
-            out[5].update((c, (c + 1, x)) for c in _set_bits(cycles))
+    index = {"detected": 0, "masked": 1, "masked_corrupt": 2, "pending": 3, "hijack": 4}
+    outcomes: Dict[int, List] = {stem: [0, 0, 0, 0, 0, {}] for stem in shown}
+    counted: Dict[str, float] = {}
+    for (stem, cycles), cls, info in _run_pool(comp, words, golden, golden_states, codes, counted, groups(), cut=True):
+        out = outcomes[stem]
+        out[index[cls]] |= cycles
+        if info:  # at the group's first cycle or the one after
+            late = info[0] - (cycles & -cycles).bit_length() + 1
+            out[5].update((c, (c + late, info[1])) for c in _set_bits(cycles))
+    stats.update(settle_lanes=counted["pool_lanes"], settle_passes=counted["pool_steps"])
     return outcomes
 
 
@@ -750,6 +678,7 @@ def _run_pool(
     codes: CodeBook,
     stats: Dict[str, float],
     experiments: Iterator[Tuple[object, Tuple[Tuple[int, int, int], ...], int]],
+    cut: bool = False,
 ) -> Iterator[Tuple[object, str, Optional[Tuple[int, str]]]]:
     """Classify each experiment as ``_classify`` does on a whole-trace run;
     yields ``(key, class, hijack info)`` in retirement order.
@@ -759,24 +688,24 @@ def _run_pool(
     activity mask: the cycles at which its faults can change a lane that
     sits on the golden trajectory, as ``_activity`` finds; it is never
     empty. In a single-fault campaign with a stuck-at effect, a flip comes
-    here only when ``_settle_flips`` leaves it off golden after the cycle
-    after its own; when the campaign also flips, a stuck-at group comes here
-    only when its net lies in ``comp.out_cone`` or its flip at the group's
-    first active cycle is not detected or hijacked by the cycle after. A
-    flip-only or multi-fault campaign sends every experiment with a
-    non-empty mask. All machine state is in the flops, so a lane in the
-    golden flop state at a cycle outside its mask repeats the golden run
-    exactly, and a lane is occupied only while its experiment is active or
-    its flop state is off golden. The experiment enters a free lane at the
-    lowest cycle of its mask, with the golden flop state of that cycle and
-    every stuck-at fault whose onset has passed. Lanes advance one cycle per
-    step; a lane's cycle is the step plus its offset, and lanes are grouped
-    by offset so that input bits and golden words are packed per group. A
-    step is one ``_run_ops`` pass over all ``_POOL_LANES`` lanes, whose cost
-    hardly grows with the width up to about a thousand lanes, so a wide pool
-    takes fewer steps. Once the pool is empty, ``stats`` gets the lanes
-    entered, an experiment queued again entering once more, as
-    ``pool_lanes``, and the steps taken as ``pool_steps``.
+    here only when the settle run of ``_settle_flips`` leaves it pending;
+    when the campaign also flips, a stuck-at group comes here only when its
+    net lies in ``comp.out_cone`` or its flip at the group's first active
+    cycle is not detected or hijacked by the cycle after. A flip-only or
+    multi-fault campaign sends every experiment with a non-empty mask. All
+    machine state is in the flops, so a lane in the golden flop state at a
+    cycle outside its mask repeats the golden run exactly, and a lane is
+    occupied only while its experiment is active or its flop state is off
+    golden. The experiment enters a free lane at the lowest cycle of its
+    mask, with the golden flop state of that cycle and every stuck-at fault
+    whose onset has passed. Lanes advance one cycle per step; a lane's cycle
+    is the step plus its offset, and lanes are grouped by offset so that
+    input bits and golden words are packed per group. A step is one
+    ``_run_ops`` pass over all ``_POOL_LANES`` lanes, whose cost hardly
+    grows with the width up to about a thousand lanes, so a wide pool takes
+    fewer steps. Once the pool is empty, ``stats`` gets the lanes entered,
+    an experiment queued again entering once more, as ``pool_lanes``, and
+    the steps taken as ``pool_steps``.
 
     A lane retires once its outcome is fixed: detected or hijacked; at the
     end of the trace; or, once the run of consecutive mask cycles it entered
@@ -785,6 +714,13 @@ def _run_pool(
     experiment is queued again at its next mask cycle, carrying its corrupt
     flag. Queued experiments take free lanes before new ones, so the queue
     never outgrows the pool.
+
+    With ``cut``, as ``_settle_flips`` runs it, every lane also retires one
+    cycle after it entered: a lane that is not detected, hijacked or settled
+    by the end of that cycle yields the class ``pending``, its outcome left
+    to a lane of its own in the campaign's pool. So no lane lives past the
+    step after it entered, and every lane that did not enter at a step is
+    at its cut.
 
     The bookkeeping works on lane masks once per step: the lanes entering
     at a step are cleared and loaded in one sweep, and the lanes retiring
@@ -868,8 +804,8 @@ def _run_pool(
         if not active and not entering:
             stats.update(pool_lanes=entered, pool_steps=step)
             return
+        incoming = sum(entering.values())  # the entry cycles' lanes are disjoint
         if entering:
-            incoming = sum(entering.values())  # the entry cycles' lanes are disjoint
             entered += incoming.bit_count()
             keep = full ^ incoming
             st = [v & keep for v in st]
@@ -959,6 +895,11 @@ def _run_pool(
                 yield key, ("masked_corrupt" if corrupt >> lane & 1 else "masked"), None
 
         retired = detected | hijacked | settled
+        if cut:  # a lane that did not enter at this step is at its cut
+            pending = (live ^ settled) & (full ^ incoming)
+            for lane in _set_bits(pending):
+                yield lane_exp[lane][0], "pending", None
+            retired |= pending
         if retired:
             keep = full ^ retired
             active &= keep
@@ -993,9 +934,10 @@ def run_campaign(
     exhaustive mode and one per draw in sampled mode, so an exhaustive
     campaign is counted per (net, effect) rather than per experiment. In a
     campaign that both flips and sticks, ``_settle_flips`` classifies each
-    flip at its cycle and the next from the screen's faulty values, and the
-    flips of a net are counted from its stem's outcome masks over the cycles
-    where they show; only flips still off golden after that take a lane.
+    stem's flips at their cycle and the next in a pool run of their own, and
+    the flips of a net are counted from its stem's outcome masks over the
+    cycles where they show; only flips still off golden after that take a
+    lane.
     Stuck-at onsets of a net are grouped by the first active cycle they
     reach: they all enter the lane pool of ``_run_pool`` there with the
     fault active, as one experiment whose members each count its outcome.
@@ -1016,8 +958,7 @@ def run_campaign(
     t0 = time.perf_counter()
     stats: Dict[str, float] = dict.fromkeys(_STATS, 0)
     theo = _theoretical_p(netlist)
-    memo: Dict[int, Tuple[int, int, int]] = {}
-    golden = _golden(netlist, golden_words, [w for _, w in codes.entries], stats, memo)
+    golden = _golden(netlist, golden_words, [w for _, w in codes.entries], stats)
     golden_states = [decode_exact(codes, w) for _, w, _ in golden]
     if any(alert for _, _, alert in golden):
         raise CampaignError("golden run already raises the alert; configuration bug")
@@ -1064,7 +1005,7 @@ def run_campaign(
     campaign = sum(1 << c for c in cycles)
     flips: Dict[int, List] = {}  # stem -> outcome of its single flips
     if active is not None and single and "flip" in spec.effects:
-        flips = _settle_flips(comp, active, golden, golden_states, golden_words, codes, memo, campaign, stats)
+        flips = _settle_flips(comp, active, golden, golden_states, golden_words, codes, campaign, stats)
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     hijacks: List[Tuple[int, HijackWitness]] = []
 

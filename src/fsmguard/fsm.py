@@ -213,11 +213,15 @@ def _int_field(value: object, where: str) -> int:
     raise FsmParseError(f"{where} is not an integer: {value!r}")
 
 
-def _str_field(value: object, where: str) -> str:
-    # a list would fail later as an unhashable state, a number as a Verilog name
-    if isinstance(value, str):
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(value: object, kind: type, where: str):
+    # a list would fail later as an unhashable state, a number as a Verilog
+    # name; tuple() would split a string into states
+    if isinstance(value, kind):
         return value
-    raise FsmParseError(f"{where} is not a string: {value!r}")
+    raise FsmParseError(f"{where} is not {_KINDS[kind]}: {value!r}")
 
 
 def _parse_json(source: str) -> FsmSpec:
@@ -228,30 +232,35 @@ def _parse_json(source: str) -> FsmSpec:
     if not isinstance(doc, dict):
         raise FsmParseError(f"the FSM document is a JSON {type(doc).__name__}, not an object")
 
+    def entries(key: str, kind: type) -> List[Tuple[str, object]]:
+        """The entries of the list under ``key`` (none when it is absent),
+        each named and checked to be a ``kind``."""
+        items = _field(doc.get(key, []), list, key)
+        return [(f"{key}[{i}]", _field(e, kind, f"{key}[{i}]")) for i, e in enumerate(items)]
+
     def signals(key: str) -> Tuple[Signal, ...]:
         return tuple(
-            Signal(_str_field(s["name"], f"{key}[{i}].name"), _int_field(s.get("width", 1), f"{key}[{i}].width"))
-            for i, s in enumerate(doc.get(key, []))
+            Signal(_field(s["name"], str, f"{where}.name"), _int_field(s.get("width", 1), f"{where}.width"))
+            for where, s in entries(key, dict)
         )
 
-    def values(pairs: Dict[str, object], where: str) -> Tuple[Tuple[str, int], ...]:
-        return _normalize_guard({k: _int_field(v, f"{where}.{k}") for k, v in pairs.items()})
+    def values(pairs: object, where: str) -> Tuple[Tuple[str, int], ...]:
+        return _normalize_guard({k: _int_field(v, f"{where}.{k}") for k, v in _field(pairs, dict, where).items()})
 
     try:
         name = doc.get("name", "fsm")
-        if not isinstance(doc["states"], list):  # tuple() would split a string into states
-            raise FsmParseError(f"states is not a list: {doc['states']!r}")
-        states = tuple(_str_field(s, f"states[{i}]") for i, s in enumerate(doc["states"]))
-        reset = _str_field(doc["reset"], "reset")
+        states = tuple(_field(s, str, f"states[{i}]") for i, s in enumerate(_field(doc["states"], list, "states")))
+        reset = _field(doc["reset"], str, "reset")
         inputs, outputs = signals("inputs"), signals("outputs")
         transitions = []
-        for i, t in enumerate(doc.get("transitions", [])):
-            guard = values(t.get("guard", {}), f"transitions[{i}].guard")
-            outs = values(t.get("outputs", {}), f"transitions[{i}].outputs")
-            src, dst = (_str_field(t[end], f"transitions[{i}].{end}") for end in ("from", "to"))
+        for where, t in entries("transitions", dict):
+            guard = values(t.get("guard", {}), f"{where}.guard")
+            outs = values(t.get("outputs", {}), f"{where}.outputs")
+            src, dst = (_field(t[end], str, f"{where}.{end}") for end in ("from", "to"))
             transitions.append(Transition(src, guard, dst, outs))
         state_outputs = tuple(
-            (s, values(vals, f"state_outputs.{s}")) for s, vals in doc.get("state_outputs", {}).items()
+            (s, values(vals, f"state_outputs.{s}"))
+            for s, vals in _field(doc.get("state_outputs", {}), dict, "state_outputs").items()
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise FsmParseError(f"malformed FSM document: missing/bad field {exc}") from exc

@@ -40,6 +40,16 @@ def test_harden_writes_artifacts(hardened_dir):
     assert "module" in (hardened_dir / "netlist.v").read_text()
 
 
+def test_harden_logs_one_record(tmp_path, fsm_file, caplog):
+    # the harden record carries the gate count; no free-text line repeats it
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    out = tmp_path / "out"
+    assert cli.main(["harden", "--fsm", str(fsm_file), "--level", "2", "--out", str(out)]) == cli.EXIT_OK
+    assert [r.getMessage().split(": ", 1)[0] for r in caplog.records] == ["harden"]
+    netlist = nl_mod.from_json_dict(json.loads((out / "netlist.json").read_text()))
+    assert log_record(caplog, "harden")["gates"] == len(netlist.gates)
+
+
 def test_harden_missing_file(tmp_path, capsys):
     rc = cli.main(["harden", "--fsm", str(tmp_path / "nope.json"), "--level", "2", "--out", str(tmp_path)])
     assert rc == cli.EXIT_IO
@@ -62,8 +72,20 @@ def test_harden_bad_fsm(tmp_path):
         ({**REF14_DOC, "states": ["S0", ["S1"]]}, "FSM error: states[1] is not a string: ['S1']"),
         ({**REF14_DOC, "states": [1, 2]}, "FSM error: states[0] is not a string: 1"),
         ({**REF14_DOC, "inputs": [{"name": "a", "width": True}]}, "FSM error: inputs[0].width is not an integer: True"),
+        # each of these exited with the message of the TypeError or AttributeError it raised
+        ({**REF14_DOC, "inputs": ["a"]}, "FSM error: inputs[0] is not an object: 'a'"),
+        (
+            {**REF14_DOC, "transitions": [{"from": "S0", "guard": [1], "to": "S1"}]},
+            "FSM error: transitions[0].guard is not an object: [1]",
+        ),
+        ({**REF14_DOC, "transitions": ["AB"]}, "FSM error: transitions[0] is not an object: 'AB'"),
+        ({**REF14_DOC, "outputs": 5}, "FSM error: outputs is not a list: 5"),
+        ({**REF14_DOC, "state_outputs": [1]}, "FSM error: state_outputs is not an object: [1]"),
     ],
-    ids=["top-level-list", "input-width", "states-string", "nested-state", "numeric-states", "bool-width"],
+    ids=[
+        "top-level-list", "input-width", "states-string", "nested-state", "numeric-states", "bool-width",
+        "input-string", "guard-list", "transition-string", "outputs-number", "state-outputs-list",
+    ],
 )
 def test_harden_malformed_fsm_located(tmp_path, caplog, doc, where):
     p = tmp_path / "bad.json"

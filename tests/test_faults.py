@@ -542,7 +542,7 @@ def test_activity_tables_match_a_per_edge_or(n_edges, lookups):
     edges = {rng.getrandbits(16) << 8 | e: sum(1 << c for c, f in enumerate(edge_of) if f == e) for e in range(n_edges)}
     values = [rng.getrandbits(n_edges) for _ in range(40)] + [0, every]
     routes = {net: (0, rng.getrandbits(n_edges)) for net in range(0, len(values), 3)}
-    act = fe._Activity(edges, values, routes, {}, lookups)
+    act = fe._Activity(edges, values, routes, lookups)
     assert act.size == {1: 1, 64: 4, 1024: 8}[lookups]
     cycles = list(edges.values())
     for net, v in enumerate(values):
@@ -571,7 +571,7 @@ def test_activity_tables_are_sized_from_the_lookup_bound(design_n2):
         built = mock.Mock(wraps=fe._Activity)
         with mock.patch.object(fe, "_Activity", built):
             fe.run_campaign(netlist, words, spec, codes)
-        assert built.call_args.args[4] == lookups, fields
+        assert built.call_args.args[3] == lookups, fields
 
 
 # the screen's counts in a campaign's record: nets screened, stems simulated,
@@ -592,13 +592,13 @@ def _edge_keys(netlist, words):
     return [q << width | x for (q, _, _), x in zip(golden, (*words, 0))]
 
 
-def _stems(netlist, nets, keep=False):
+def _stems(netlist, nets):
     """The fanout stems (net indices) that the screen of the net indices
     ``nets`` simulates: from each net, follow the nets that one gate input
     reads and that are not observed to the first that is not such a net,
-    and keep it if it is read twice or more and not observed, or, when the
-    screen keeps faulty triples, if it is observed. The readers are counted
-    by name from ``netlist.gates``, not from the compiled netlist."""
+    and keep it if it is read twice or more and not observed. The readers
+    are counted by name from ``netlist.gates``, not from the compiled
+    netlist."""
     readers = {}  # net name -> the gates that read it, once per input
     for g in netlist.gates:
         for name in g.inputs:
@@ -613,7 +613,7 @@ def _stems(netlist, nets, keep=False):
         while len(readers.get(name, ())) == 1 and name not in observed:
             name = readers[name][0].output
         ends.add(name)
-    return {index[n] for n in ends if (keep if n in observed else len(readers.get(n, ())) >= 2)}
+    return {index[n] for n in ends if n not in observed and len(readers.get(n, ())) >= 2}
 
 
 def _check_screen_of_every_net(netlist, words):
@@ -665,9 +665,8 @@ def _check_screen_of_every_net(netlist, words):
 def test_flip_only_campaign_skips_the_screen(design_n2, faults):
     # the golden net values of a stuck-at campaign take one _eval_edges call
     # beyond the golden run's; a flip-only campaign makes none. A single-fault
-    # campaign that also flips settles its flips in exactly one more on this
-    # netlist: the next cycle's edges of the flips still off golden (the
-    # screen gives every stem's faulty values on the golden edges)
+    # campaign that also flips settles its flips in a pool run of their own
+    # before the campaign's, and makes no _eval_edges call for them
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     spec = fe.CampaignSpec(
         scope="all", mode="sampled", sample_count=300, seed=5, max_simultaneous_faults=faults
@@ -676,13 +675,16 @@ def test_flip_only_campaign_skips_the_screen(design_n2, faults):
     stats = {}
     fe._golden(netlist, words, [w for _, w in codes.entries], stats)
     golden_calls = stats["golden_passes"]
-    for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1 if faults > 1 else 2)):
+    for effects, passes in ((("flip",), 0), (("flip", "stuck0"), 1)):
         evals = mock.Mock(wraps=fe._eval_edges)
         screen = mock.Mock(wraps=fe._screen)
-        with mock.patch.object(fe, "_eval_edges", evals), mock.patch.object(fe, "_screen", screen):
+        pools = mock.Mock(wraps=fe._run_pool)
+        with mock.patch.object(fe, "_eval_edges", evals), mock.patch.object(fe, "_screen", screen), \
+                mock.patch.object(fe, "_run_pool", pools):
             got = fe.run_campaign(netlist, words, dataclasses.replace(spec, effects=effects), codes)
         assert evals.call_count == golden_calls + passes
         assert screen.call_count == (1 if passes and faults == 1 else 0)
+        assert pools.call_count == (2 if passes and faults == 1 else 1)
         if not passes:
             assert got.to_json_dict() == want
 
@@ -691,15 +693,15 @@ def test_flip_only_campaign_skips_the_screen(design_n2, faults):
 def test_exhaustive_screen_batches_do_not_follow_the_pool(design_n2, caplog, lanes):
     # every scope net is screened up front in full passes of _SCREEN_LANES
     # lanes, whatever the pool width and the order of the experiment stream;
-    # a campaign that flips and sticks also simulates the observed stems and
-    # keeps their faulty values, read over every lane of a pass: at 7 stems
-    # a pass the last pass is partial, and only as wide as its blocks
+    # a campaign that flips and sticks simulates the same stems as one that
+    # only sticks: at 7 stems a pass the last pass is partial, and only as
+    # wide as its blocks
     caplog.set_level(logging.INFO, logger="fsmguard")
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     edges = len(set(_edge_keys(netlist, words)))
     comp = netlist._compile()
     nets = [comp.index[site] for site in enumerate_fault_sites(netlist, "all")]
-    stems = len(_stems(netlist, nets, keep=True))
+    stems = len(_stems(netlist, nets))
     # two cycles keep the one-lane pool quick; the screen covers every edge
     spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0", "stuck1"), cycles=(0, 7))
     totals, witnesses = reference_campaign(netlist, words, spec, codes)
@@ -776,12 +778,17 @@ def test_screen_covers_the_drawn_nets_only(design_n2, caplog):
 
 def _pool_entries(netlist, words, spec, codes, lanes=fe._POOL_LANES):
     """The campaign report of ``spec``, the experiments that took a lane of
-    the pool, each a (members, faults, mask) triple, and the pool's
-    (members, class) outcomes."""
+    the campaign's pool, each a (members, faults, mask) triple, and that
+    pool's (members, class) outcomes; the pool run that settles flips, with
+    the cut, is not counted."""
     entered, outcomes = [], []
     run_pool = fe._run_pool
 
-    def pool(*args):
+    def pool(*args, cut=False):
+        if cut:
+            yield from run_pool(*args, cut=cut)
+            return
+
         def stream():
             for exp in args[-1]:
                 entered.append(exp)
@@ -888,6 +895,14 @@ def test_flips_that_show_nothing_take_no_lane(design_n2, caplog):
     pooled = [(net, c) for _, ((net, effect, c),), _ in entered if not effect]
     assert sorted(settled + pooled) == sorted(want) and not pooled
     assert _record(caplog, "flips_settled", "flips_pooled") == (len(settled), 0)
+    # the flips settle in one pool lane per (stem, golden edge of c, word of
+    # c + 1, whether c + 1 is the last cycle) group of the cycles c at which
+    # the flip of one of the stem's nets shows; the groups fit one pool, and
+    # the lanes still off golden after c take a second step, to c + 1
+    keys, xs = _edge_keys(netlist, words), (*words, 0)
+    groups = {(active.routes[net][0], keys[c], xs[c + 1], c + 1 == len(words)) for net, c in want}
+    assert _record(caplog, "settle_lanes", "settle_passes") == (len(groups), 2)
+    assert len(groups) <= fe._POOL_LANES
     assert 0 < len(want) < len(nets) * len(words)
     idle, shared, stuck = _record(caplog, "settled_without_lane", "shared_lane", "stuck_settled")
     assert idle + shared + len(settled) + stuck + len(entered) == report.total
@@ -1147,6 +1162,30 @@ def test_flips_corrupt_past_the_next_cycle_fall_through_to_the_pool(effect, capl
     totals = _assert_pool_matches_reference(netlist, words, spec, codes, fe._POOL_LANES)
     settled, pooled = _record(caplog, "flips_settled", "flips_pooled")
     assert settled > 0 and pooled > 0 and totals["masked_corrupt"] > 0
+
+
+def test_flips_at_the_last_cycle_settle_in_groups_of_their_own(caplog):
+    # here x_e_3 = 0 holds the register, so every trace word and the settle
+    # cycle's 0 hold it and each cycle runs one golden edge. A flip that
+    # leaves a register bit off golden is pending after c + 1 at cycles 0
+    # and 1, but at cycle 2 the run ends at the settle cycle, masked-corrupt:
+    # the last cycle's flips form groups of their own, which the pool settles
+    caplog.set_level(logging.INFO, logger="fsmguard")
+    n = Netlist("zero_holds")
+    n.add_port("x_e", "in", [f"x_e_{i}" for i in range(4)])
+    for i in range(3):
+        n.add_gate("MUX", ["x_e_3", f"st_q_{i}", f"x_e_{i}"], f"st_d_{i}")
+        n.add_flop(f"st_d_{i}", f"st_q_{i}", (0b011 >> i) & 1)
+    n.add_gate("CONST0", [], "alert_lo")
+    n.add_port("state_e", "out", [f"st_q_{i}" for i in range(3)])
+    n.add_port("fsm_alert", "out", ["alert_lo"])
+    n.validate()
+    codes = CodeBook(2, 3, (("ERR", 0b000), ("A", 0b011), ("B", 0b101), ("C", 0b110)), "ERR")
+    spec = fe.CampaignSpec(scope="all", effects=("flip", "stuck0"))
+    _assert_pool_matches_reference(n, [0, 0, 0], spec, codes, fe._POOL_LANES)
+    # 7 stems, each its own: the alert's flips are detected at once, and
+    # the 6 register nets' flips settle at cycle 2 and are pooled at 0 and 1
+    assert _record(caplog, "flips_settled", "flips_pooled", "settle_lanes") == (3 + 6, 6 * 2, 7 * 2)
 
 
 def _counter(bits, port="x"):
