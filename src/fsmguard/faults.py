@@ -10,7 +10,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .coding import CodeBook, decode_exact
 from .netlist import (
@@ -362,7 +362,8 @@ def _enumerate_experiments(n_atoms: int, spec: CampaignSpec) -> Iterator[Tuple[i
     length, so sampled draws do not depend on the atoms being materialised.
     A single-fault draw is ``randrange(n_atoms)``: ``sample(range(n), 1)``
     makes the same one ``_randbelow(n)`` call, so the stream is the same, at
-    a fifth of the cost.
+    a fifth of the cost. Exhaustive single faults are a generator too:
+    ``combinations`` would copy every atom index into a tuple first.
     """
     j = spec.max_simultaneous_faults
     if spec.mode == "exhaustive":
@@ -372,6 +373,8 @@ def _enumerate_experiments(n_atoms: int, spec: CampaignSpec) -> Iterator[Tuple[i
                 f"{n_combos} experiments exceed the exhaustive bound "
                 f"{EXHAUSTIVE_BOUND}; use sampled mode"
             )
+        if j == 1:
+            return ((i,) for i in range(n_atoms))
         return combinations(range(n_atoms), j)
     rng = random.Random(spec.seed)
     if j == 1:
@@ -530,15 +533,19 @@ class _Activity:
     def __call__(self, net: int, effect: int) -> int:
         found = self.found.get((net, effect))
         if found is None:
-            every, size = self.every, self.size
+            every = self.every
             route = self.routes.get(net)
             edges = (every, self.values[net], every ^ self.values[net])[effect] & (route[1] if route else every)
-            found = 0
-            low = (1 << size) - 1
-            for table in self.tables:
-                found |= table[edges & low]
-                edges >>= size
-            self.found[net, effect] = found
+            found = self.found[net, effect] = self.cycles(edges)
+        return found
+
+    def cycles(self, edges: int) -> int:
+        """The cycles of the edges in the mask ``edges``."""
+        found, size = 0, self.size
+        low = (1 << size) - 1
+        for table in self.tables:
+            found |= table[edges & low]
+            edges >>= size
         return found
 
 
@@ -547,15 +554,15 @@ def _activity(
     golden: Sequence[Tuple[int, int, int]],
     words: Sequence[int],
     spec: CampaignSpec,
-    site_nets: Sequence[int],
-    n_atoms: int,
-    atom: Callable[[int], Tuple[int, int, int]],
+    nets: Iterable[int],
     stats: Dict[str, float],
 ) -> Optional[_Activity]:
-    """The activity lookup of a campaign (see ``_Activity``). The nets
-    screened go into ``stats`` as ``screen_nets``, the ``_run_ops`` calls
-    and lanes spent as ``screen_passes`` and ``screen_lanes``, with the
-    screen's, and the time taken as ``screen_s``. A campaign without a
+    """The activity lookup of a campaign (see ``_Activity``) whose faults
+    lie on ``nets``: every site's net, or the drawn ones in a sampled
+    single-fault campaign. The nets screened go into ``stats`` as
+    ``screen_nets``, the ``_run_ops`` calls and lanes spent as
+    ``screen_passes`` and ``screen_lanes``, with the screen's, and the time
+    taken as ``screen_s``. A sampled or multi-fault campaign without a
     stuck-at effect gets no lookup, spends nothing, and its flips are
     active at their own cycles.
 
@@ -568,14 +575,13 @@ def _activity(
     is active where its net differs from ``V`` and ``_screen`` finds that a
     flip of the net shows, and a single flip where the flip shows; the
     screen traces most nets' flips through the golden values and simulates
-    only fanout stems. A single-fault campaign screens the nets of all its
-    atoms up front: every site's net in exhaustive mode, the drawn ones in
-    sampled mode, found by a second pass over the seeded stream. Several
-    faults are active wherever a stuck net differs from its value, and flips
-    at every cycle, without the screen, because two faults that each show
-    nowhere can show together.
+    only fanout stems. A single-fault campaign screens all its nets up
+    front. Several faults are active wherever a stuck net differs from its
+    value, and flips at every cycle, without the screen, because two faults
+    that each show nowhere can show together.
     """
-    if all(e == "flip" for e in spec.effects):
+    single = spec.max_simultaneous_faults == 1
+    if spec.effects == ("flip",) and (spec.mode == "sampled" or not single):
         return None
     t0 = time.perf_counter()
     width = len(comp.out_bits["x_e"])
@@ -586,13 +592,11 @@ def _activity(
     values = _eval_edges(comp, list(edges))
     stats.update(screen_passes=1, screen_lanes=len(edges))
     routes: Dict[int, Tuple[int, int]] = {}
-    nets = list(dict.fromkeys(site_nets))
+    nets = list(dict.fromkeys(nets))
     lookups = len(nets) * len(spec.effects)  # distinct (net, effect) pairs at most
     if spec.mode == "sampled":
         lookups = min(lookups, spec.sample_count * spec.max_simultaneous_faults)
-    if spec.max_simultaneous_faults == 1:
-        if spec.mode == "sampled":
-            nets = list(dict.fromkeys(atom(i)[0] for (i,) in _enumerate_experiments(n_atoms, spec)))
+    if single:
         routes = dict(zip(nets, _screen(comp, values, len(edges), nets, stats)))
     stats.update(screen_nets=len(routes), screen_s=time.perf_counter() - t0)
     return _Activity(edges, values, routes, lookups)
@@ -606,6 +610,7 @@ def _settle_flips(
     words: Sequence[int],
     codes: CodeBook,
     campaign: int,
+    reach: Optional[Dict[int, int]],
     stats: Dict[str, float],
 ) -> Dict[int, List]:
     """The outcome of a single flip of each stem of ``act.routes`` at each
@@ -614,7 +619,9 @@ def _settle_flips(
     from one ``_run_pool`` run with the cut. The lanes that run enters and
     the steps it takes go into ``stats`` as ``settle_lanes`` and
     ``settle_passes``. Flips of a net whose route ends at a stem share its
-    outcome at each cycle at which they show.
+    outcome at each cycle at which they show. With ``reach``, a mask of
+    cycles per stem, only the groups below that hold one of the stem's
+    cycles are settled.
 
     The outcome is ``[detected, masked, masked_corrupt, pending, hijacked,
     hijacks]``: five masks of cycles and, per hijacked cycle, its
@@ -640,22 +647,25 @@ def _settle_flips(
     shown: Dict[int, int] = {}  # stem -> edges on which the flip of one of its nets shows
     for stem, edges in act.routes.values():
         shown[stem] = shown.get(stem, 0) | edges
-    # per golden edge, its campaign cycles c, split by the word of c + 1 and
-    # by whether c + 1 is the last cycle
-    follow: List[List[int]] = []
+    # per campaign cycle c, its group: the campaign cycles on c's golden
+    # edge that share the word of c + 1 and whether c + 1 is the last cycle
+    group: Dict[int, int] = {}
     for cycles in act.edge_cycles:
         split: Dict[Tuple[int, bool], int] = {}
         for c in _set_bits(cycles & campaign):
             after = xs[c + 1], c + 1 == last
             split[after] = split.get(after, 0) | 1 << c
-        follow.append(list(split.values()))
+        for members in split.values():
+            group.update(dict.fromkeys(_set_bits(members), members))
 
     def groups() -> Iterator[Tuple[Tuple[int, int], Tuple[Tuple[int, int, int], ...], int]]:
         for stem, edges in shown.items():
-            for e in _set_bits(edges):
-                for cycles in follow[e]:
-                    low = cycles & -cycles
-                    yield (stem, cycles), ((stem, 0, low.bit_length() - 1),), low
+            need = act.cycles(edges) & (campaign if reach is None else campaign & reach.get(stem, 0))
+            while need:
+                cycles = group[(need & -need).bit_length() - 1]
+                need ^= need & cycles
+                low = cycles & -cycles
+                yield (stem, cycles), ((stem, 0, low.bit_length() - 1),), low
 
     index = {"detected": 0, "masked": 1, "masked_corrupt": 2, "pending": 3, "hijack": 4}
     outcomes: Dict[int, List] = {stem: [0, 0, 0, 0, 0, {}] for stem in shown}
@@ -687,12 +697,13 @@ def _run_pool(
     ``key``, a tuple of ``(net index, effect index, cycle)`` faults and its
     activity mask: the cycles at which its faults can change a lane that
     sits on the golden trajectory, as ``_activity`` finds; it is never
-    empty. In a single-fault campaign with a stuck-at effect, a flip comes
-    here only when the settle run of ``_settle_flips`` leaves it pending;
-    when the campaign also flips, a stuck-at group comes here only when its
-    net lies in ``comp.out_cone`` or its flip at the group's first active
-    cycle is not detected or hijacked by the cycle after. A flip-only or
-    multi-fault campaign sends every experiment with a non-empty mask. All
+    empty. In a single-fault campaign that is screened, every one but a
+    sampled flip-only one, a flip comes here only when the settle run of
+    ``_settle_flips`` leaves it pending; when the campaign settles, a
+    stuck-at group comes here only when its net lies in ``comp.out_cone``
+    or its flip at the group's first active cycle is not detected or
+    hijacked by the cycle after. A sampled flip-only or a multi-fault
+    campaign sends every experiment with a non-empty mask. All
     machine state is in the flops, so a lane in the golden flop state at a
     cycle outside its mask repeats the golden run exactly, and a lane is
     occupied only while its experiment is active or its flop state is off
@@ -932,21 +943,26 @@ def run_campaign(
     Single faults all take one path: items of a net, an effect and its
     onset cycles, one per (net, effect) with every campaign cycle in
     exhaustive mode and one per draw in sampled mode, so an exhaustive
-    campaign is counted per (net, effect) rather than per experiment. In a
-    campaign that both flips and sticks, ``_settle_flips`` classifies each
-    stem's flips at their cycle and the next in a pool run of their own, and
-    the flips of a net are counted from its stem's outcome masks over the
-    cycles where they show; only flips still off golden after that take a
-    lane.
+    campaign is counted per (net, effect) rather than per experiment. Every
+    exhaustive campaign screens every site's net and settles: whatever its
+    effects, ``_settle_flips`` classifies each stem's flips at their cycle
+    and the next in a pool run of their own. A sampled campaign with a
+    stuck-at effect screens only its drawn nets, from a second pass over
+    the seeded stream; when it also flips, it settles only the groups that
+    a draw reaches, from a third. The flips of a net are counted from its
+    stem's outcome masks over the cycles where they show; only flips still
+    off golden after that take a lane.
     Stuck-at onsets of a net are grouped by the first active cycle they
     reach: they all enter the lane pool of ``_run_pool`` there with the
     fault active, as one experiment whose members each count its outcome.
-    When the campaign also flips, a group whose net lies outside the fan-in
+    When the campaign settles, a group whose net lies outside the fan-in
     cone of ``state_e`` and ``fsm_alert`` takes the outcome of its flip at
     that cycle, if that is detected or hijacked, without a lane (see
-    ``_settle_flips``). A flip-only campaign has no screen and pools every
-    flip; a multi-fault experiment takes a lane of its own. A witness is
-    built only for a hijack, one per member.
+    ``_settle_flips``). A sampled stuck-only campaign settles nothing, and
+    a sampled flip-only campaign has no screen and pools every flip: on a
+    thousand draws, either step cost more than it saved. A multi-fault
+    experiment takes a lane of its own. A witness is built only for a
+    hijack, one per member.
 
     The gate passes, lanes and timings of the golden run, the screen, the
     settling and the pool, and the experiments that each path settled, go
@@ -1000,12 +1016,27 @@ def run_campaign(
         return FaultSite(sites[site], FAULT_EFFECTS[effect], c)
 
     stream = _enumerate_experiments(n_atoms, spec)  # checks the exhaustive bound before the screen
-    single = spec.max_simultaneous_faults == 1
-    active = _activity(comp, golden, golden_words, spec, site_nets, n_atoms, atom, stats)
+    single, sampled = spec.max_simultaneous_faults == 1, spec.mode == "sampled"
+    nets: Iterable[int] = site_nets
+    if single and sampled and spec.effects != ("flip",):  # screened: the drawn nets
+        nets = (atom(a)[0] for (a,) in _enumerate_experiments(n_atoms, spec))
+    active = _activity(comp, golden, golden_words, spec, nets, stats)
     campaign = sum(1 << c for c in cycles)
     flips: Dict[int, List] = {}  # stem -> outcome of its single flips
-    if active is not None and single and "flip" in spec.effects:
-        flips = _settle_flips(comp, active, golden, golden_states, golden_words, codes, campaign, stats)
+    if active is not None and single and ("flip" in spec.effects or not sampled):
+        reach: Optional[Dict[int, int]] = None
+        if sampled:  # per stem, the cycles that a draw needs settled
+            reach = {}
+            for (a,) in _enumerate_experiments(n_atoms, spec):
+                net, effect, c = atom(a)
+                if effect:  # a stuck-at fault outside the cone needs its first active cycle
+                    later = active(net, effect) >> c
+                    if net in comp.out_cone or not later:
+                        continue
+                    c += (later & -later).bit_length() - 1
+                stem = active.routes[net][0]
+                reach[stem] = reach.get(stem, 0) | 1 << c
+        flips = _settle_flips(comp, active, golden, golden_states, golden_words, codes, campaign, reach, stats)
     counts = {"masked": 0, "detected": 0, "hijack": 0, "masked_corrupt": 0}
     hijacks: List[Tuple[int, HijackWitness]] = []
 
@@ -1098,7 +1129,7 @@ def run_campaign(
 
     if not single:
         experiments = draws()
-    elif spec.mode == "exhaustive":  # one item per (net, effect); experiment i is atom i
+    elif not sampled:  # one item per (net, effect); experiment i is atom i
         n_cycles = len(cycles)
         experiments = single_faults(
             (net, effect, campaign, site * per_site + k * n_cycles, 0)
@@ -1134,7 +1165,6 @@ def run_campaign(
     if log and log.isEnabledFor(logging.INFO):
         log.info("campaign: %s", json.dumps(stats, sort_keys=True))
     hijack = counts["hijack"]
-    sampled = spec.mode == "sampled" and total
     return FaultCampaignReport(
         total=total,
         masked=counts["masked"] + counts["masked_corrupt"],
@@ -1153,7 +1183,7 @@ def run_campaign(
             "cycles": len(cycles),
             "trace_length": len(golden_words),
         },
-        confidence_interval=wilson_interval(hijack, total) if sampled else None,
+        confidence_interval=wilson_interval(hijack, total) if sampled and total else None,
     )
 
 

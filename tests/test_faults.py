@@ -198,6 +198,19 @@ def test_campaign_memory_does_not_grow_with_atoms(design_n2):
     assert peak < 0.5 * 2**20
 
 
+def test_exhaustive_single_fault_stream_allocates_nothing_per_atom():
+    # run_campaign walks exhaustive single faults per (net, effect) and never
+    # reads this stream, so it must not copy the atom indices up front
+    tracemalloc.start()
+    try:
+        stream = fe._enumerate_experiments(fe.EXHAUSTIVE_BOUND, fe.CampaignSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert next(stream) == (0,) and next(stream) == (1,)
+
+
 def test_campaign_cycle_outside_trace_rejected(design_n2):
     words = _autocover(design_n2)
     spec = fe.CampaignSpec(scope="inputs_only", cycles=(0, len(words), 500))
@@ -556,8 +569,9 @@ def test_activity_tables_match_a_per_edge_or(n_edges, lookups):
 
 
 def test_activity_tables_are_sized_from_the_lookup_bound(design_n2):
-    # a campaign looks up at most its distinct site nets times its effects,
-    # and when sampled at most its draws times the faults of a draw
+    # a campaign looks up at most its distinct nets times its effects (the
+    # drawn ones in a sampled single-fault campaign: 5,000 draws reach every
+    # site net), and when sampled at most its draws times the faults of a draw
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
     comp = netlist._compile()
     nets = len({comp.index[site] for site in enumerate_fault_sites(netlist, "all")})
@@ -645,7 +659,7 @@ def _check_screen_of_every_net(netlist, words):
 
         stats = {}
         with mock.patch.object(fe, "_SCREEN_LANES", lanes_per_call), mock.patch.object(fe, "_run_ops", counted):
-            active = fe._activity(comp, golden, words, spec, nets, 0, None, stats)
+            active = fe._activity(comp, golden, words, spec, nets, stats)
         screened, stems, calls, lanes = (stats[key] for key in SCREEN_KEYS)
         per_call = max(1, lanes_per_call // edges)
         assert (screened, stems) == (len(nets), n_stems)
@@ -664,7 +678,7 @@ def _check_screen_of_every_net(netlist, words):
 @pytest.mark.parametrize("faults", [1, 2])
 def test_flip_only_campaign_skips_the_screen(design_n2, faults):
     # the golden net values of a stuck-at campaign take one _eval_edges call
-    # beyond the golden run's; a flip-only campaign makes none. A single-fault
+    # beyond the golden run's; a sampled flip-only campaign makes none. A single-fault
     # campaign that also flips settles its flips in a pool run of their own
     # before the campaign's, and makes no _eval_edges call for them
     netlist, codes, words = design_n2.netlist, design_n2.state_codes, _autocover(design_n2)
@@ -830,7 +844,11 @@ def test_equal_stuck_at_experiments_share_a_lane(request, case, lanes, caplog):
     assert doc["totals"] == totals
     assert doc["witnesses"] == witnesses
 
-    # the lanes are the runs of consecutive non-empty (net, effect, mask) keys
+    # the lanes are the runs of consecutive non-empty (net, effect, mask)
+    # keys, less the runs outside the state_e/fsm_alert cone whose flip at
+    # the first cycle of the mask, a campaign cycle, is detected or hijacked:
+    # those take the flip's outcome without a lane. Every flip here is over
+    # by the cycle after it, so its whole-trace class is that outcome
     ones, shown = _shown_by_flips(netlist, words)
     every = (1 << len(words) + 1) - 1
     comp = netlist._compile()
@@ -841,24 +859,41 @@ def test_equal_stuck_at_experiments_share_a_lane(request, case, lanes, caplog):
             for c in cycles:
                 mask = shown[net] & differs >> c << c
                 if mask:
-                    keys.append((net, effect, mask))
-    runs = sum(1 for i, key in enumerate(keys) if not i or keys[i - 1] != key)
-    assert len(entered) == runs < len(keys)
-    idle_shared = _record(caplog, "settled_without_lane", "shared_lane")
-    assert idle_shared == (totals["total"] - len(keys), len(keys) - runs)
+                    keys.append((site, net, effect, mask))
+    runs = [key for i, key in enumerate(keys) if not i or keys[i - 1] != key]
+    flips = [
+        (site, (mask & -mask).bit_length() - 1)
+        for site, net, _, mask in runs
+        if net not in comp.out_cone and (mask & -mask).bit_length() - 1 in cycles
+    ]
+    trace = fe._word_trace(words)
+    res = simulate_batch(netlist, [trace] * (1 + len(flips)), [[]] + [[FaultSite(s, "flip", c)] for s, c in flips])
+    golden = [decode_exact(codes, w) for w in res.port_column("state_e")]
+    classes = [fe._classify(golden, *fe._observe(res, lane), codes)[0] for lane in range(1, 1 + len(flips))]
+    settled = sum(cls in ("detected", "hijack") for cls in classes)
+    assert len(entered) == len(runs) - settled < len(keys)
+    assert settled == (0 if case == "alert_free_register" else 783)
+    idle, shared, stuck = _record(caplog, "settled_without_lane", "shared_lane", "stuck_settled")
+    assert idle == totals["total"] - len(keys)
+    assert shared + stuck == len(keys) - len(entered)
 
     # a shared lane ends hijacked (design_n2) or silently corrupt (the register)
     ends = {cls for members, cls in outcomes if len(members) > 1}
     assert ("hijack" if case == "design_n2" else "masked_corrupt") in ends
     if case == "design_n2":
-        # witnesses are in experiment order; each member of a hijacking group
-        # has its own, at its own onset and the group's hijack cycle
-        hijacked = sorted(i for members, cls in outcomes if cls == "hijack" for i, _ in members)
-        witness_of = dict(zip(hijacked, witnesses))
+        # witnesses are in experiment order, the pool's and the settled
+        # groups' together; each member of a hijacking group has its own, at
+        # its own onset and the group's hijack cycle
+        sites = enumerate_fault_sites(netlist, spec.scope)
+        order = [
+            (sites.index(f["location"]) * 2 + spec.effects.index(f["effect"])) * len(cycles) + cycles.index(f["cycle"])
+            for f in (w["faults"][0] for w in witnesses)
+        ]
+        assert order == sorted(order)
+        witness_of = dict(zip(order, witnesses))
         for members, cls in outcomes:
             if cls == "hijack" and len(members) > 1:
                 own = [witness_of[i] for i, _ in members]
-                assert [w["faults"][0]["cycle"] for w in own] == [cycles[a % len(cycles)] for _, (a,) in members]
                 assert len({(w["cycle"], w["reached_state"]) for w in own}) == 1
 
 
@@ -1048,8 +1083,8 @@ def settled_flip_campaigns(draw):
     maybe ANDed with a flop's d net, so that the alert's cone shares nets
     with the next-state logic; a random ``CodeBook`` over its ``state_e``
     width that holds every golden word and an ERROR word off the golden run;
-    and a single-fault campaign of flips and one stuck-at effect, small
-    enough for the whole-trace reference."""
+    and a single-fault campaign of flips, one stuck-at effect or both,
+    small enough for the whole-trace reference."""
     n, words = draw(golden_netlists())
     width = len(n.port("state_e").bits)
     assume(words and width)
@@ -1079,11 +1114,13 @@ def settled_flip_campaigns(draw):
     extra = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
     entries = [("ERR", extra[0])] + [(f"S{w}", w) for w in golden] + [(f"X{w}", w) for w in extra[1:]]
     codes = CodeBook(1, width, tuple(draw(st.permutations(entries))), "ERR")
-    effects = ("flip", draw(st.sampled_from(["stuck0", "stuck1"])))
+    stuck = draw(st.sampled_from(["stuck0", "stuck1"]))
+    effects = draw(st.sampled_from([("flip",), (stuck,), ("flip", stuck)]))
     scope = draw(st.sampled_from(["all", "inputs_only"]))
     some = st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=3, unique=True).map(tuple)
     cycles = draw(st.none() | some)
-    n_atoms = len(enumerate_fault_sites(rewired, scope)) * 2 * (len(words) if cycles is None else len(cycles))
+    n_sites = len(enumerate_fault_sites(rewired, scope))
+    n_atoms = n_sites * len(effects) * (len(words) if cycles is None else len(cycles))
     if n_atoms <= 800 and draw(st.booleans()):
         spec = fe.CampaignSpec(scope=scope, effects=effects, cycles=cycles)
     else:
@@ -1130,9 +1167,10 @@ RECORD_KEYS = {
 def test_campaign_record_counts_every_experiment(caplog, case):
     # an experiment settles without a lane, shares one, settles per edge or
     # enters the pool, once or again at a later run of its mask: a single
-    # flip of a flip-only campaign enters exactly once. The screen takes a
-    # lane per distinct golden edge for the golden values, and one per
-    # (stem, edge) pair
+    # flip of a flip-only campaign enters exactly once, and only when the
+    # settle run leaves it pending, or when the campaign is sampled and so
+    # neither screened nor settled. The screen takes a lane per distinct
+    # golden edge for the golden values, and one per (stem, edge) pair
     netlist, words, codes, spec, lanes = case
     caplog.set_level(logging.INFO, logger="fsmguard")
     caplog.clear()
@@ -1143,11 +1181,14 @@ def test_campaign_record_counts_every_experiment(caplog, case):
     assert record["experiments"] == report.total
     settled = ("settled_without_lane", "shared_lane", "flips_settled", "stuck_settled")
     entered = report.total - sum(record[key] for key in settled)
-    if spec.effects == ("flip",) and spec.max_simultaneous_faults == 1:
-        assert record["pool_lanes"] == entered == report.total
+    single, sampled = spec.max_simultaneous_faults == 1, spec.mode == "sampled"
+    if spec.effects == ("flip",) and single:
+        assert record["pool_lanes"] == entered == record["flips_pooled"]
+        if sampled:
+            assert entered == report.total
     else:
         assert record["pool_lanes"] >= entered
-    if spec.effects != ("flip",):
+    if spec.effects != ("flip",) or single and not sampled:
         edges = len(set(_edge_keys(netlist, words)))
         assert record["screen_lanes"] == (record["screen_stems"] + 1) * edges
 
@@ -1285,30 +1326,40 @@ def test_golden_run_evaluates_each_transition_once():
 def test_campaign_logs_golden_phase(design_n2, caplog):
     caplog.set_level(logging.INFO, logger="fsmguard")
     spec = fe.CampaignSpec(scope="inputs_only", cycles=(0,))
-    rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    netlist, words = design_n2.netlist, _autocover(design_n2)
+    comp = netlist._compile()
+    sites = [comp.index[site] for site in enumerate_fault_sites(netlist, spec.scope)]
+    edges = len(set(_edge_keys(netlist, words)))
+    rep = fe.run_campaign(netlist, words, spec, design_n2.state_codes)
     record = log_record(caplog, "campaign")
-    cycles = len(_autocover(design_n2)) + 1
-    assert record["golden_cycles"] == cycles and record["golden_passes"] > 0 and record["golden_s"] > 0
-    # a flip-only campaign has no screen, and every single flip takes one lane
-    assert [record[key] for key in (*SCREEN_KEYS, "screen_s", "settled_without_lane", "shared_lane")] == [0] * 7
-    assert record["pool_lanes"] == record["experiments"] == rep.total and record["pool_steps"] > 0
+    assert record["golden_cycles"] == len(words) + 1 and record["golden_passes"] > 0 and record["golden_s"] > 0
+    # an exhaustive campaign screens every site's net, flip-only too: one
+    # lane per distinct golden edge for the golden net values, and per
+    # (stem, edge) pair for the screen
+    nets, stems, calls, lanes = _record(caplog, *SCREEN_KEYS)
+    assert nets == rep.metadata["sites"] and stems == len(_stems(netlist, sites)) and record["screen_s"] > 0
+    assert calls >= 2 and lanes == (stems + 1) * edges
+    # every single flip here shows and settles in the settle run, one lane
+    # per group, and none takes a lane of the campaign's pool
+    keys = ("flips_settled", "settle_lanes", "settle_passes", "settled_without_lane", "shared_lane", "flips_pooled")
+    assert _record(caplog, *keys, "pool_lanes", "pool_steps") == (rep.total, 9, 2, 0, 0, 0, 0, 0)
     assert record["experiments_per_s"] == pytest.approx(rep.total / record["wall_s"])
     caplog.clear()
     spec = fe.CampaignSpec(scope="inputs_only", effects=("stuck0", "stuck1"))
-    rep = fe.run_campaign(design_n2.netlist, _autocover(design_n2), spec, design_n2.state_codes)
+    rep = fe.run_campaign(netlist, words, spec, design_n2.state_codes)
     nets, stems, calls, lanes, idle, shared = _record(caplog, *SCREEN_KEYS, "settled_without_lane", "shared_lane")
-    comp = design_n2.netlist._compile()
-    sites = [comp.index[site] for site in enumerate_fault_sites(design_n2.netlist, spec.scope)]
-    assert nets == rep.metadata["sites"] and stems == len(_stems(design_n2.netlist, sites))
-    # one lane per distinct golden edge for the golden net values, and per
-    # (stem, edge) pair for the screen
-    assert calls >= 2 and lanes == (stems + 1) * len(set(_edge_keys(design_n2.netlist, _autocover(design_n2))))
+    assert nets == rep.metadata["sites"] and stems == len(_stems(netlist, sites))
+    assert calls >= 2 and lanes == (stems + 1) * edges
     assert 0 < idle <= rep.masked - rep.masked_corrupt
     assert 0 < shared < rep.total - idle
-    # each experiment that was neither settled nor shared enters a lane at
-    # least once, and again at each later run of its mask
-    pool_lanes, steps = _record(caplog, "pool_lanes", "pool_steps")
-    assert pool_lanes >= rep.total - idle - shared and steps > 0
+    # an exhaustive stuck-only campaign settles flips too, so the stuck-at
+    # groups outside the state_e/fsm_alert cone whose flip is detected or
+    # hijacked take its outcome without a lane. Each experiment that was
+    # neither settled nor shared enters a lane at least once, and again at
+    # each later run of its mask
+    stuck, settle_lanes, pool_lanes, steps = _record(caplog, "stuck_settled", "settle_lanes", "pool_lanes", "pool_steps")
+    assert stuck > 0 and settle_lanes > 0
+    assert pool_lanes >= rep.total - idle - shared - stuck and steps > 0
 
 
 @pytest.mark.parametrize(
@@ -1325,7 +1376,7 @@ def test_campaign_logs_golden_phase(design_n2, caplog):
 )
 def test_pool_lanes_and_steps_are_pinned(design_n2, caplog, scope, effects, faults, lanes, pool):
     # the exact lanes entered and steps taken by the pool: every flip of a
-    # flip-only campaign takes a lane, single stuck-at draws share or skip
+    # sampled flip-only campaign takes a lane, single stuck-at draws share or skip
     # one, and a two-lane pool reuses its lanes for hundreds of steps. Pairs
     # of stuck-at faults have runs of several mask cycles and faults whose
     # onset comes after the entry cycle: a lane released before its run is
